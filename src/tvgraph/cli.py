@@ -122,7 +122,9 @@ def cmd_simulate(args):
         raise ValueError("--trials must be >= 1")
     source = 0 if args.source is None else args.source
     dest = len(gu.nodes) - 1 if args.dest is None else args.dest
-    horizon = args.horizon or default_horizon(len(gu.nodes), args.p)
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError("--horizon must be >= 1")
+    horizon = default_horizon(len(gu.nodes), args.p) if args.horizon is None else args.horizon
     run = simulate_soa if args.metric == "soa" else simulate_cut
     emp = run(spec.params, gu, source, dest, horizon=horizon, trials=args.trials, seed=args.seed)
     _write(args.output, _csv(emp.nonzero_items(), ["latency", "count"]))
@@ -163,25 +165,23 @@ def cmd_simulate(args):
 
 def _parse_m_list(text):
     if not text:
-        return [], False
+        return []
     ms = []
-    want_full = False
     for tok in text.split(","):
         tok = tok.strip()
         if tok == "all":
-            want_full = True
-        else:
-            m = int(tok)
-            if m < 1:
-                raise ValueError("block sizes must be positive integers")
-            ms.append(m)
-    return ms, want_full
+            continue  # the fully smashed column is always emitted
+        m = int(tok)
+        if m < 1:
+            raise ValueError("block sizes must be positive integers")
+        ms.append(m)
+    return ms
 
 
 def cmd_compare(args):
     gu = _build_gu(args)
     spec = _build_model(args, gu)
-    ms, _ = _parse_m_list(args.m)
+    ms = _parse_m_list(args.m)
     grid = list(range(1, args.t_max + 1))
     header = ["t", "stg"] + [f"msmg_{m}" for m in ms] + ["smg"]
     if gu.name == "line":
@@ -227,6 +227,8 @@ def cmd_route(args):
     tgs = load_tgs(args.graph)
     if tgs.horizon != 1:
         raise ValueError("the routing graph file must hold exactly one slot")
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError("--horizon must be >= 1")
     gu = UnderlyingGraph.from_graphlet(tgs[0])
     table = compute_mett(gu, args.p, args.dest)
     if math.isinf(table.mett.get(args.source, math.inf)):

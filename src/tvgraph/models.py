@@ -13,13 +13,12 @@ latencies, computed here from the slot-1 configuration bit string.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .temporal import Graphlet, GraphletSequence, load_tgs
+from .temporal import Graphlet, GraphletSequence, bfs, load_tgs
 
 __all__ = [
     "UnderlyingGraph",
@@ -144,21 +143,41 @@ def stationary_distribution(params):
     return p / (p + q), q / (p + q)
 
 
+def edge_step(params, states, rng, shape):
+    """Edge states of the next slot, drawn from `rng` as one array of `shape`.
+
+    `states` holds the previous slot (None before slot 1); the independent
+    model ignores it.
+    """
+    u = rng.random(shape)
+    if isinstance(params, ErParams):
+        return u < params.p
+    if states is None:
+        return u < params.p0
+    return np.where(states, u >= params.q, u < params.p)
+
+
+def sample_slots(gu, params, horizon, rng):
+    """Lazily yield the up edges of slots 1..horizon, in gu.edges order."""
+    states = None
+    for _ in range(horizon):
+        states = edge_step(params, states, rng, len(gu.edges))
+        yield [gu.edges[i] for i in states.nonzero()[0].tolist()]
+
+
+def _sample_tgs(gu, params, horizon, seed):
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    rng = np.random.default_rng(seed)
+    return GraphletSequence.from_slot_edges(gu.nodes, sample_slots(gu, params, horizon, rng))
+
+
 def sample_er_tgs(gu, params, horizon, seed):
     """Sample a sequence with each candidate edge present independently per slot.
 
     seed may be an int or a numpy SeedSequence.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((horizon, len(gu.edges)))
-    present = draws < params.p
-    graphlets = []
-    for t in range(horizon):
-        edges = [e for e, on in zip(gu.edges, present[t]) if on]
-        graphlets.append(Graphlet(t + 1, gu.nodes, edges))
-    return GraphletSequence(graphlets)
+    return _sample_tgs(gu, params, horizon, seed)
 
 
 def sample_markov_tgs(gu, params, horizon, seed):
@@ -166,43 +185,20 @@ def sample_markov_tgs(gu, params, horizon, seed):
 
     seed may be an int or a numpy SeedSequence.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_edges = len(gu.edges)
-    state = rng.random(n_edges) < params.p0
-    graphlets = []
-    for t in range(1, horizon + 1):
-        if t > 1:
-            u = rng.random(n_edges)
-            state = np.where(state, u >= params.q, u < params.p)
-        edges = [e for e, on in zip(gu.edges, state) if on]
-        graphlets.append(Graphlet(t, gu.nodes, edges))
-    return GraphletSequence(graphlets)
+    return _sample_tgs(gu, params, horizon, seed)
 
 
 def shortest_path(gu, source, dest):
     """Deterministic BFS path (list of nodes) from source to dest, or None."""
     if source not in gu.nodes or dest not in gu.nodes:
         raise ValueError(f"unknown node {source!r} or {dest!r}")
-    if source == dest:
-        return [source]
-    nbr = gu.neighbor_map()
-    parent = {source: None}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in nbr[x]:
-            if y not in parent:
-                parent[y] = x
-                if y == dest:
-                    path = [dest]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(y)
-    return None
+    parent = bfs(gu.neighbor_map(), [source])
+    if dest not in parent:
+        return None
+    path = [dest]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 # --- the alternating (p = q = 1) special case on a line ---------------------

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import ErParams
 from .simulate import default_horizon, simulate_soa
+from .temporal import adjacency, bfs
 
 __all__ = [
     "MettTable",
@@ -178,19 +178,6 @@ def _subset_tables(degree, p):
     return probs, member.astype(bool)
 
 
-def _reachable_from(gu, dest):
-    nbr = gu.neighbor_map()
-    seen = {dest}
-    queue = deque([dest])
-    while queue:
-        x = queue.popleft()
-        for y in nbr[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 def mett_value_iteration_oracle(gu, p, dest, tol=1e-12, max_iter=100_000):
     """Fixed point of the one-slot lookahead over every edge-observation subset.
 
@@ -204,7 +191,7 @@ def mett_value_iteration_oracle(gu, p, dest, tol=1e-12, max_iter=100_000):
     if dest not in gu.nodes:
         raise ValueError(f"destination {dest!r} not in the graph")
     nbr = gu.neighbor_map()
-    reachable = _reachable_from(gu, dest)
+    reachable = bfs(nbr, [dest])
     sweep = sorted(v for v in reachable if v != dest)
     tables = {}
     for u in sweep:
@@ -257,8 +244,8 @@ def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
     Feasible only for graphs with at most `max_edges` candidate edges;
     beyond that, use the Monte Carlo cut-through simulator instead.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
     if dest not in gu.nodes:
         raise ValueError(f"destination {dest!r} not in the graph")
     n_edges = len(gu.edges)
@@ -274,21 +261,20 @@ def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
         prob = p ** bits * (1.0 - p) ** (n_edges - bits)
         if prob <= 0.0:
             continue
-        comp_of = _subset_components(nodes, gu.edges, mask)
+        adj = adjacency(e for i, e in enumerate(gu.edges) if mask >> i & 1)
+        comp_of = {}
         for u in nodes:
-            if u == dest:
-                continue
+            if u not in comp_of:
+                comp = tuple(sorted(bfs(adj, [u])))
+                comp_of.update(dict.fromkeys(comp, comp))
             comp = comp_of[u]
-            if dest in comp:
-                continue
-            key = tuple(sorted(comp))
-            bucket = buckets[u]
-            bucket[key] = bucket.get(key, 0.0) + prob
+            if dest not in comp:
+                buckets[u][comp] = buckets[u].get(comp, 0.0) + prob
     transitions = {
         u: [(prob, comp) for comp, prob in sorted(bucket.items())]
         for u, bucket in buckets.items()
     }
-    reachable = _reachable_from(gu, dest)
+    reachable = bfs(gu.neighbor_map(), [dest])
     value = {v: (0.0 if v in reachable else INF) for v in nodes}
     sweep = sorted(v for v in reachable if v != dest)
     for _ in range(max_iter):
@@ -307,27 +293,3 @@ def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
         raise RuntimeError(f"value iteration did not converge within {max_iter} sweeps")
     policy = _improving_policy(gu, value, dest)
     return MettTable(dest=dest, p=p, mett=value, policy=policy)
-
-
-def _subset_components(nodes, edges, mask):
-    adj = {v: [] for v in nodes}
-    for i, (u, v) in enumerate(edges):
-        if mask >> i & 1:
-            adj[u].append(v)
-            adj[v].append(u)
-    comp_of = {}
-    for start in nodes:
-        if start in comp_of:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        frozen = frozenset(comp)
-        for x in comp:
-            comp_of[x] = frozen
-    return comp_of

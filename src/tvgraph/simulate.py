@@ -8,23 +8,25 @@ costs slots.  Delivery inside the very first cut-through component
 counts as latency zero.
 
 Reproducibility: draws come from numpy PCG64 streams.  The vectorized
-engines give each fixed block of 8192 trials its own child stream
-(SeedSequence(seed, spawn_key=(block,))), so results are deterministic
-and independent of how blocks would be scheduled; per-trial python
-engines use SeedSequence(seed, spawn_key=(trial,)).  Undelivered trials
-are reported, never dropped.
+engines (store-or-advance along a path, cut-through on a forest, the
+adaptive replay) give each fixed block of 8192 trials its own child
+stream (SeedSequence(seed, spawn_key=(block,))), so results are
+deterministic and independent of how blocks would be scheduled; per-trial
+python engines (cut-through on other graphs, callable policies,
+reachable-pair curves) use SeedSequence(seed, spawn_key=(trial,)).
+Undelivered trials are reported, never dropped.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import LatencyPmf
-from .models import ErParams, sample_er_tgs, sample_markov_tgs, shortest_path
+from .models import ErParams, edge_step, sample_slots, shortest_path
+from .temporal import SmashedGraph, adjacency, bfs, close, component_masks, smash
 
 __all__ = [
     "TrialResult",
@@ -132,37 +134,23 @@ def default_horizon(n, p):
 # --- single-trial replays on a materialized sequence -------------------------
 
 
-def _union_distances(tgs, dest):
-    """Hop distance to dest in the union of all slots (used as a progress rank)."""
-    adj = {v: set() for v in tgs.node_ids}
-    for g in tgs:
-        for u, v in g.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-    dist = {dest: 0}
-    queue = deque([dest])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+def _hop_ranks(adj, nodes, dest):
+    """Hop distance to dest over `adj` for each of `nodes`; inf when cut off."""
+    dist = {}
+    for v, u in bfs(adj, [dest]).items():
+        dist[v] = 0 if u is None else dist[u] + 1
+    return {v: dist.get(v, math.inf) for v in nodes}
 
 
 def _union_path(tgs, source, dest):
-    dist = _union_distances(tgs, dest)
-    if source not in dist:
+    adj = adjacency(smash(tgs).edges)
+    rank = _hop_ranks(adj, tgs.node_ids, dest)
+    if rank.get(source, math.inf) == math.inf:
         raise ValueError(f"{dest!r} is not connected to {source!r} in the slot union")
     path = [source]
-    adj = {v: set() for v in tgs.node_ids}
-    for g in tgs:
-        for u, v in g.edges:
-            adj[u].add(v)
-            adj[v].add(u)
     while path[-1] != dest:
         cur = path[-1]
-        path.append(min((w for w in adj[cur] if dist[w] == dist[cur] - 1)))
+        path.append(min(w for w in adj[cur] if rank[w] == rank[cur] - 1))
     return path
 
 
@@ -184,21 +172,25 @@ def replay_soa(tgs, source, dest, next_hop=None):
             want = hops[u]
             return want if want in on_neighbors else None
 
+    latency, trajectory = _soa_walk((g.edges for g in tgs), source, dest, next_hop)
+    return TrialResult(latency, tuple(trajectory))
+
+
+def _soa_walk(slots, source, dest, next_hop):
+    """Store-or-advance walk over per-slot edge lists: (latency or None, trajectory)."""
     cur = source
     trajectory = [(source, 0)]
-    for g in tgs:
-        on_neighbors = frozenset(
-            v if u == cur else u for u, v in g.edges if cur in (u, v)
-        )
+    for t, edges in enumerate(slots, start=1):
+        on_neighbors = frozenset(v if u == cur else u for u, v in edges if cur in (u, v))
         move = next_hop(cur, on_neighbors)
         if move is not None:
             if move not in on_neighbors:
                 raise ValueError(f"policy chose {move!r}, not an up neighbor of {cur!r}")
             cur = move
-        trajectory.append((cur, g.time))
+        trajectory.append((cur, t))
         if cur == dest:
-            return TrialResult(g.time, tuple(trajectory))
-    return TrialResult(None, tuple(trajectory))
+            return t, trajectory
+    return None, trajectory
 
 
 def replay_cut(tgs, source, dest, rank=None):
@@ -212,30 +204,23 @@ def replay_cut(tgs, source, dest, rank=None):
     if source == dest:
         return TrialResult(0, ((source, 0),))
     if rank is None:
-        dist = _union_distances(tgs, dest)
-        far = len(tgs.node_ids) + 1
-        rank = {v: dist.get(v, far) for v in tgs.node_ids}
+        rank = _hop_ranks(adjacency(smash(tgs).edges), tgs.node_ids, dest)
+    latency, trajectory = _cut_walk((g.edges for g in tgs), source, dest, rank)
+    return TrialResult(latency, tuple(trajectory))
+
+
+def _cut_walk(slots, source, dest, rank):
+    """Cut-through walk over per-slot edge lists: (latency or None, trajectory)."""
     cur = source
     trajectory = [(source, 0)]
-    for g in tgs:
-        comp = {cur}
-        adj = {}
-        for u, v in g.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        queue = deque([cur])
-        while queue:
-            x = queue.popleft()
-            for y in adj.get(x, ()):
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
+    for t, edges in enumerate(slots, start=1):
+        comp = bfs(adjacency(edges), [cur])
         if dest in comp:
-            trajectory.append((dest, g.time))
-            return TrialResult(g.time - 1, tuple(trajectory))
+            trajectory.append((dest, t))
+            return t - 1, trajectory
         cur = min(comp, key=lambda v: (rank[v], v))
-        trajectory.append((cur, g.time))
-    return TrialResult(None, tuple(trajectory))
+        trajectory.append((cur, t))
+    return None, trajectory
 
 
 # --- vectorized engines -------------------------------------------------------
@@ -253,23 +238,14 @@ def _trial_stream(seed, trial):
 
 def _path_replay_block(model, n_edges, metric, horizon, rng, size):
     """Replay `size` trials along a fixed edge path; returns latencies (-1 undelivered)."""
-    er = isinstance(model, ErParams)
-    if er:
-        states = rng.random((size, n_edges)) < model.p
-    else:
-        states = rng.random((size, n_edges)) < model.p0
+    states = None
     pos = np.zeros(size, dtype=np.int64)
     orig = np.arange(size)
     latency = np.full(size, -1, dtype=np.int64)
     t = 0
     while orig.size and t < horizon:
         t += 1
-        if t > 1:
-            u = rng.random(states.shape)
-            if er:
-                states = u < model.p
-            else:
-                states = np.where(states, u >= model.q, u < model.p)
+        states = edge_step(model, states, rng, (orig.size, n_edges))
         if metric == "soa":
             on = states[np.arange(orig.size), pos]
             pos += on
@@ -297,7 +273,7 @@ def _run_path_trials(model, n_edges, metric, horizon, trials, seed):
     return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
 
 
-def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, p, horizon, rng, size):
+def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, model, horizon, rng, size):
     """Replay trials that, each slot, move to the first currently-up neighbor in
     the node's acceptance list (or wait).  Independent-churn model only;
     nodes are pre-mapped to integer indices and iterated in index order."""
@@ -315,7 +291,7 @@ def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, p, horizon, 
             rows = np.nonzero(pos == u)[0]
             if not rows.size:
                 continue
-            on = rng.random((rows.size, cand.size)) < p
+            on = edge_step(model, None, rng, (rows.size, cand.size))
             any_on = on.any(axis=1)
             first = on.argmax(axis=1)
             new_pos[rows[any_on]] = cand[first[any_on]]
@@ -327,21 +303,15 @@ def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, p, horizon, 
     return latency
 
 
-def _simulate_soa_policy_loop(model, gu, source, dest, horizon, trials, seed, next_hop):
-    """Per-trial python replay with a callable policy (any edge model)."""
-    sampler = sample_er_tgs if isinstance(model, ErParams) else sample_markov_tgs
+def _run_trial_walks(walk, policy, model, gu, source, dest, horizon, trials, seed):
+    """Per-trial python replay: `walk(slots, source, dest, policy)` over lazily
+    sampled slots, one stream per trial (any edge model)."""
     latencies = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
-        tgs = _sample_with_stream(sampler, gu, model, horizon, seed, trial)
-        result = replay_soa(tgs, source, dest, next_hop=next_hop)
-        latencies[trial] = -1 if result.latency is None else result.latency
+        slots = sample_slots(gu, model, horizon, _trial_stream(seed, trial))
+        latency, _ = walk(slots, source, dest, policy)
+        latencies[trial] = -1 if latency is None else latency
     return EmpiricalPmf.from_latencies(latencies, trials)
-
-
-def _sample_with_stream(sampler, gu, model, horizon, seed, trial):
-    # Re-seed the library samplers through a per-trial child sequence.
-    child = np.random.SeedSequence(seed, spawn_key=(trial,))
-    return sampler(gu, model, horizon, child)
 
 
 def _validate_endpoints(gu, source, dest):
@@ -382,21 +352,23 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
         for rng, size in _block_streams(seed, trials):
             parts.append(
                 _adaptive_replay_block(
-                    accept_idx, len(order), index[source], index[dest], model.p, horizon, rng, size
+                    accept_idx, len(order), index[source], index[dest], model, horizon, rng, size
                 )
             )
         return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
     if callable(next_hop):
-        return _simulate_soa_policy_loop(model, gu, source, dest, horizon, trials, seed, next_hop)
+        return _run_trial_walks(_soa_walk, next_hop, model, gu, source, dest, horizon, trials, seed)
     raise TypeError("next_hop must be None, a dict of acceptance tuples, or a callable")
 
 
 def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, rank=None):
     """Empirical cut-through latency distribution.
 
-    On a line-shaped candidate graph the message jumps to the farthest node
-    toward dest each slot (vectorized); on general graphs it jumps to the
-    component node of minimum rank (default: hop distance to dest).
+    Each slot the message jumps to the node of minimum rank (default: hop
+    distance to dest) in its current component.  On a forest with the
+    default rank that node lies on the one source-dest path, so the trials
+    replay that path vectorized, with per-block streams; other graphs, or
+    an explicit rank, replay per trial with per-trial streams.
     """
     _validate_endpoints(gu, source, dest)
     if trials < 1:
@@ -405,144 +377,18 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
         return EmpiricalPmf(np.array([trials]), trials, 0)
     if horizon is None:
         horizon = default_horizon(len(gu.nodes), model.p)
-    if shortest_path(gu, source, dest) is None:
+    path = shortest_path(gu, source, dest)
+    if path is None:
         raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
-    if gu.name == "line" and rank is None:
-        return _run_path_trials(model, abs(dest - source), "cut", horizon, trials, seed)
-    return _simulate_cut_loop(model, gu, source, dest, horizon, trials, seed, rank)
-
-
-def _simulate_cut_loop(model, gu, source, dest, horizon, trials, seed, rank):
     if rank is None:
-        dist = _bfs_distances(gu, dest)
-        far = len(gu.nodes) + 1
-        rank = {v: dist.get(v, far) for v in gu.nodes}
-    er = isinstance(model, ErParams)
-    edges = gu.edges
-    latencies = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        rng = _trial_stream(seed, trial)
-        if er:
-            states = rng.random(len(edges)) < model.p
-        else:
-            states = rng.random(len(edges)) < model.p0
-        cur = source
-        lat = -1
-        for t in range(1, horizon + 1):
-            if t > 1:
-                u = rng.random(len(edges))
-                if er:
-                    states = u < model.p
-                else:
-                    states = np.where(states, u >= model.q, u < model.p)
-            comp = _component_of(gu.nodes, edges, states, cur)
-            if dest in comp:
-                lat = t - 1
-                break
-            cur = min(comp, key=lambda v: (rank[v], v))
-        latencies[trial] = lat
-    return EmpiricalPmf.from_latencies(latencies, trials)
-
-
-def _bfs_distances(gu, dest):
-    nbr = gu.neighbor_map()
-    dist = {dest: 0}
-    queue = deque([dest])
-    while queue:
-        x = queue.popleft()
-        for y in nbr[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
-def _component_of(nodes, edges, states, start):
-    adj = {}
-    for e, on in zip(edges, states):
-        if on:
-            u, v = e
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj.get(x, ()):
-            if y not in comp:
-                comp.add(y)
-                queue.append(y)
-    return comp
+        components = SmashedGraph(gu.nodes, gu.edges).components()
+        if len(gu.edges) == len(gu.nodes) - len(components):  # a forest
+            return _run_path_trials(model, len(path) - 1, "cut", horizon, trials, seed)
+        rank = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)
+    return _run_trial_walks(_cut_walk, rank, model, gu, source, dest, horizon, trials, seed)
 
 
 # --- reachable-pairs curves ---------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def pair_fraction(self):
-        n = len(self.parent)
-        roots = {}
-        for x in range(n):
-            r = self.find(x)
-            roots[r] = roots.get(r, 0) + 1
-        hits = sum(c * (c - 1) for c in roots.values())
-        return hits / (n * (n - 1))
-
-
-def _closure_apply(reach, comp_masks):
-    for comp in comp_masks:
-        for i, r in enumerate(reach):
-            if r & comp:
-                reach[i] = r | comp
-
-
-def _edge_component_masks(n, on_edge_indices, edge_list):
-    adj = [[] for _ in range(n)]
-    touched = set()
-    for idx in on_edge_indices:
-        u, v = edge_list[idx]
-        adj[u].append(v)
-        adj[v].append(u)
-        touched.add(u)
-        touched.add(v)
-    masks = []
-    seen = set()
-    for start in touched:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        mask = 0
-        for x in comp:
-            mask |= 1 << x
-        masks.append(mask)
-    return masks
 
 
 def _reach_fraction(reach):
@@ -572,9 +418,7 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
         if not isinstance(m, int) or m < 1:
             raise ValueError("block sizes must be positive integers")
     t_max = max(grid, default=0)
-    er = isinstance(model, ErParams)
-    edge_list = list(gu.edges)
-    n_edges = len(edge_list)
+    index = {v: v for v in range(n)}
     out = {"stacked": np.zeros((trials, len(grid))), "smashed": np.zeros((trials, len(grid)))}
     for m in ms:
         out[("msmg", m)] = np.zeros((trials, len(grid)))
@@ -584,37 +428,27 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     for trial in range(trials):
         rng = _trial_stream(seed, trial)
         reach = [1 << i for i in range(n)]
-        uf = _UnionFind(n)
-        block_reach = {m: [1 << i for i in range(n)] for m in ms}
+        smashed = list(reach)
+        block_reach = {m: list(reach) for m in ms}
         block_edges = {m: set() for m in ms}
-        states = None
-        for j in grid_by_t.get(0, ()):
-            out["stacked"][trial, j] = 0.0
-            out["smashed"][trial, j] = 0.0
+        for t, on in enumerate(sample_slots(gu, model, t_max, rng), start=1):
+            masks = component_masks(on, index)
+            close(reach, masks)
+            for comp in masks:
+                # merge every union component the slot component touches
+                merged = comp
+                for r in smashed:
+                    if r & comp:
+                        merged |= r
+                close(smashed, [merged])
             for m in ms:
-                out[("msmg", m)][trial, j] = 0.0
-        for t in range(1, t_max + 1):
-            if er:
-                states = rng.random(n_edges) < model.p
-            elif states is None:
-                states = rng.random(n_edges) < model.p0
-            else:
-                u = rng.random(n_edges)
-                states = np.where(states, u >= model.q, u < model.p)
-            on_idx = np.nonzero(states)[0]
-            comp_masks = _edge_component_masks(n, on_idx, edge_list)
-            _closure_apply(reach, comp_masks)
-            for idx in on_idx:
-                uf.union(*edge_list[idx])
-            for m in ms:
-                block_edges[m].update(int(i) for i in on_idx)
+                block_edges[m].update(on)
                 if t % m == 0:
-                    masks = _edge_component_masks(n, sorted(block_edges[m]), edge_list)
-                    _closure_apply(block_reach[m], masks)
+                    close(block_reach[m], component_masks(block_edges[m], index))
                     block_edges[m].clear()
             for j in grid_by_t.get(t, ()):
                 out["stacked"][trial, j] = _reach_fraction(reach)
-                out["smashed"][trial, j] = uf.pair_fraction()
+                out["smashed"][trial, j] = _reach_fraction(smashed)
                 for m in ms:
                     out[("msmg", m)][trial, j] = _reach_fraction(block_reach[m])
     return out

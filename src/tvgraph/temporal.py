@@ -48,6 +48,32 @@ def _normalize_edge(u, v):
     return (a, b)
 
 
+def adjacency(edges):
+    """Undirected adjacency lists {node: [neighbors]} of an edge iterable."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def bfs(adj, starts):
+    """Breadth-first search over `adj` from every node of `starts` at once.
+
+    Returns {node: parent} in visit order; starts map to None.  Nodes
+    absent from `adj` have no neighbors.
+    """
+    parent = dict.fromkeys(starts)
+    queue = deque(parent)
+    while queue:
+        x = queue.popleft()
+        for y in adj.get(x, ()):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return parent
+
+
 class Graphlet:
     """One slot of a dynamic network: an undirected snapshot with a slot index."""
 
@@ -182,36 +208,16 @@ class SmashedGraph:
     def connected(self, u, v):
         if u not in self.nodes or v not in self.nodes:
             raise ValueError(f"unknown node {u!r} or {v!r}")
-        if u == v:
-            return True
-        seen = {u}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
+        return v in bfs(self._adj, [u])
 
     def components(self):
         comps = []
         seen = set()
         for start in self.nodes:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if start not in seen:
+                comp = frozenset(bfs(self._adj, [start]))
+                seen |= comp
+                comps.append(comp)
         return comps
 
 
@@ -236,19 +242,9 @@ def stacked_reachable(stg, src, dst):
     """Directed reachability between two (node, slot) vertices of a stacked graph."""
     if src not in stg.nodes or dst not in stg.nodes:
         raise ValueError(f"unknown stacked vertex {src!r} or {dst!r}")
-    if src == dst:
-        return True
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in stg.successors(x):
-            if y == dst:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
+    # arcs never go back in time, so no vertex after dst's slot leads to dst
+    succ = {v: ws for v, ws in stg._succ.items() if v[1] <= dst[1]}
+    return dst in bfs(succ, [src])
 
 
 def smash(tgs):
@@ -307,24 +303,15 @@ def t_reachable(tgs, source, target):
     _require_known(tgs, source, target)
     if source == target:
         return True, []
-    parent = {}
-    reached = {source}
+    parent = {source: None}
     for g in tgs:
-        adj = {}
-        for u, v in g.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        queue = deque(x for x in reached if x in adj)
-        while queue:
-            x = queue.popleft()
-            for y in adj.get(x, ()):
-                if y not in reached:
-                    reached.add(y)
-                    parent[y] = (x, g.time)
-                    queue.append(y)
-        if target in reached:
+        adj = adjacency(g.edges)
+        for y, x in bfs(adj, [v for v in parent if v in adj]).items():
+            if x is not None:
+                parent[y] = (x, g.time)
+        if target in parent:
             break
-    if target not in reached:
+    if target not in parent:
         return False, None
     journey = []
     v = target
@@ -336,32 +323,28 @@ def t_reachable(tgs, source, target):
     return True, journey
 
 
-def _slot_component_masks(graphlet, index):
-    """Bit masks of the multi-node components of one slot, restricted to `index`."""
-    adj = {}
-    for u, v in graphlet.edges:
-        if u in index and v in index:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+def component_masks(edges, index):
+    """Bit masks (bit index[v] for node v) of the multi-node components of
+    the graph on `edges`, ignoring edges with an endpoint outside `index`."""
+    adj = adjacency((u, v) for u, v in edges if u in index and v in index)
     masks = []
     seen = set()
     for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        mask = 0
-        for x in comp:
-            mask |= 1 << index[x]
-        masks.append(mask)
+        if start not in seen:
+            comp = bfs(adj, [start])
+            seen.update(comp)
+            masks.append(sum(1 << index[x] for x in comp))
     return masks
+
+
+def close(reach, masks):
+    """One slot of the journey closure: every reach mask that touches a slot
+    component gains the whole component.  Components of one slot are
+    disjoint, so their order does not matter."""
+    for comp in masks:
+        for i, r in enumerate(reach):
+            if r & comp:
+                reach[i] = r | comp
 
 
 def _journey_masks(tgs, removed=frozenset()):
@@ -371,10 +354,7 @@ def _journey_masks(tgs, removed=frozenset()):
     index = {v: i for i, v in enumerate(order)}
     reach = [1 << i for i in range(len(order))]
     for g in tgs:
-        for comp in _slot_component_masks(g, index):
-            for i, r in enumerate(reach):
-                if r & comp:
-                    reach[i] = r | comp
+        close(reach, component_masks(g.edges, index))
     return order, reach
 
 

@@ -136,6 +136,15 @@ def test_simulate_zero_trials_errors():
     assert "trials" in res.stderr
 
 
+def test_simulate_zero_horizon_errors():
+    res = run_cli(
+        "simulate", "--model", "er", "--n", "4", "--p", "0.5",
+        "--metric", "soa", "--trials", "10", "--horizon", "0",
+    )
+    assert res.returncode == 1
+    assert "--horizon must be >= 1" in res.stderr
+
+
 def test_simulate_repeat_runs_byte_identical(tmp_path):
     args = (
         "simulate", "--model", "mc", "--n", "5", "--p", "0.5", "--q", "0.25",
@@ -189,6 +198,20 @@ def test_compare_mc_analytic_columns(tmp_path):
     assert res.returncode != 0
 
 
+def test_compare_m_all_is_accepted_as_no_op():
+    # the fully smashed column is always emitted, so 'all' adds nothing
+    for mode in (
+        ("--model", "er", "--n", "6", "--p", "0.2", "--t-max", "12"),
+        ("--model", "er", "--gu", "complete", "--n", "6", "--p", "0.2", "--t-max", "6",
+         "--trials", "5", "--seed", "3"),
+    ):
+        for plain, with_all in (((), ("--m", "all")), (("--m", "2"), ("--m", "2,all"))):
+            want = run_cli("compare", *mode, *plain)
+            got = run_cli("compare", *mode, *with_all)
+            assert want.returncode == got.returncode == 0, got.stderr
+            assert got.stdout == want.stdout
+
+
 def test_compare_empirical_complete_graph(tmp_path):
     out = tmp_path / "emp.csv"
     res = run_cli(
@@ -223,6 +246,17 @@ def test_route_line_and_trials(tmp_path):
     assert payload["nodes"]["0"]["policy"] == [1]
     assert abs(payload["empirical_mean"] - 36.0) <= 3 * payload["empirical_stderr"]
     assert pmf_out.read_text().splitlines()[0] == "latency,count"
+
+
+def test_route_zero_horizon_errors(tmp_path):
+    graph = tmp_path / "line.tgs"
+    dump_tgs(GraphletSequence.from_slot_edges(range(4), [UnderlyingGraph.line(4).edges]), graph)
+    res = run_cli(
+        "route", "--graph", graph, "--p", "0.5", "--source", "0", "--dest", "3",
+        "--trials", "100", "--horizon", "0",
+    )
+    assert res.returncode == 1
+    assert "--horizon must be >= 1" in res.stderr
 
 
 def test_route_disconnected_errors(tmp_path):

@@ -322,6 +322,13 @@ def test_cut_mett_edge_cap():
         cut_mett_small(UnderlyingGraph.complete(7), 0.5, 0)  # 21 edges
 
 
+def test_cut_mett_rejects_p_outside_unit_interval():
+    # p = 0 never delivers; it must fail up front, not after max_iter sweeps
+    for p in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            cut_mett_small(UnderlyingGraph.line(4), p, 3)
+
+
 def test_cut_mett_triangle_with_pendant_vs_simulation():
     gu = UnderlyingGraph((0, 1, 2, 3), ((0, 1), (0, 2), (1, 2), (2, 3)))
     p = 0.5

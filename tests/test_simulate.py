@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from tvgraph.analytics import (
+    LatencyPmf,
     er_cut_latency_pmf,
     er_soa_latency_pmf,
     mc_cut_latency_pmf,
@@ -26,7 +29,14 @@ from tvgraph.simulate import (
     simulate_cut,
     simulate_soa,
 )
-from tvgraph.temporal import GraphletSequence
+from tvgraph.temporal import (
+    Graphlet,
+    GraphletSequence,
+    SmashedGraph,
+    m_smash,
+    reachable_pairs_fraction,
+    smash,
+)
 
 
 # --- single-trial replays -------------------------------------------------------
@@ -235,11 +245,53 @@ def test_simulate_validation():
 
 
 def test_simulate_cut_general_graph_matches_line_shape():
-    # a path given as a generic graph runs through the python engine and
-    # agrees with the line closed form
+    # a path given as a generic graph agrees with the line closed form
     gu = UnderlyingGraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
     emp = simulate_cut(ErParams(0.5), gu, 0, 3, trials=4_000, seed=15)
     assert emp.total_variation(er_cut_latency_pmf(4, 0.5)) < 0.03
+
+
+def test_simulate_cut_engine_follows_shape_not_name():
+    # a line built without its name, or read back from a graphlet, takes the
+    # same forest engine and streams as UnderlyingGraph.line
+    named = UnderlyingGraph.line(10)
+    unnamed = UnderlyingGraph(named.nodes, named.edges)
+    from_graphlet = UnderlyingGraph.from_graphlet(Graphlet(1, named.nodes, named.edges))
+    for model in (ErParams(0.25), MarkovParams(0.4, 0.3)):
+        want = simulate_cut(model, named, 0, 9, trials=3_000, seed=21).counts
+        for gu in (unnamed, from_graphlet):
+            got = simulate_cut(model, gu, 0, 9, trials=3_000, seed=21).counts
+            assert np.array_equal(got, want)
+
+
+def test_simulate_cut_tree_with_branches_matches_path_law():
+    # spine 0-1-2-3-4 with leaves 5, 6 and a two-edge branch 2-7-8; side
+    # branches never help on a tree, so the law is that of the path
+    gu = UnderlyingGraph(
+        tuple(range(9)),
+        ((0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6), (2, 7), (7, 8)),
+    )
+    emp = simulate_cut(ErParams(0.4), gu, 0, 4, trials=20_000, seed=22)
+    assert emp.total_variation(er_cut_latency_pmf(5, 0.4)) < 0.02
+    emp = simulate_cut(ErParams(0.4), gu, 5, 8, trials=20_000, seed=23)
+    assert emp.total_variation(er_cut_latency_pmf(5, 0.4)) < 0.02
+
+
+def test_simulate_cut_complete_graph_default_rank_is_geometric():
+    # K4 has cycles, so trials replay one by one; every non-dest node has
+    # rank 1, so each slot delivers with the chance r that the message's
+    # node and dest are connected in G(4, p), r found by enumeration
+    gu = UnderlyingGraph.complete(4)
+    p = 0.3
+    r = 0.0
+    for mask in range(1 << len(gu.edges)):
+        on = [e for i, e in enumerate(gu.edges) if mask >> i & 1]
+        if SmashedGraph(gu.nodes, on).connected(0, 3):
+            r += p ** len(on) * (1 - p) ** (len(gu.edges) - len(on))
+    masses = tuple(r * (1 - r) ** t for t in range(60))
+    pmf = LatencyPmf(0, masses, 1.0 - math.fsum(masses))
+    emp = simulate_cut(ErParams(p), gu, 0, 3, trials=10_000, seed=26)
+    assert emp.total_variation(pmf) < 0.03
 
 
 def test_simulate_soa_callable_policy():
@@ -282,6 +334,36 @@ def test_reachable_pairs_coarsened_between():
     mid = samples[("msmg", 2)]
     assert (samples["stacked"] <= mid).all()
     assert (mid <= samples["smashed"]).all()
+
+
+def test_reachable_pairs_columns_match_per_trial_sequences():
+    # row i is the sequence sample_*_tgs draws from SeedSequence(seed, spawn_key=(i,))
+    gu = UnderlyingGraph.complete(7)
+    n = 7
+    grid = [0, 1, 3, 4, 7]
+    trials = 15
+    for model, sampler, seed in (
+        (ErParams(0.08), sample_er_tgs, 24),
+        (MarkovParams(0.3, 0.4, p0=0.1), sample_markov_tgs, 25),
+    ):
+        samples = reachable_pairs_samples(model, gu, grid, trials, seed, ms=(2,))
+        for i in range(trials):
+            stream = np.random.SeedSequence(seed, spawn_key=(i,))
+            full = sampler(gu, model, max(grid), stream)
+            for j, t in enumerate(grid):
+                if t == 0:
+                    assert samples["stacked"][i, j] == samples["smashed"][i, j] == 0.0
+                    continue
+                tgs = GraphletSequence(full.graphlets[:t])
+                assert tgs == sampler(gu, model, t, stream)
+                assert samples["stacked"][i, j] == float(reachable_pairs_fraction(tgs))
+                smg = smash(tgs)
+                pairs = sum(smg.connected(u, v) for u in range(n) for v in range(n) if u != v)
+                assert samples["smashed"][i, j] == pairs / (n * (n - 1))
+                if t >= 2:  # complete 2-slot blocks only
+                    blocks = m_smash(GraphletSequence(full.graphlets[:t - t % 2]), 2)
+                    coarse = float(reachable_pairs_fraction(blocks))
+                    assert samples[("msmg", 2)][i, j] == coarse
 
 
 def test_reachable_pairs_separate_calls_share_samples():

@@ -444,6 +444,22 @@ def test_full_smash_reachability_equals_union_connectivity():
             assert t_reachable(coarse, u, v)[0] == smg.connected(u, v)
 
 
+def test_smashed_components_partition_nodes():
+    tgs = GraphletSequence.from_slot_edges(range(7), [[(0, 1)], [(2, 3), (3, 4)], [(1, 0)]])
+    comps = smash(tgs).components()
+    assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3, 4], [5], [6]]
+    assert all(isinstance(c, frozenset) for c in comps)
+    rng = random.Random(16)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        smg = smash(random_sequence(rng, n, rng.randint(1, 4), p=0.15))
+        comps = smg.components()
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        for u, v in itertools.permutations(range(n), 2):
+            same = any(u in c and v in c for c in comps)
+            assert same == smg.connected(u, v)
+
+
 # --- text format ------------------------------------------------------------------
 
 
