@@ -3,10 +3,18 @@
 Each slot every candidate edge is up with probability p; moving across an
 up edge consumes the slot it was observed in, so a single edge to the
 destination costs 1/p expected slots.  The minimum expected traversal
-time (METT) of every node is computed destination-out with a Dijkstra-style
-extraction where relaxation evaluates the optimal *prefix policy*: accept
-whichever of the k cheapest settled neighbors comes up first, with k chosen
-to minimize the expected remaining time.
+time (METT) of every node is the cost of its best *prefix policy*: accept
+whichever of its k cheapest neighbors comes up first, with k chosen to
+minimize the expected remaining time.
+
+compute_mett finds every METT in one destination-out label-setting pass in
+the style of Dijkstra.  Neighbors settle in nondecreasing METT order, so
+each settling extends the acceptance prefix of its unsettled neighbors by
+one candidate, an O(1) update of running sums.  A prefix stops growing at
+the first candidate whose METT is not below the current cost: the cost of
+the longer prefix is the mediant of the current cost and that METT, so no
+longer prefix can do better, and ties go to the shorter prefix.  The pass
+costs O(E log V).
 
 Two independent oracles back the solver: a value iteration over the full
 per-slot edge-observation model (exponential in degree, desk scale only),
@@ -73,8 +81,11 @@ def prefix_cost(p, sorted_metts):
 
         cost(k) = (1 + sum_i p (1-p)^(i-1) m_i) / s_k
 
-    Returns (cost, k) minimizing over k, ties toward smaller k; an empty or
-    all-infinite candidate list yields (inf, 0).
+    cost(k) is the mediant of cost(k-1) and m_k, so it falls below cost(k-1)
+    only when m_k does; the scan stops at the first m_k not below the current
+    cost, and no longer prefix does better.  Returns (cost, k) minimizing over
+    k, ties toward smaller k; an empty or all-infinite candidate list yields
+    (inf, 0).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
@@ -87,13 +98,14 @@ def prefix_cost(p, sorted_metts):
     prob_sum = 0.0
     weighted = 0.0
     for k, m in enumerate(ms, start=1):
-        if math.isinf(m):
+        if m >= best_cost:
             break
         prob_sum += weight
         weighted += weight * m
         cost = (1.0 + weighted) / prob_sum
-        if cost < best_cost:
-            best_cost, best_k = cost, k
+        if not cost < best_cost:  # a weight too small to move the rounded cost
+            break
+        best_cost, best_k = cost, k
         weight *= 1.0 - p
     return best_cost, best_k
 
@@ -101,9 +113,15 @@ def prefix_cost(p, sorted_metts):
 def compute_mett(gu, p, dest):
     """Destination-out extraction of every node's minimum expected traversal time.
 
-    Settling order is by (value, node id); relaxing an unsettled node
-    re-evaluates prefix_cost from scratch over its settled neighbors.
-    Unreachable nodes keep METT = inf and an empty policy.
+    Settling order is by (value, node id), so each node's neighbors settle
+    in its candidates' sorted order.  When u settles with value d, each
+    unsettled neighbor v whose current cost is strictly above d takes u as
+    the next candidate of its acceptance prefix: running sums of the
+    candidates' weights and weighted METTs give v's new cost in O(1).  A
+    neighbor whose METT is not below v's cost is never taken (prefix_cost's
+    stopping rule), so ties go to the shorter prefix.  The pass costs
+    O(E log V).  policy[v] is the accepted neighbors sorted by (METT, node
+    id).  Unreachable nodes keep METT = inf and an empty policy.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
@@ -112,31 +130,30 @@ def compute_mett(gu, p, dest):
     nbr = gu.neighbor_map()
     mett = {v: INF for v in gu.nodes}
     mett[dest] = 0.0
+    sums = {}  # v -> (weight of v's next candidate, prob_sum, weighted), as in prefix_cost
+    accepted = {v: [] for v in gu.nodes}
     settled = set()
     order = []
     heap = [(0.0, dest)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in settled or d > mett[u]:
+        if u in settled:
             continue
         settled.add(u)
         order.append(u)
         for v in nbr[u]:
-            if v in settled:
+            if v in settled or not d < mett[v]:
                 continue
-            candidates = sorted(mett[w] for w in nbr[v] if w in settled)
-            d_v, _ = prefix_cost(p, candidates)
-            if d_v < mett[v]:
-                mett[v] = d_v
-                heapq.heappush(heap, (d_v, v))
-    policy = {}
-    for u in gu.nodes:
-        if u == dest or math.isinf(mett[u]):
-            policy[u] = ()
-            continue
-        cands = sorted((mett[v], v) for v in nbr[u] if mett[v] < mett[u])
-        _, k = prefix_cost(p, [m for m, _ in cands])
-        policy[u] = tuple(v for _, v in cands[:k])
+            weight, prob_sum, weighted = sums.get(v, (p, 0.0, 0.0))
+            prob_sum += weight
+            weighted += weight * d
+            cost = (1.0 + weighted) / prob_sum
+            if cost < mett[v]:  # as in prefix_cost, a candidate must move the rounded cost
+                mett[v] = cost
+                sums[v] = (weight * (1.0 - p), prob_sum, weighted)
+                accepted[v].append(u)
+                heapq.heappush(heap, (cost, v))
+    policy = {u: tuple(sorted(accepted[u], key=lambda v: (mett[v], v))) for u in gu.nodes}
     return MettTable(dest=dest, p=p, mett=mett, policy=policy, order=tuple(order))
 
 

@@ -276,7 +276,8 @@ def _run_path_trials(model, n_edges, metric, horizon, trials, seed):
 def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, model, horizon, rng, size):
     """Replay trials that, each slot, move to the first currently-up neighbor in
     the node's acceptance list (or wait).  Independent-churn model only;
-    nodes are pre-mapped to integer indices and iterated in index order."""
+    nodes are pre-mapped to integer indices, and the occupied ones are visited
+    in index order."""
     pos = np.full(size, source_idx, dtype=np.int64)
     orig = np.arange(size)
     latency = np.full(size, -1, dtype=np.int64)
@@ -284,13 +285,11 @@ def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, model, horiz
     while orig.size and t < horizon:
         t += 1
         new_pos = pos.copy()
-        for u in range(n_ids):
+        for u in np.bincount(pos, minlength=n_ids).nonzero()[0]:
             cand = accept_idx[u]
             if cand is None or not cand.size:
                 continue
             rows = np.nonzero(pos == u)[0]
-            if not rows.size:
-                continue
             on = edge_step(model, None, rng, (rows.size, cand.size))
             any_on = on.any(axis=1)
             first = on.argmax(axis=1)

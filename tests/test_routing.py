@@ -157,6 +157,16 @@ def test_mett_table_invariants():
             assert cost == pytest.approx(table.mett[u], abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.25, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 50, 150])
+def test_mett_complete_graph_ties_are_exact(n, p):
+    # every other node ties at 1/p, and a tied candidate never joins a prefix
+    table = compute_mett(UnderlyingGraph.complete(n), p, n - 1)
+    for v in range(n - 1):
+        assert table.mett[v] == 1.0 / p
+        assert table.policy[v] == (n - 1,)
+
+
 def test_mett_json_export():
     table = compute_mett(UnderlyingGraph((0, 1, 2), ((0, 1),)), 0.5, 0)
     d = table.to_json_dict()
