@@ -9,15 +9,29 @@ for free; only waiting costs slots).
 
 Latency PMFs are truncated at an explicit horizon and carry the leftover
 tail as `truncation_mass`; with no horizon given, the support is extended
-until the tail drops below 1e-13.  The convention 0**0 = 1 is used
-throughout so the p=1 and q=1 boundaries are well defined.
+until the tail drops below 1e-13, and a tail that cannot get there within
+MAX_SUPPORT masses raises ValueError (give `max_latency` instead).  The
+convention 0**0 = 1 is used throughout so the p=1 and q=1 boundaries are
+well defined.
+
+The two-state-chain PMFs (`mc_*`) are one kernel, soa being cut shifted by
+n-1.  It evaluates chunks of latencies as numpy arrays of log terms in
+Loader's saddle-point form, so nothing under- or overflows at any n, and
+masses agree with exact rational arithmetic to about 1e-13 relative.  Its
+automatic support keeps the rule above, with the running sum carried in
+twice double precision.  The independent-churn PMFs and reach CDFs share
+one negative-binomial recurrence.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LatencyPmf",
@@ -39,6 +53,13 @@ __all__ = [
 TAIL_TARGET = 1e-13
 MAX_SUPPORT = 2_000_000
 NORMALIZATION_TOL = 1e-9
+_TOO_LONG = (
+    f"the latency tail does not fall below {TAIL_TARGET:g} within {MAX_SUPPORT:,} masses;"
+    " pass max_latency to truncate the support"
+)
+# A chain-mixture chunk holds at most 128 latencies and 2**17 terms (1 MB).
+_CHUNK_ROWS = 128
+_CHUNK_TERMS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -115,29 +136,24 @@ def _validate_line(n, p, allow_p_zero=False):
         raise ValueError("p = 0 never delivers")
 
 
-def _collect(mass_at, offset, max_latency):
-    """Masses from `offset` up to `max_latency` (or auto-extended)."""
-    masses = []
-    cum = 0.0
-    if max_latency is not None:
-        for latency in range(offset, max_latency + 1):
-            m = mass_at(latency)
-            masses.append(m)
-            cum += m
-    else:
-        latency = offset
-        while len(masses) < MAX_SUPPORT:
-            m = mass_at(latency)
-            masses.append(m)
-            cum += m
-            if 1.0 - cum < TAIL_TARGET:
-                break
-            latency += 1
-    return tuple(masses), max(0.0, 1.0 - cum)
+def _check_support(mean, sd):
+    """Refuse an automatic support that cannot reach TAIL_TARGET in MAX_SUPPORT masses.
+
+    Cantelli's inequality gives P(T > mean - k sd) >= k^2 / (1 + k^2); at
+    k = 1e-3 that is about 1e-6 of the mass, far above TAIL_TARGET, so the
+    cap is out of reach once mean >= MAX_SUPPORT + sd / 1000.
+    """
+    if mean >= MAX_SUPPORT + 1e-3 * sd:
+        raise ValueError(_TOO_LONG)
 
 
-def _negbin_masses(hops, p, count):
-    """C(hops-1+j, j) (1-p)^j p^hops for j = 0.. (count terms, or auto)."""
+def _negbin_masses(hops, p, q, count):
+    """C(hops-1+j, j) q^j p^hops for j = 0.. (count terms, or auto).
+
+    q is 1 - p, passed in so that a caller holding q keeps its rounding.
+    """
+    if count is None:
+        _check_support(hops * q / p, math.sqrt(hops * q) / p)
     masses = []
     cum = 0.0
     a = p ** hops
@@ -147,12 +163,16 @@ def _negbin_masses(hops, p, count):
             if j >= count:
                 break
         elif j >= MAX_SUPPORT:
+            # The running sum can drift by more than TAIL_TARGET over this
+            # many masses, so the cap is judged by an exact sum.
+            if 1.0 - math.fsum(masses) >= TAIL_TARGET:
+                raise ValueError(_TOO_LONG)
             break
         masses.append(a)
         cum += a
         if count is None and 1.0 - cum < TAIL_TARGET:
             break
-        a *= (1.0 - p) * (hops + j) / (j + 1)
+        a *= q * (hops + j) / (j + 1)
         j += 1
     return tuple(masses), max(0.0, 1.0 - cum)
 
@@ -166,7 +186,7 @@ def er_soa_latency_pmf(n, p, max_latency=None):
     _validate_line(n, p)
     offset = n - 1
     count = None if max_latency is None else max(0, max_latency - offset + 1)
-    masses, trunc = _negbin_masses(n - 1, p, count)
+    masses, trunc = _negbin_masses(n - 1, p, 1.0 - p, count)
     return LatencyPmf(offset, masses, trunc)
 
 
@@ -178,7 +198,7 @@ def er_cut_latency_pmf(n, p, max_latency=None):
     """
     _validate_line(n, p)
     count = None if max_latency is None else max(0, max_latency + 1)
-    masses, trunc = _negbin_masses(n - 1, p, count)
+    masses, trunc = _negbin_masses(n - 1, p, 1.0 - p, count)
     return LatencyPmf(0, masses, trunc)
 
 
@@ -233,6 +253,120 @@ def _validate_markov(n, params):
         raise ValueError("these closed forms assume the stationary start p0 = p/(p+q)")
 
 
+# Stirling's error log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15; from
+# n = 16 on, five terms of its asymptotic series are exact to double precision.
+_STIRLERR = np.array([
+    0.0, 0.08106146679532725822, 0.04134069595540929409, 0.02767792568499833915,
+    0.02079067210376509311, 0.01664469118982119216, 0.01387612882307074800,
+    0.01189670994589177010, 0.01041126526197209650, 0.009255462182712732918,
+    0.008330563433362871256, 0.007573675487951840795, 0.006942840107209529866,
+    0.006408994188004207068, 0.005951370112758847736, 0.005554733551962801371,
+])
+
+
+def _stirlerr(n):
+    """Stirling's error at whole numbers n >= 0, held in any dtype."""
+    big = np.maximum(n, 16.0)
+    nn = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / big
+    return np.where(n < 16, _STIRLERR[np.minimum(n, 15).astype(int)], series)
+
+
+def _bd0(x, mu):
+    """The deviance x log(x/mu) + mu - x, for x, mu > 0.
+
+    Written with log1p(d/mu), d = x - mu, it is small and exact to about
+    1e-16 |d| where x is near mu, which is where the mass lies.
+    """
+    d = x - mu
+    # d / mu overflows only where mu < x * 1e-308: the deviance is then
+    # infinite and its term exp(-inf) = 0, as it should be.
+    with np.errstate(over="ignore"):
+        return x * np.log1p(d / mu) - d
+
+
+def _log_dbinom(x, n, p, q):
+    """log P(Binomial(n, p) = x) at whole numbers 0 < x < n, with q = 1 - p.
+
+    Loader's saddle-point form ("Fast and accurate computation of binomial
+    probabilities", 2000): Stirling's errors and deviances, so no large
+    logarithms cancel, as they do in differences of lgamma.
+    """
+    return (_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x) - _bd0(x, n * p) - _bd0(n - x, n * q)
+            - 0.5 * np.log(2.0 * math.pi * x * (n - x) / n))
+
+
+def _chain_mixture(n, params, offset, max_latency):
+    """Latency offset + T, with T the cut-through latency of the chain line.
+
+    T = 0 with probability pi_on^(n-1).  Otherwise m ~ Binomial(n-1, q/(p+q))
+    edges are found OFF and each waits a Geometric(p) >= 1 number of slots,
+    so P(T = ell) sums, over m = 1..min(n-1, ell), the binomial weight of m
+    times the negative-binomial mass (m/ell) P(Binomial(ell, p) = m).
+
+    Latencies are taken in chunks of at most _CHUNK_ROWS.  A chunk is one
+    [latency, m] array of log terms in Loader's form, exponentiated where
+    m < ell and summed along m; the m = ell terms, the weight times p^m, are
+    added after.  Masses come out within about 1e-13 relative of exact
+    arithmetic, and no power or binomial coefficient under- or overflows.
+    With no max_latency the support ends at the first latency whose running
+    sum leaves a tail below TAIL_TARGET.
+    """
+    p, q = params.p, params.q
+    hops = n - 1
+    pi_on, off = p / (p + q), q / (p + q)
+    if max_latency is None:
+        count = None
+        _check_support(hops * off / p, math.sqrt(hops * off * (2.0 - p - off)) / p)
+    else:
+        count = max(0, max_latency - offset + 1)
+        if count == 0:
+            return LatencyPmf(offset, (), 1.0)
+    limit = MAX_SUPPORT if count is None else count
+
+    # Column j holds m = hops - j, so that a sliding window over a vector
+    # indexed by the wait k = ell - m lines up with each latency's row.
+    ms = np.arange(hops, 0, -1, dtype=float)
+    log_weight = np.empty(hops)
+    log_weight[0] = hops * math.log(off)
+    log_weight[1:] = _log_dbinom(ms[1:], hops, off, pi_on)
+    # The per-m part of log(weight * (m/ell) P(Binomial(ell, p) = m)).
+    per_m = log_weight + 0.5 * np.log(ms) - _stirlerr(ms) - 0.5 * math.log(2.0 * math.pi)
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_TERMS // hops))
+
+    masses = [pi_on ** hops]
+    # The running sum is cum + cum_err, carried to twice double precision: a
+    # plain running sum drifts by up to 1e-16 per mass, which on a long
+    # support is more than TAIL_TARGET.
+    cum, cum_err = masses[0], 0.0
+    done = count is None and 1.0 - cum < TAIL_TARGET
+    while not done and len(masses) < limit:
+        start = len(masses)
+        ells = np.arange(start, start + min(rows, limit - start))
+        chunk = np.zeros(len(ells))
+        if p < 1.0:  # at p = 1 every blocked edge waits one slot, so m = ell
+            ks = np.maximum(np.arange(start - hops, ells[-1], dtype=float), 1.0)
+            ell_col = ells[:, None]
+            terms = sliding_window_view(-_stirlerr(ks) - 0.5 * np.log(ks), hops) + per_m
+            terms += (_stirlerr(ells) - 0.5 * np.log(ells))[:, None]
+            terms -= _bd0(ms, ell_col * p)
+            terms -= _bd0(sliding_window_view(ks, hops), ell_col * (1.0 - p))
+            chunk = np.exp(terms, out=np.zeros_like(terms), where=ms < ell_col).sum(axis=1)
+        blocked = ells[ells <= hops]
+        chunk[: len(blocked)] += np.exp(log_weight[hops - blocked]) * p ** blocked
+        if count is None:
+            hit = np.flatnonzero(1.0 - (cum + (cum_err + np.cumsum(chunk))) < TAIL_TARGET)
+            if hit.size:
+                chunk, done = chunk[: hit[0] + 1], True
+        chunk = chunk.tolist()
+        masses.extend(chunk)
+        total = math.fsum((cum, cum_err, *chunk))
+        cum, cum_err = total, math.fsum((cum, cum_err, *chunk, -total))
+    if count is None and not done:
+        raise ValueError(_TOO_LONG)
+    return LatencyPmf(offset, tuple(masses), max(0.0, 1.0 - cum - cum_err))
+
+
 def mc_cut_latency_pmf(n, params, max_latency=None):
     """Cut-through latency on a line of independent two-state edge chains.
 
@@ -245,29 +379,7 @@ def mc_cut_latency_pmf(n, params, max_latency=None):
     Mean (n-1) q / (p (p+q)).
     """
     _validate_markov(n, params)
-    p, q = params.p, params.q
-    pi_on = p / (p + q)
-    denom = (p + q) ** (n - 1)
-    base = p ** (n - 1)
-
-    def mass_at(latency):
-        if latency == 0:
-            return pi_on ** (n - 1)
-        total = 0.0
-        for m in range(1, min(n - 1, latency) + 1):
-            total += (
-                math.comb(n - 1, m)
-                * math.comb(latency - 1, m - 1)
-                * base
-                * q ** m
-                * (1.0 - p) ** (latency - m)
-                / denom
-            )
-        return total
-
-    count = None if max_latency is None else max_latency
-    masses, trunc = _collect(mass_at, 0, count)
-    return LatencyPmf(0, masses, trunc)
+    return _chain_mixture(n, params, 0, max_latency)
 
 
 def mc_soa_latency_pmf(n, params, max_latency=None):
@@ -283,46 +395,33 @@ def mc_soa_latency_pmf(n, params, max_latency=None):
     Mean n-1 + (n-1) q / (p (p+q)).
     """
     _validate_markov(n, params)
-    p, q = params.p, params.q
-    pi_on = p / (p + q)
-    denom = (p + q) ** (n - 1)
-    base = p ** (n - 1)
-    offset = n - 1
-
-    def mass_at(latency):
-        if latency == offset:
-            return pi_on ** (n - 1)
-        j = latency - offset
-        total = 0.0
-        for m in range(1, min(n - 1, j) + 1):
-            total += (
-                math.comb(n - 1, m)
-                * math.comb(j - 1, m - 1)
-                * base
-                * q ** m
-                * (1.0 - p) ** (j - m)
-                / denom
-            )
-        return total
-
-    masses, trunc = _collect(mass_at, offset, max_latency)
-    return LatencyPmf(offset, masses, trunc)
+    return _chain_mixture(n, params, n - 1, max_latency)
 
 
 # --- reachability CDFs of the stacked / smashed representations --------------
 
 
-def stacked_reach_cdf(n, p, t):
-    """P(first node reaches last within t slots) on the time-expanded line."""
+def reach_curve(n, p, m, blocks):
+    """Reach CDFs after 0..blocks blocks of m slots, each block smashed into one.
+
+    A block holds an edge with probability 1 - (1-p)^m, so the curve is the
+    running sum of the cut-through masses at that presence (at m = 1, of
+    er_cut_latency_pmf(n, p, blocks - 1)).
+    """
     _validate_line(n, p)
+    q_block = (1.0 - p) ** m
+    masses, _ = _negbin_masses(n - 1, p if m == 1 else 1.0 - q_block, q_block, blocks)
+    return [0.0, *itertools.accumulate(masses)]
+
+
+def stacked_reach_cdf(n, p, t):
+    """P(first node reaches last within t slots) on the time-expanded line.
+
+    The cut-through CDF at t-1.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    cum = 0.0
-    a = p ** (n - 1)
-    for tau in range(t):
-        cum += a
-        a *= (1.0 - p) * (n - 1 + tau) / (tau + 1)
-    return cum
+    return reach_curve(n, p, 1, t)[t]
 
 
 def smashed_reach_cdf(n, p, t):
@@ -338,23 +437,15 @@ def m_smashed_reach_cdf(n, p, t, m):
     """Reach CDF after coarsening every m slots into one; floor(t/m) full blocks.
 
     The coarse sequence is itself an independent-churn line with per-block
-    presence 1 - (1-p)^m, so this interpolates between the stacked curve
-    (m=1, exact equality) and the fully smashed one (m=t).
+    presence 1 - (1-p)^m, so this is the stacked CDF at that presence after
+    t // m slots: it interpolates between the stacked curve (m=1, exact
+    equality) and the fully smashed one (m=t).
     """
-    _validate_line(n, p)
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("block size m must be a positive integer")
-    if m == 1:
-        return stacked_reach_cdf(n, p, t)
-    blocks = t // m
-    q_block = (1.0 - p) ** m
-    p_block = 1.0 - q_block
-    cum = 0.0
-    a = p_block ** (n - 1)
-    for tau in range(blocks):
-        cum += a
-        a *= q_block * (n - 1 + tau) / (tau + 1)
-    return cum
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return reach_curve(n, p, m, t // m)[-1]
 
 
 def mc_smashed_reach_cdf(n, params, t):

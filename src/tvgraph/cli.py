@@ -21,12 +21,11 @@ from .analytics import (
     er_cut_latency_pmf,
     er_soa_latency_pmf,
     er_soa_location_pmf,
-    m_smashed_reach_cdf,
     mc_cut_latency_pmf,
     mc_smashed_reach_cdf,
     mc_soa_latency_pmf,
+    reach_curve,
     smashed_reach_cdf,
-    stacked_reach_cdf,
 )
 from .models import (
     ErParams,
@@ -139,8 +138,12 @@ def cmd_simulate(args):
     if analytic_available:
         hops = abs(dest - source)
         if hops >= 1:
-            pmf = _analytic_pmf(spec, hops + 1, args.metric, None)
-            tv = emp.total_variation(pmf)
+            try:
+                pmf = _analytic_pmf(spec, hops + 1, args.metric, None)
+            except ValueError:  # its tail does not reach 1e-13 within MAX_SUPPORT masses
+                pass
+            else:
+                tv = emp.total_variation(pmf)
     summary = {
         "spec_version": SPEC_VERSION,
         "command": "simulate",
@@ -185,14 +188,15 @@ def cmd_compare(args):
     grid = list(range(1, args.t_max + 1))
     header = ["t", "stg"] + [f"msmg_{m}" for m in ms] + ["smg"]
     if gu.name == "line":
-        rows = []
         if spec.kind == "er":
-            p = spec.params.p
-            for t in grid:
-                row = [t, stacked_reach_cdf(args.n, p, t)]
-                row += [m_smashed_reach_cdf(args.n, p, t, m) for m in ms]
-                row.append(smashed_reach_cdf(args.n, p, t))
-                rows.append(row)
+            # The coarsened curve at t has taken t // m blocks.
+            stg = reach_curve(args.n, spec.params.p, 1, args.t_max)
+            coarse = [reach_curve(args.n, spec.params.p, m, args.t_max // m) for m in ms]
+            rows = [
+                [t, stg[t]] + [curve[t // m] for m, curve in zip(ms, coarse)]
+                + [smashed_reach_cdf(args.n, spec.params.p, t)]
+                for t in grid
+            ]
         else:
             if ms:
                 raise ValueError("analytic coarsened columns exist only for the er model")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tvgraph import analytics
 from tvgraph.analytics import (
     LatencyPmf,
     er_cut_latency_masses_exact,
@@ -308,6 +309,77 @@ def test_mc_validation():
         mc_soa_latency_pmf(4, MarkovParams(0.5, 0.25, p0=0.1))  # transient start
 
 
+def exact_chain_cut_mass(n, p, q, latency):
+    """The mc_cut_latency_pmf formula in exact rationals of the float inputs."""
+    p, q = Fraction(p), Fraction(q)
+    if latency == 0:
+        return (p / (p + q)) ** (n - 1)
+    # Over the common denominator of q^m (1-p)^(latency-m) the sum is an integer.
+    r = 1 - p
+    top = min(n - 1, latency)
+    total = sum(
+        math.comb(n - 1, m) * math.comb(latency - 1, m - 1)
+        * q.numerator ** m * q.denominator ** (top - m)
+        * r.numerator ** (latency - m) * r.denominator ** m
+        for m in range(1, top + 1)
+    )
+    scale = q.denominator ** top * r.denominator ** latency
+    return Fraction(total, scale) * (p / (p + q)) ** (n - 1)
+
+
+def test_mc_pmfs_on_a_400_node_line():
+    n, p, q = 400, 0.3, 0.2
+    params = MarkovParams(p, q)
+    cut, soa = mc_cut_latency_pmf(n, params), mc_soa_latency_pmf(n, params)
+    assert (cut.offset, soa.offset) == (0, n - 1)
+    mean_cut = (n - 1) * q / (p * (p + q))
+    for pmf in (cut, soa):
+        assert math.fsum(pmf.masses) + pmf.truncation_mass == pytest.approx(1.0, abs=1e-12)
+        assert pmf.truncation_mass < 1e-13
+        assert pmf.mean() == pytest.approx(pmf.offset + mean_cut, rel=1e-9)
+    for latency in (0, 1, 150, 532, 700):
+        want = float(exact_chain_cut_mass(n, p, q, latency))
+        assert cut.mass(latency) == pytest.approx(want, rel=1e-10)
+        assert soa.mass(n - 1 + latency) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: er_soa_latency_pmf(3, 1e-9),
+    lambda: er_cut_latency_pmf(3, 1e-9),
+    lambda: mc_cut_latency_pmf(3, MarkovParams(1e-9, 0.5)),
+    lambda: mc_soa_latency_pmf(3, MarkovParams(1e-9, 1e-9)),
+])
+def test_auto_support_refuses_an_unreachable_tail(call):
+    with pytest.raises(ValueError, match="max_latency"):
+        call()
+
+
+def test_auto_support_refuses_at_the_cap(monkeypatch):
+    # Means of about 1000 slots pass the closed-form check against a cap of
+    # 1000 masses, but their tails need about 30,000.
+    monkeypatch.setattr(analytics, "MAX_SUPPORT", 1000)
+    with pytest.raises(ValueError, match="max_latency"):
+        er_cut_latency_pmf(2, 1e-3)
+    with pytest.raises(ValueError, match="max_latency"):
+        mc_cut_latency_pmf(2, MarkovParams(1e-3, 0.5))
+    assert len(er_cut_latency_pmf(2, 1e-3, max_latency=5000).masses) == 5001
+
+
+def test_auto_support_keeps_a_tail_reached_within_the_cap():
+    # The running sum drifts by more than 1e-13 over these masses, although
+    # their exact sum reaches the tail long before the cap.
+    pmf = er_cut_latency_pmf(40, 1e-3)
+    assert len(pmf.masses) == analytics.MAX_SUPPORT
+    assert 1.0 - math.fsum(pmf.masses) < 1e-13
+
+
+def test_tiny_p_still_truncates_at_an_explicit_horizon():
+    pmf = er_soa_latency_pmf(3, 1e-9, max_latency=10)
+    assert len(pmf.masses) == 9 and pmf.truncation_mass == pytest.approx(1.0)
+    pmf = mc_cut_latency_pmf(3, MarkovParams(1e-9, 0.5), max_latency=10)
+    assert len(pmf.masses) == 11 and pmf.truncation_mass == pytest.approx(1.0)
+
+
 # --- reachability CDFs ----------------------------------------------------------------
 
 
@@ -325,6 +397,25 @@ def test_stacked_cdf_is_cut_pmf_partial_sum():
     for t in range(1, 50):
         cum += pmf.mass(t - 1)
         assert stacked_reach_cdf(n, p, t) == pytest.approx(cum, abs=1e-12)
+
+
+def _reach_by_recurrence(n, p, t, m=1):
+    """The coarsened reach CDF summed straight from its block recurrence."""
+    q_block = (1.0 - p) ** m
+    cum, a = 0.0, (p if m == 1 else 1.0 - q_block) ** (n - 1)
+    for tau in range(t // m):
+        cum += a
+        a *= q_block * (n - 1 + tau) / (tau + 1)
+    return cum
+
+
+def test_reach_cdfs_match_their_block_recurrence():
+    for n in (2, 3, 10, 40):
+        for p in (0.01, 0.1, 0.35, 0.9, 1.0):
+            for t in (0, 1, 5, 37, 200):
+                assert stacked_reach_cdf(n, p, t) == _reach_by_recurrence(n, p, t)
+                for m in (2, 3, 7, 50):
+                    assert m_smashed_reach_cdf(n, p, t, m) == _reach_by_recurrence(n, p, t, m)
 
 
 def test_smashed_cdf_closed_form():

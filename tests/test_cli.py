@@ -127,6 +127,18 @@ def test_simulate_writes_csv_and_summary(tmp_path):
     assert summary["mean"] == pytest.approx(5 / 0.5, abs=0.3)
 
 
+def test_simulate_without_an_automatic_analytic_support(tmp_path):
+    out = tmp_path / "emp.csv"
+    res = run_cli(
+        "simulate", "--model", "er", "--n", "3", "--p", "1e-9", "--metric", "cut",
+        "--trials", "10", "--horizon", "5", "--output", out,
+    )
+    assert res.returncode == 0, res.stderr
+    summary = json.loads((tmp_path / "emp.csv.json").read_text())
+    assert summary["undelivered"] == 10
+    assert summary["tv_vs_analytic"] is None
+
+
 def test_simulate_zero_trials_errors():
     res = run_cli(
         "simulate", "--model", "er", "--n", "4", "--p", "0.5",
