@@ -211,8 +211,8 @@ def cmd_compare(args):
             ]
         _write(args.output, _csv(rows, header))
         return 0
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1 for the empirical comparison")
+    if args.trials < 2:
+        raise ValueError("--trials must be >= 2: standard errors need two trials")
     samples = reachable_pairs_samples(spec.params, gu, grid, args.trials, args.seed, ms=ms)
     header = ["t", "stg", "stg_se"] + [f"msmg_{m}" for m in ms] + ["smg", "smg_se"]
     rows = []

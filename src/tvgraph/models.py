@@ -149,7 +149,11 @@ def edge_step(params, states, rng, shape):
     `states` holds the previous slot (None before slot 1); the independent
     model ignores it.
     """
-    u = rng.random(shape)
+    return edge_update(params, states, rng.random(shape))
+
+
+def edge_update(params, states, u):
+    """Edge states of the next slot from uniforms `u` on [0, 1), as `edge_step`."""
     if isinstance(params, ErParams):
         return u < params.p
     if states is None:

@@ -12,9 +12,17 @@ engines (store-or-advance along a path, cut-through on a forest, the
 adaptive replay) give each fixed block of 8192 trials its own child
 stream (SeedSequence(seed, spawn_key=(block,))), so results are
 deterministic and independent of how blocks would be scheduled; per-trial
-python engines (cut-through on other graphs, callable policies,
-reachable-pair curves) use SeedSequence(seed, spawn_key=(trial,)).
-Undelivered trials are reported, never dropped.
+python engines (cut-through on other graphs, callable policies) use
+SeedSequence(seed, spawn_key=(trial,)).  Undelivered trials are reported,
+never dropped.
+
+Reachable-pair curves are array code over blocks of trials that keep the
+per-trial streams: each trial draws its slots from its own
+SeedSequence(seed, spawn_key=(trial,)), exactly the uniforms a per-trial
+sampler would draw.  One numpy component labeller (`labels`) and one
+closure step on uint64 reach bitsets (`close`) serve the stacked, smashed
+and m-smashed views, and PAIR_CELLS candidate-edge cells per draw and
+labelling call bound the working memory.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import LatencyPmf
-from .models import ErParams, edge_step, sample_slots, shortest_path
-from .temporal import SmashedGraph, adjacency, bfs, close, component_masks, smash
+from .models import ErParams, edge_step, edge_update, sample_slots, shortest_path
+from .temporal import SmashedGraph, adjacency, bfs, smash
 
 __all__ = [
     "TrialResult",
@@ -389,11 +397,119 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
 
 # --- reachable-pairs curves ---------------------------------------------------
 
+# Reachable-pair work per array call: candidate-edge cells drawn and
+# labelled, and bitset words of each view per block of trials.
+PAIR_CELLS = 1 << 14
+_BITS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-def _reach_fraction(reach):
-    n = len(reach)
-    hits = sum(r.bit_count() - 1 for r in reach)
-    return hits / (n * (n - 1))
+
+def labels(size, a, b):
+    """Connected components of the graph on nodes 0..size-1 with edges (a, b).
+
+    Returns each node's lowest-index component member, in the dtype of `a`.
+    Each round every edge between two trees hooks the larger root to the
+    smaller one by plain fancy assignment (when several edges write one
+    root, any write may win: each is smaller), then pointers jump until
+    every node points at its root.  Edges inside one tree drop out for good.
+    """
+    lab = np.arange(size, dtype=a.dtype)
+    la, lb = a, b
+    while True:
+        live = la != lb
+        if not live.any():
+            return lab
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        lab[np.maximum(la, lb)] = np.minimum(la, lb)
+        while True:
+            up = lab[lab]
+            if (up == lab).all():
+                break
+            lab = up
+        la, lb = lab[a], lab[b]
+
+
+def close(reach, key):
+    """One closure step on bitset rows: every row takes the OR of the rows
+    that share its key, and the new rows are returned.  Each key is the
+    lowest row index of its group (as `labels` gives), so the merged groups
+    are written to those rows of `reach` and gathered from there."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    reach[ordered[first]] = np.bitwise_or.reduceat(reach[order], first, axis=0)
+    return reach[key]
+
+
+def _graph_labels(on, n, head, tail):
+    """Lowest-member labels of the graphs `on` (graphs x candidate edges,
+    bool) over n nodes each, as indices into the flattened (graphs x n);
+    head and tail hold both ends of every cell of `on`, flattened."""
+    cells = np.flatnonzero(on)
+    return labels(on.shape[0] * n, head[cells], tail[cells])
+
+
+def _pairs(reach, n):
+    """Per-trial count of ordered pairs u != v with bit u set in row v."""
+    bits = _BITS[reach.view(np.uint8)].reshape(-1, n * reach.shape[1] * 8)
+    return bits.sum(axis=1, dtype=np.int64) - n
+
+
+def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
+    """Ordered reachable pairs (u != v) of every view for the trials drawn by
+    `rngs`: {view: (horizons x trials)}, row slot_of[t] at horizon t.
+
+    Node v of trial i is row i*n + v.  In the bitsets of the stacked and
+    m-smashed views bit u of row v is set when u reaches v; the smashed
+    view keeps each row's union class as its lowest row.
+    """
+    size, n_edges = len(rngs), ends.shape[1]
+    nodes = np.arange(size * n, dtype=np.int32)
+    v = nodes % n
+    ident = np.zeros((size * n, (n + 63) // 64), dtype=np.uint64)
+    ident[nodes, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+    reach = ident.copy()
+    union = nodes
+    coarse = {m: ident.copy() for m in ms}
+    pending = {m: np.zeros((size, n_edges), dtype=bool) for m in ms}
+    coarse_pairs = {m: np.zeros(size, dtype=np.int64) for m in ms}
+    views = ["stacked", "smashed"] + [("msmg", m) for m in ms]
+    pairs = {view: np.zeros((len(slot_of), size), dtype=np.int64) for view in views}
+    chunk = max(1, min(t_max, PAIR_CELLS // (size * max(n, n_edges))))
+    offset = np.arange(chunk * size, dtype=np.int32)[:, None] * n
+    head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
+    u = np.empty((size, chunk, n_edges))
+    states = None
+    for t0 in range(0, t_max, chunk):
+        span = min(chunk, t_max - t0)
+        for i, rng in enumerate(rngs):
+            rng.random(out=u[i, :span])
+        slots = np.empty((span, size, n_edges), dtype=bool)
+        for k in range(span):
+            states = slots[k] = edge_update(model, states, u[:, k])
+        keys = _graph_labels(slots.reshape(span * size, n_edges), n, head, tail)
+        keys = keys.reshape(span, size * n) - offset[:span] * size
+        for k in range(span):
+            t = t0 + k + 1
+            reach = close(reach, keys[k])
+            # merge the union classes that a slot component joins
+            moved = keys[k] != nodes
+            union = labels(size * n, union[moved], union[keys[k][moved]])[union]
+            for m in ms:
+                pending[m] |= slots[k]
+                if t % m == 0:
+                    coarse[m] = close(coarse[m], _graph_labels(pending[m], n, head, tail))
+                    coarse_pairs[m] = _pairs(coarse[m], n)
+                    pending[m][:] = False
+            row = slot_of.get(t)
+            if row is not None:
+                classes = np.bincount(union, minlength=size * n)
+                pairs["stacked"][row] = _pairs(reach, n)
+                pairs["smashed"][row] = (classes * classes).reshape(size, n).sum(axis=1) - n
+                for m in ms:
+                    pairs[("msmg", m)][row] = coarse_pairs[m]
+    return pairs
 
 
 def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
@@ -401,9 +517,19 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
 
     Returns {"stacked": M, "smashed": M, ("msmg", m): M ...} where M is a
     (trials x grid) array; row i of every matrix is computed from the same
-    sampled sequence, so stacked <= coarsened <= smashed holds per sample.
-    Node ids must be 0..n-1.  Grid entries are horizons; a coarsened column
-    reflects floor(T/m) complete blocks.
+    sampled sequence, the one sample_*_tgs(gu, model, T,
+    SeedSequence(seed, spawn_key=(i,))) draws, so stacked <= coarsened <=
+    smashed holds per sample.  Node ids must be 0..n-1, n >= 2.  Grid
+    entries are horizons; a coarsened column reflects floor(T/m) complete
+    blocks.
+
+    Trials run in blocks as array code: each slot's components come from
+    `labels` (slots labelled in chunks of about PAIR_CELLS candidate-edge
+    cells, which bounds the working memory), the stacked journey closure
+    and each m-smashed one are `close` steps on reach bitsets (one row of
+    ceil(n/64) uint64 words per trial and node), and the smashed union
+    classes are relabelled each slot from the old classes and the slot's
+    components.
     """
     grid = list(horizon_grid)
     if any(t < 0 for t in grid):
@@ -413,43 +539,26 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     n = len(gu.nodes)
     if set(gu.nodes) != set(range(n)):
         raise ValueError("reachable-pairs sampling expects node ids 0..n-1")
+    if n < 2:
+        raise ValueError("reachable-pair fractions need at least two nodes")
     for m in ms:
-        if not isinstance(m, int) or m < 1:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError("block sizes must be positive integers")
+    slot_of = {t: row for row, t in enumerate(sorted(set(grid)))}
+    column = [slot_of[t] for t in grid]
     t_max = max(grid, default=0)
-    index = {v: v for v in range(n)}
-    out = {"stacked": np.zeros((trials, len(grid))), "smashed": np.zeros((trials, len(grid)))}
-    for m in ms:
-        out[("msmg", m)] = np.zeros((trials, len(grid)))
-    grid_by_t = {}
-    for j, t in enumerate(grid):
-        grid_by_t.setdefault(t, []).append(j)
-    for trial in range(trials):
-        rng = _trial_stream(seed, trial)
-        reach = [1 << i for i in range(n)]
-        smashed = list(reach)
-        block_reach = {m: list(reach) for m in ms}
-        block_edges = {m: set() for m in ms}
-        for t, on in enumerate(sample_slots(gu, model, t_max, rng), start=1):
-            masks = component_masks(on, index)
-            close(reach, masks)
-            for comp in masks:
-                # merge every union component the slot component touches
-                merged = comp
-                for r in smashed:
-                    if r & comp:
-                        merged |= r
-                close(smashed, [merged])
-            for m in ms:
-                block_edges[m].update(on)
-                if t % m == 0:
-                    close(block_reach[m], component_masks(block_edges[m], index))
-                    block_edges[m].clear()
-            for j in grid_by_t.get(t, ()):
-                out["stacked"][trial, j] = _reach_fraction(reach)
-                out["smashed"][trial, j] = _reach_fraction(smashed)
-                for m in ms:
-                    out[("msmg", m)][trial, j] = _reach_fraction(block_reach[m])
+    ends = np.array(gu.edges, dtype=np.int32).reshape(-1, 2).T
+    # a block draws at most PAIR_CELLS cells per slot (unless one trial's
+    # slot is larger) and holds about PAIR_CELLS bitset words per view
+    block = max(1, PAIR_CELLS // max(len(gu.edges), n * ((n + 63) // 64)))
+    out = {}
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        rngs = [_trial_stream(seed, trial) for trial in range(start, stop)]
+        for view, pairs in _pairs_block(model, ends, n, t_max, rngs, slot_of, ms).items():
+            if view not in out:
+                out[view] = np.zeros((trials, len(grid)))
+            out[view][start:stop] = pairs[column].T / (n * (n - 1))
     return out
 
 

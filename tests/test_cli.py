@@ -239,6 +239,17 @@ def test_compare_empirical_complete_graph(tmp_path):
         assert float(stg) <= float(smg) + 1e-12
 
 
+def test_compare_empirical_needs_two_trials(tmp_path):
+    out = tmp_path / "emp.csv"
+    res = run_cli(
+        "compare", "--model", "er", "--gu", "complete", "--n", "5", "--p", "0.3",
+        "--t-max", "3", "--trials", "1", "--output", out,
+    )
+    assert res.returncode == 1
+    assert res.stderr == "error: --trials must be >= 2: standard errors need two trials\n"
+    assert not out.exists()
+
+
 def test_route_line_and_trials(tmp_path):
     graph = tmp_path / "line.tgs"
     dump_tgs(

@@ -20,9 +20,12 @@ from tvgraph.models import (
     sample_markov_tgs,
 )
 from tvgraph.simulate import (
+    PAIR_CELLS,
     EmpiricalPmf,
+    close,
     default_horizon,
     empirical_reachable_pairs,
+    labels,
     reachable_pairs_samples,
     replay_cut,
     replay_soa,
@@ -336,34 +339,68 @@ def test_reachable_pairs_coarsened_between():
     assert (mid <= samples["smashed"]).all()
 
 
+def _cycles_and_an_isolated_node():
+    # two cyclic blocks joined by a bridge; node 14 has no candidate edge
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6), (6, 7), (5, 7), (7, 8),
+             (8, 9), (9, 10), (10, 11), (11, 12), (8, 12), (2, 9)]
+    return UnderlyingGraph(tuple(range(15)), tuple(edges))
+
+
 def test_reachable_pairs_columns_match_per_trial_sequences():
     # row i is the sequence sample_*_tgs draws from SeedSequence(seed, spawn_key=(i,))
-    gu = UnderlyingGraph.complete(7)
-    n = 7
-    grid = [0, 1, 3, 4, 7]
-    trials = 15
-    for model, sampler, seed in (
-        (ErParams(0.08), sample_er_tgs, 24),
-        (MarkovParams(0.3, 0.4, p0=0.1), sample_markov_tgs, 25),
-    ):
-        samples = reachable_pairs_samples(model, gu, grid, trials, seed, ms=(2,))
+    k70 = UnderlyingGraph.complete(70)  # two 64-bit words per bitset row
+    assert 8 > PAIR_CELLS // len(k70.edges)  # more trials than one block holds
+    cases = (
+        (UnderlyingGraph.complete(7), ErParams(0.08), sample_er_tgs, 24, [0, 1, 3, 4, 7], 15, (2,)),
+        (UnderlyingGraph.complete(7), MarkovParams(0.3, 0.4, p0=0.1), sample_markov_tgs, 25,
+         [0, 1, 3, 4, 7], 15, (2,)),
+        # a repeated horizon, and a block longer than every horizon
+        (_cycles_and_an_isolated_node(), MarkovParams(0.2, 0.3), sample_markov_tgs, 26,
+         [0, 2, 5, 5, 9], 20, (2, 3, 12)),
+        (k70, ErParams(0.01), sample_er_tgs, 27, [0, 2, 5], 8, (2,)),
+    )
+    for gu, model, sampler, seed, grid, trials, ms in cases:
+        n = len(gu.nodes)
+        samples = reachable_pairs_samples(model, gu, grid, trials, seed, ms=ms)
         for i in range(trials):
             stream = np.random.SeedSequence(seed, spawn_key=(i,))
             full = sampler(gu, model, max(grid), stream)
             for j, t in enumerate(grid):
                 if t == 0:
-                    assert samples["stacked"][i, j] == samples["smashed"][i, j] == 0.0
+                    assert all(samples[key][i, j] == 0.0 for key in samples)
                     continue
                 tgs = GraphletSequence(full.graphlets[:t])
                 assert tgs == sampler(gu, model, t, stream)
                 assert samples["stacked"][i, j] == float(reachable_pairs_fraction(tgs))
-                smg = smash(tgs)
-                pairs = sum(smg.connected(u, v) for u in range(n) for v in range(n) if u != v)
+                pairs = sum(len(c) * (len(c) - 1) for c in smash(tgs).components())
                 assert samples["smashed"][i, j] == pairs / (n * (n - 1))
-                if t >= 2:  # complete 2-slot blocks only
-                    blocks = m_smash(GraphletSequence(full.graphlets[:t - t % 2]), 2)
-                    coarse = float(reachable_pairs_fraction(blocks))
-                    assert samples[("msmg", 2)][i, j] == coarse
+                for m in ms:  # complete m-slot blocks only
+                    blocks = GraphletSequence(full.graphlets[:t - t % m]) if t >= m else None
+                    coarse = float(reachable_pairs_fraction(m_smash(blocks, m))) if blocks else 0.0
+                    assert samples[("msmg", m)][i, j] == coarse
+
+
+def test_labels_give_each_component_its_lowest_member():
+    rng = np.random.default_rng(3)
+    graphs = [(30, [(29, v) for v in range(29)]), (4, [])]  # a star hooked at its highest id
+    for _ in range(40):
+        size = int(rng.integers(1, 40))
+        graphs.append((size, rng.integers(0, size, (int(rng.integers(0, 2 * size)), 2)).tolist()))
+    for size, edges in graphs:
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        want = np.arange(size)
+        for comp in SmashedGraph(range(size), [(u, v) for u, v in edges if u != v]).components():
+            want[list(comp)] = min(comp)
+        assert np.array_equal(labels(size, ends[:, 0], ends[:, 1]), want)
+
+
+def test_close_ors_the_rows_of_each_group():
+    rng = np.random.default_rng(4)
+    size = 50
+    key = labels(size, rng.integers(0, size, 30), rng.integers(0, size, 30))
+    reach = rng.integers(0, 2**63, (size, 2), dtype=np.uint64)
+    want = np.array([np.bitwise_or.reduce(reach[key == k], axis=0) for k in key])
+    assert np.array_equal(close(reach.copy(), key), want)
 
 
 def test_reachable_pairs_separate_calls_share_samples():
@@ -415,3 +452,8 @@ def test_reachable_pairs_validation():
         reachable_pairs_samples(ErParams(0.5), gu, [-1], trials=5, seed=0)
     with pytest.raises(ValueError):
         empirical_reachable_pairs(ErParams(0.5), gu, [1], trials=5, seed=0, representation="x")
+    for ms in ((0,), (True,), (2.0,)):
+        with pytest.raises(ValueError):
+            reachable_pairs_samples(ErParams(0.5), gu, [1], trials=5, seed=0, ms=ms)
+    with pytest.raises(ValueError):  # no ordered pairs to count
+        reachable_pairs_samples(ErParams(0.5), UnderlyingGraph.complete(1), [1], trials=5, seed=0)
