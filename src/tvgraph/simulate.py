@@ -564,14 +564,17 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
 
 def empirical_reachable_pairs(model, gu, horizon_grid, trials, seed, representation="stacked"):
     """Mean fraction of journey-reachable ordered pairs per horizon, with the
-    standard error of the mean.  representation: 'stacked' or 'smashed'."""
+    standard error of the mean (so trials >= 2).  representation: 'stacked'
+    or 'smashed'."""
     if representation not in ("stacked", "smashed"):
         raise ValueError("representation must be 'stacked' or 'smashed'")
+    if trials < 2:
+        raise ValueError("trials must be >= 2: standard errors need two trials")
     samples = reachable_pairs_samples(model, gu, horizon_grid, trials, seed)[representation]
     rows = []
     for j, t in enumerate(horizon_grid):
         col = samples[:, j]
         mean = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        se = float(col.std(ddof=1) / math.sqrt(trials))
         rows.append((t, mean, se))
     return rows

@@ -4,13 +4,18 @@ A :class:`GraphletSequence` is an ordered list of undirected snapshots
 ("graphlets"), one per time slot.  This module provides the two static
 views of such a sequence -- the time-expanded stacked graph and the
 collapsed smashed graph -- together with slot-aware reachability,
-connectivity, and clique queries evaluated by exhaustive search.
+connectivity, and clique queries.
 
-Reachability uses journey semantics: a message may traverse any number
-of edges inside a single slot and may wait at a node, but it never moves
-to an earlier slot.  All containers are immutable after construction and
-every operation is a pure function, so everything here is safe to use
-concurrently.
+The stacked graph is a lazy view: it keeps the sequence and builds its
+vertex and arc sets only when they are read.  Reachability queries never
+build them; they scan the slots forward once, spreading the message over
+each slot's edges.  Journey semantics: a message may traverse any number
+of edges inside a single slot and may wait at a node present in the
+slots it waits through, but it never moves to an earlier slot.  The
+clique and k-connectivity queries search over node subsets.  Every
+operation is a pure function and the containers are never changed after
+construction (a view only caches what it builds), so everything here is
+safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 __all__ = [
@@ -163,26 +169,56 @@ class GraphletSequence:
 class StackedGraph:
     """Time-expanded directed view of a graphlet sequence.
 
-    Vertices are (node id, slot) pairs.  Every slot edge contributes one
-    arc in each direction inside its slot; a cross arc ties the same node
-    id across consecutive slots (the "wait" action) whenever the id is
-    present in both slots.
+    Vertices are (node id, slot) pairs, one for each id present in a slot.
+    Every slot edge contributes one arc in each direction inside its slot; a
+    cross arc ties the same node id across consecutive slots (the "wait"
+    action) whenever the id is present in both slots, so a message can wait
+    only at a node that stays present.
+
+    The view is lazy: it keeps the sequence, answers vertex membership
+    against one slot, and builds `nodes`, the arc sets and the successor map
+    on first use only (each is then cached; a race on first use builds equal
+    values twice).
     """
 
-    __slots__ = ("nodes", "slot_arcs", "cross_arcs", "_succ")
+    def __init__(self, tgs):
+        self.tgs = tgs
 
-    def __init__(self, nodes, slot_arcs, cross_arcs):
-        self.nodes = frozenset(nodes)
-        self.slot_arcs = frozenset(slot_arcs)
-        self.cross_arcs = frozenset(cross_arcs)
+    def __contains__(self, vertex):
+        if not (isinstance(vertex, tuple) and len(vertex) == 2):
+            return False
+        v, t = vertex
+        return isinstance(t, int) and 1 <= t <= self.tgs.horizon and v in self.tgs[t - 1].nodes
+
+    @cached_property
+    def nodes(self):
+        return frozenset((v, g.time) for g in self.tgs for v in g.nodes)
+
+    @cached_property
+    def slot_arcs(self):
+        arcs = set()
+        for g in self.tgs:
+            for u, v in g.edges:
+                arcs.add(((u, g.time), (v, g.time)))
+                arcs.add(((v, g.time), (u, g.time)))
+        return frozenset(arcs)
+
+    @cached_property
+    def cross_arcs(self):
+        gs = self.tgs.graphlets
+        return frozenset(((v, g.time), (v, h.time))
+                         for g, h in zip(gs, gs[1:]) for v in g.nodes & h.nodes)
+
+    @cached_property
+    def arcs(self):
+        return self.slot_arcs | self.cross_arcs
+
+    @cached_property
+    def _succ(self):
         succ = {v: [] for v in self.nodes}
         for a, b in itertools.chain(self.slot_arcs, self.cross_arcs):
             succ[a].append(b)
-        self._succ = succ
-
-    @property
-    def arcs(self):
-        return self.slot_arcs | self.cross_arcs
+        return succ
 
     def successors(self, v):
         return tuple(self._succ.get(v, ()))
@@ -222,29 +258,15 @@ class SmashedGraph:
 
 
 def build_stacked(tgs):
-    """Stack a sequence into its directed time-expanded graph."""
-    nodes = set()
-    slot_arcs = set()
-    cross_arcs = set()
-    for g in tgs:
-        for v in g.nodes:
-            nodes.add((v, g.time))
-        for u, v in g.edges:
-            slot_arcs.add(((u, g.time), (v, g.time)))
-            slot_arcs.add(((v, g.time), (u, g.time)))
-    for g, h in zip(tgs.graphlets, tgs.graphlets[1:]):
-        for v in g.nodes & h.nodes:
-            cross_arcs.add(((v, g.time), (v, h.time)))
-    return StackedGraph(nodes, slot_arcs, cross_arcs)
+    """Stack a sequence into its directed time-expanded graph (a lazy view)."""
+    return StackedGraph(tgs)
 
 
 def stacked_reachable(stg, src, dst):
     """Directed reachability between two (node, slot) vertices of a stacked graph."""
-    if src not in stg.nodes or dst not in stg.nodes:
+    if src not in stg or dst not in stg:
         raise ValueError(f"unknown stacked vertex {src!r} or {dst!r}")
-    # arcs never go back in time, so no vertex after dst's slot leads to dst
-    succ = {v: ws for v, ws in stg._succ.items() if v[1] <= dst[1]}
-    return dst in bfs(succ, [src])
+    return _journey(stg.tgs, src[0], dst[0], src[1], dst[1]) is not None
 
 
 def smash(tgs):
@@ -296,31 +318,53 @@ def t_adjacent(tgs, u, v):
 def t_reachable(tgs, source, target):
     """Journey reachability from source to target within the horizon.
 
-    Returns (reachable, journey); the witness journey is a list of
-    ((from, to), slot) steps with non-decreasing slots, empty for
-    source == target, and None when unreachable.
+    `source` reaches `target` iff some vertex (source, s) reaches some
+    (target, t) in the stacked view, s <= t: a message may wait only at a
+    node present in the slots it waits through.  Returns (reachable,
+    journey); the witness journey is a list of ((from, to), slot) steps with
+    non-decreasing slots, empty for source == target, and None when
+    unreachable.
     """
     _require_known(tgs, source, target)
-    if source == target:
-        return True, []
-    parent = {source: None}
-    for g in tgs:
-        adj = adjacency(g.edges)
-        for y, x in bfs(adj, [v for v in parent if v in adj]).items():
-            if x is not None:
-                parent[y] = (x, g.time)
-        if target in parent:
+    journey = _journey(tgs, source, target)
+    return journey is not None, journey
+
+
+def _journey(tgs, source, target, first=None, last=None):
+    """Slot-forward journey scan over the stacked view of `tgs` (the
+    one-pass scan of Wu et al., "Path problems in temporal graphs", VLDB
+    2014, over slots instead of an edge stream).
+
+    With `first` and `last` the message starts at vertex (source, first) and
+    must be at (target, last).  Without them it may start at any slot where
+    `source` is present and arrive at any slot.  Within a slot it spreads
+    over that slot's edges; before each later slot it is dropped at ids
+    absent from that slot, as a cross arc needs the id in both slots.
+    Returns the witness [((from, to), slot), ...], or None when unreachable.
+    """
+    pinned = first is not None
+    here = {}  # node holding the message -> witness: None or (step, witness of step's tail)
+    for g in tgs.graphlets[(first or 1) - 1:last]:
+        if not here.keys() <= g.nodes:
+            here = {v: w for v, w in here.items() if v in g.nodes}
+        if source in g.nodes and (g.time == first or not pinned):
+            here.setdefault(source, None)
+        if len(here) < len(g.nodes):  # else every present id already holds it
+            adj = adjacency(g.edges)
+            for y, x in bfs(adj, [v for v in here if v in adj]).items():
+                if x is not None:
+                    here[y] = (((x, y), g.time), here[x])
+        if not pinned and target in here:
             break
-    if target not in parent:
-        return False, None
+    if target not in here:
+        return None
     journey = []
-    v = target
-    while v != source:
-        x, t = parent[v]
-        journey.append(((x, v), t))
-        v = x
+    w = here[target]
+    while w is not None:
+        step, w = w
+        journey.append(step)
     journey.reverse()
-    return True, journey
+    return journey
 
 
 def component_masks(edges, index):
@@ -349,12 +393,26 @@ def close(reach, masks):
 
 def _journey_masks(tgs, removed=frozenset()):
     """Per-node bit masks of journey-reachable sets, with `removed` ids deleted
-    from every slot."""
+    from every slot.
+
+    carry[i] holds the ids where a message from order[i] is at the current
+    slot.  When node sets vary, carry is cut to each slot's present ids and
+    order[i] re-enters at every slot where it is present; the reachable set is
+    then the union of carry over the slots.  On a constant node set no cut
+    ever drops a bit, so that union is the last carry.
+    """
     order = sorted(tgs.node_ids - removed)
     index = {v: i for i, v in enumerate(order)}
-    reach = [1 << i for i in range(len(order))]
+    carry = [1 << i for i in range(len(order))]
+    varying = any(not index.keys() <= g.nodes for g in tgs)
+    reach = carry
     for g in tgs:
-        close(reach, component_masks(g.edges, index))
+        if varying:
+            present = sum(1 << index[v] for v in g.nodes if v in index)
+            carry = [(c | 1 << i) & present for i, c in enumerate(carry)]
+        close(carry, component_masks(g.edges, index))
+        if varying:
+            reach = [r | c for r, c in zip(reach, carry)]
     return order, reach
 
 

@@ -1,5 +1,10 @@
 """Property-based differential tests of the two-state-chain latency kernel."""
 
+import itertools
+import math
+import operator
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -20,13 +25,54 @@ rates = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 horizons = st.integers(min_value=0, max_value=200)
 
 
+def exact_chain_cut_masses(n, p, q, max_latency):
+    """exact_chain_cut_mass(n, p, q, t) for t in 0..max_latency, each as an
+    unreduced integer ratio (num, den), with every big-integer power computed
+    once per call instead of once per mass.
+
+    With a = qn rd, b = qd rn and top = min(n - 1, t), the integer sum is
+    rn^(t - top) * sum_m C(n-1, m) C(t-1, m-1) a^m b^(top - m) over the
+    denominator qd^top rd^t; for t >= n - 1 the a^m b^(top - m) are fixed.
+    Reducing the ratios (the gcd Fraction takes) costs more than the rest on
+    tiny rates, and num / den is correctly rounded without it.
+    """
+    p, q = Fraction(p), Fraction(q)
+    r = 1 - p
+    lead = (p / (p + q)) ** (n - 1)
+
+    def powers(base, k):
+        return list(itertools.accumulate([base] * k, operator.mul, initial=1))
+
+    a, b = powers(q.numerator * r.denominator, n - 1), powers(q.denominator * r.numerator, n - 1)
+    qd, rn, rd = (powers(x, max_latency) for x in (q.denominator, r.numerator, r.denominator))
+    fixed = [a[m] * b[n - 1 - m] for m in range(n)]
+    masses = [(lead.numerator, lead.denominator)]
+    for t in range(1, max_latency + 1):
+        top = min(n - 1, t)
+        ab = fixed if top == n - 1 else [a[m] * b[top - m] for m in range(top + 1)]
+        total = sum(math.comb(n - 1, m) * math.comb(t - 1, m - 1) * ab[m] for m in range(1, top + 1))
+        masses.append((rn[t - top] * total * lead.numerator, qd[top] * rd[t] * lead.denominator))
+    return masses
+
+
+@pytest.mark.parametrize("n, p, q, max_latency", [
+    (2, 0.5, 0.5, 6), (5, 0.3, 0.2, 12), (9, 0.1234, 0.987, 4), (13, 1.0, 1e-3, 20),
+    (7, 3e-300, 0.6, 9), (4, 0.25, 5e-324, 8),
+])
+def test_power_tables_give_the_same_exact_masses(n, p, q, max_latency):
+    want = [exact_chain_cut_mass(n, p, q, t) for t in range(max_latency + 1)]
+    got = exact_chain_cut_masses(n, p, q, max_latency)
+    assert [Fraction(num, den) for num, den in got] == want
+    assert [num / den for num, den in got] == [float(x) for x in want]
+
+
 @settings(deadline=None, max_examples=60)
 @given(nodes, rates, rates, horizons)
 def test_chain_masses_match_exact_rationals(n, p, q, max_latency):
     pmf = mc_cut_latency_pmf(n, MarkovParams(p, q), max_latency)
     assert len(pmf.masses) == max_latency + 1
-    for latency, mass in enumerate(pmf.masses):
-        want = float(exact_chain_cut_mass(n, p, q, latency))
+    for mass, (num, den) in zip(pmf.masses, exact_chain_cut_masses(n, p, q, max_latency)):
+        want = num / den  # correctly rounded, as float(Fraction(num, den)) is
         if want > 1e-280:
             assert mass == pytest.approx(want, rel=1e-10)
         else:

@@ -457,3 +457,12 @@ def test_reachable_pairs_validation():
             reachable_pairs_samples(ErParams(0.5), gu, [1], trials=5, seed=0, ms=ms)
     with pytest.raises(ValueError):  # no ordered pairs to count
         reachable_pairs_samples(ErParams(0.5), UnderlyingGraph.complete(1), [1], trials=5, seed=0)
+
+
+def test_empirical_reachable_pairs_needs_two_trials():
+    # one trial has no standard error; it used to come back as an exact-looking 0.0
+    gu = UnderlyingGraph.complete(5)
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="standard errors need two trials"):
+            empirical_reachable_pairs(ErParams(0.3), gu, [1, 3], trials, 0)
+    assert [t for t, _, _ in empirical_reachable_pairs(ErParams(0.3), gu, [1, 3], 2, 0)] == [1, 3]

@@ -114,6 +114,25 @@ def test_cross_arcs_only_when_node_persists():
     assert (("a", 2), ("a", 3)) not in stg.cross_arcs
 
 
+def test_stacked_view_membership_without_materializing():
+    tgs = GraphletSequence(
+        [Graphlet(1, "ab", [("a", "b")]), Graphlet(2, "b", []), Graphlet(3, "ab", [])]
+    )
+    stg = build_stacked(tgs)
+    assert ("a", 1) in stg and ("b", 2) in stg
+    for v in (("a", 2), ("a", 0), ("a", 4), ("c", 1), ("a", 1.5), "a", ("a", 1, 2), None):
+        assert v not in stg
+    assert stacked_reachable(stg, ("a", 1), ("b", 3))
+    assert not stacked_reachable(stg, ("a", 1), ("a", 3))
+    assert not stacked_reachable(stg, ("b", 3), ("b", 1))  # never back in time
+    assert stacked_reachable(stg, ("b", 2), ("b", 2))
+    for bad in [(("a", 2), ("b", 3)), (("a", 1), ("z", 1)), ("a", ("b", 3)), (("a", 1), ("b", 3, 0))]:
+        with pytest.raises(ValueError):
+            stacked_reachable(stg, *bad)
+    # the queries above read the slots only; no vertex or arc set was built
+    assert not {"nodes", "slot_arcs", "cross_arcs", "arcs", "_succ"} & vars(stg).keys()
+
+
 # --- smash / m_smash -----------------------------------------------------------
 
 
@@ -219,6 +238,19 @@ def test_t_reachable_reversed_pair_regression():
     tgs = GraphletSequence.from_slot_edges("abc", [[("b", "c")], [("a", "b")]])
     assert not t_reachable(tgs, "a", "c")[0]
     assert smash(tgs).connected("a", "c")
+
+
+def test_waiting_needs_the_node_present_regression():
+    # b carries the message out of slot 1 but is absent from slot 2, so it
+    # cannot hand it to c in slot 3; waiting used to ignore presence
+    tgs = GraphletSequence(
+        [Graphlet(1, "ab", [("a", "b")]), Graphlet(2, "a", []), Graphlet(3, "bc", [("b", "c")])]
+    )
+    assert t_reachable(tgs, "a", "c") == (False, None)
+    assert not stacked_reachable(build_stacked(tgs), ("a", 1), ("c", 3))
+    assert t_reachable(tgs, "b", "c") == (True, [(("b", "c"), 3)])
+    assert reachable_pairs_fraction(tgs) == Fraction(4, 6)  # a<->b, b<->c
+    assert not t_k_connected(tgs, 1)
 
 
 def test_t_reachable_unknown_node():
