@@ -11,6 +11,7 @@ Probabilities are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -101,16 +102,9 @@ def cmd_pmf(args):
         _write(args.output, _csv(rows, ["node", "probability"]))
         return 0
     pmf = _analytic_pmf(spec, args.n, args.metric, args.max_latency)
-    if args.cdf:
-        cum = 0.0
-        rows = []
-        for t, m in zip(pmf.support(), pmf.masses):
-            cum += m
-            rows.append((t, cum))
-        _write(args.output, _csv(rows, ["t", "cdf"]))
-        return 0
-    rows = [(t, m) for t, m in zip(pmf.support(), pmf.masses)]
-    _write(args.output, _csv(rows, ["t", "probability"]))
+    column = itertools.accumulate(pmf.masses) if args.cdf else pmf.masses
+    header = ["t", "cdf" if args.cdf else "probability"]
+    _write(args.output, _csv(zip(pmf.support(), column), header))
     return 0
 
 
@@ -129,21 +123,14 @@ def cmd_simulate(args):
     _write(args.output, _csv(emp.nonzero_items(), ["latency", "count"]))
 
     tv = None
-    analytic_available = (
-        gu.name == "line"
-        and (spec.kind == "er" or spec.params.is_stationary_start())
-        and spec.params.p > 0
-        and (spec.kind == "er" or spec.params.q > 0)
-    )
-    if analytic_available:
-        hops = abs(dest - source)
-        if hops >= 1:
-            try:
-                pmf = _analytic_pmf(spec, hops + 1, args.metric, None)
-            except ValueError:  # its tail does not reach 1e-13 within MAX_SUPPORT masses
-                pass
-            else:
-                tv = emp.total_variation(pmf)
+    hops = abs(dest - source)
+    if gu.name == "line" and hops >= 1:
+        try:
+            pmf = _analytic_pmf(spec, hops + 1, args.metric, None)
+        except ValueError:  # outside the closed form's assumptions, or its tail is too long
+            pass
+        else:
+            tv = emp.total_variation(pmf)
     summary = {
         "spec_version": SPEC_VERSION,
         "command": "simulate",
@@ -201,13 +188,9 @@ def cmd_compare(args):
             if ms:
                 raise ValueError("analytic coarsened columns exist only for the er model")
             pmf = mc_cut_latency_pmf(args.n, spec.params, max_latency=args.t_max)
-            cum = 0.0
-            cdf = []
-            for t in grid:
-                cum += pmf.mass(t - 1)
-                cdf.append(cum)
+            cdf = itertools.accumulate(pmf.mass(t - 1) for t in grid)
             rows = [
-                [t, cdf[t - 1], mc_smashed_reach_cdf(args.n, spec.params, t)] for t in grid
+                [t, c, mc_smashed_reach_cdf(args.n, spec.params, t)] for t, c in zip(grid, cdf)
             ]
         _write(args.output, _csv(rows, header))
         return 0

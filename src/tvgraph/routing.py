@@ -16,10 +16,13 @@ the longer prefix is the mediant of the current cost and that METT, so no
 longer prefix can do better, and ties go to the shorter prefix.  The pass
 costs O(E log V).
 
-Two independent oracles back the solver: a value iteration over the full
-per-slot edge-observation model (exponential in degree, desk scale only),
-and a cut-through variant that enumerates all edge subsets to build the
-per-slot component distribution.
+Two oracles, independent of the solver, check it.  Each builds a
+table of weighted node sets for every node u, and one kernel finds the
+least fixed point of V(u) = sum_j w_uj (1 + min over S_uj of V) by
+whole-array value iteration upward from zero.  The store-or-advance
+oracle takes one row per subset of u's edges that is up (exponential in
+degree, desk scale only); the cut-through oracle takes one row per
+component of u without the destination, over all edge subsets.
 """
 
 from __future__ import annotations
@@ -110,6 +113,13 @@ def prefix_cost(p, sorted_metts):
     return best_cost, best_k
 
 
+def _check_query(gu, p, dest):
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+    if dest not in gu.nodes:
+        raise ValueError(f"destination {dest!r} not in the graph")
+
+
 def compute_mett(gu, p, dest):
     """Destination-out extraction of every node's minimum expected traversal time.
 
@@ -123,10 +133,7 @@ def compute_mett(gu, p, dest):
     O(E log V).  policy[v] is the accepted neighbors sorted by (METT, node
     id).  Unreachable nodes keep METT = inf and an empty policy.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if dest not in gu.nodes:
-        raise ValueError(f"destination {dest!r} not in the graph")
+    _check_query(gu, p, dest)
     nbr = gu.neighbor_map()
     mett = {v: INF for v in gu.nodes}
     mett[dest] = 0.0
@@ -186,54 +193,62 @@ def run_adaptive_route(gu, p, source, dest, horizon=None, trials=10_000, seed=0)
 # --- oracles ------------------------------------------------------------------
 
 
-def _subset_tables(degree, p):
-    """(probabilities, membership) over all subsets of a `degree`-sized set."""
-    masks = np.arange(1 << degree)
-    member = (masks[:, None] >> np.arange(degree)) & 1
-    bits = member.sum(axis=1)
-    probs = p ** bits * (1.0 - p) ** (degree - bits)
-    return probs, member.astype(bool)
+def _least_fixed_point(gu, p, dest, owner, weight, member, tol, max_iter):
+    """Least fixed point of V(u) = sum_j w_uj (1 + min over x in S_uj of V(x)).
+
+    Table row j belongs to the node at position owner[j] of sorted(gu.nodes),
+    weighs weight[j] and marks the set S_uj in the boolean row member[j];
+    every S_uj lies in u's component of gu.  dest is pinned at 0 and nodes
+    cut off from it at infinity; the rest iterate upward from zero in
+    Jacobi sweeps, every node updated from the previous sweep's values,
+    until no value moves by more than tol.  Raises after max_iter sweeps
+    without convergence.
+    """
+    nodes = sorted(gu.nodes)
+    reachable = bfs(gu.neighbor_map(), [dest])
+    live = np.array([v in reachable and v != dest for v in nodes])
+    keep = live[owner]  # no live set holds a cut-off node, so those may sit at 0 until the end
+    owner, weight, member = owner[keep], weight[keep], member[keep]
+    value = np.zeros(len(nodes))
+    for _ in range(max_iter):
+        nearest = np.where(member, value, INF).min(axis=1)
+        new = np.bincount(owner, weight * (1.0 + nearest), minlength=len(nodes))
+        delta = np.abs(new - value).max()
+        value = new
+        if delta <= tol:
+            break
+    else:
+        raise RuntimeError(f"value iteration did not converge within {max_iter} sweeps")
+    mett = {v: (x if v in reachable else INF) for v, x in zip(nodes, value.tolist())}
+    return MettTable(dest=dest, p=p, mett=mett, policy=_improving_policy(gu, mett, dest))
 
 
 def mett_value_iteration_oracle(gu, p, dest, tol=1e-12, max_iter=100_000):
     """Fixed point of the one-slot lookahead over every edge-observation subset.
 
     V(u) = 1 + E[min(min over up neighbors of V, V(u))], expectation taken by
-    enumerating all 2^deg up-sets.  Nodes disconnected from dest are pinned at
-    infinity; the rest iterate upward from zero to the least fixed point.
-    Exponential in degree; desk scale only.  Raises on non-convergence.
+    enumerating all 2^deg up-sets: each up-set S of u's edges is one table
+    row, the set S + {u} weighted by P(S).  Exponential in degree; desk
+    scale only.  Raises on non-convergence.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if dest not in gu.nodes:
-        raise ValueError(f"destination {dest!r} not in the graph")
+    _check_query(gu, p, dest)
+    nodes = sorted(gu.nodes)
     nbr = gu.neighbor_map()
-    reachable = bfs(nbr, [dest])
-    sweep = sorted(v for v in reachable if v != dest)
-    tables = {}
-    for u in sweep:
-        probs, member = _subset_tables(len(nbr[u]), p)
-        keep = probs > 0.0
-        tables[u] = (probs[keep], member[keep], list(nbr[u]))
-    value = {v: (0.0 if v in reachable else INF) for v in gu.nodes}
-    for _ in range(max_iter):
-        delta = 0.0
-        new_value = dict(value)
-        for u in sweep:
-            probs, member, neighbors = tables[u]
-            vals = np.array([value[w] for w in neighbors])
-            subset_min = np.where(member, vals[None, :], INF).min(axis=1, initial=INF)
-            best = np.minimum(subset_min, value[u])
-            nv = 1.0 + float((probs * best).sum())
-            new_value[u] = nv
-            delta = max(delta, abs(nv - value[u]))
-        value = new_value
-        if delta <= tol:
-            break
-    else:
-        raise RuntimeError(f"value iteration did not converge within {max_iter} sweeps")
-    policy = _improving_policy(gu, value, dest)
-    return MettTable(dest=dest, p=p, mett=value, policy=policy)
+    owner, weight, member = [], [], []
+    for i, u in enumerate(nodes):
+        degree = len(nbr[u])
+        up = np.arange(1 << degree)[:, None] >> np.arange(degree) & 1
+        bits = up.sum(axis=1)
+        sets = np.zeros((1 << degree, len(nodes)), dtype=bool)
+        sets[:, [nodes.index(w) for w in nbr[u]]] = up
+        sets[:, i] = True
+        owner.append(np.full(1 << degree, i))
+        weight.append(p ** bits * (1.0 - p) ** (degree - bits))
+        member.append(sets)
+    return _least_fixed_point(
+        gu, p, dest, np.concatenate(owner), np.concatenate(weight), np.concatenate(member),
+        tol, max_iter,
+    )
 
 
 def _improving_policy(gu, value, dest):
@@ -258,13 +273,12 @@ def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
         V(u) = sum over up-sets P(S) * (0 if dest in comp(u, S)
                                         else 1 + min over comp(u, S) of V)
 
+    Each table row is one component without the destination, weighted by
+    the summed probability of the up-sets that give u that component.
     Feasible only for graphs with at most `max_edges` candidate edges;
     beyond that, use the Monte Carlo cut-through simulator instead.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if dest not in gu.nodes:
-        raise ValueError(f"destination {dest!r} not in the graph")
+    _check_query(gu, p, dest)
     n_edges = len(gu.edges)
     if n_edges > max_edges:
         raise ValueError(
@@ -272,41 +286,24 @@ def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
             "evaluate cut-through routing by Monte Carlo instead"
         )
     nodes = sorted(gu.nodes)
-    buckets = {u: {} for u in nodes if u != dest}
+    buckets = {}  # (owner position, component row) -> probability
     for mask in range(1 << n_edges):
         bits = mask.bit_count()
         prob = p ** bits * (1.0 - p) ** (n_edges - bits)
-        if prob <= 0.0:
-            continue
         adj = adjacency(e for i, e in enumerate(gu.edges) if mask >> i & 1)
-        comp_of = {}
+        row_of = {}
         for u in nodes:
-            if u not in comp_of:
-                comp = tuple(sorted(bfs(adj, [u])))
-                comp_of.update(dict.fromkeys(comp, comp))
-            comp = comp_of[u]
-            if dest not in comp:
-                buckets[u][comp] = buckets[u].get(comp, 0.0) + prob
-    transitions = {
-        u: [(prob, comp) for comp, prob in sorted(bucket.items())]
-        for u, bucket in buckets.items()
-    }
-    reachable = bfs(gu.neighbor_map(), [dest])
-    value = {v: (0.0 if v in reachable else INF) for v in nodes}
-    sweep = sorted(v for v in reachable if v != dest)
-    for _ in range(max_iter):
-        delta = 0.0
-        new_value = dict(value)
-        for u in sweep:
-            nv = 0.0
-            for prob, comp in transitions[u]:
-                nv += prob * (1.0 + min(value[w] for w in comp))
-            new_value[u] = nv
-            delta = max(delta, abs(nv - value[u]))
-        value = new_value
-        if delta <= tol:
-            break
-    else:
-        raise RuntimeError(f"value iteration did not converge within {max_iter} sweeps")
-    policy = _improving_policy(gu, value, dest)
-    return MettTable(dest=dest, p=p, mett=value, policy=policy)
+            if u not in row_of:
+                comp = bfs(adj, [u])
+                row = None if dest in comp else tuple(v in comp for v in nodes)
+                row_of.update(dict.fromkeys(comp, row))
+        for i, u in enumerate(nodes):
+            if row_of[u] is not None:
+                buckets[i, row_of[u]] = buckets.get((i, row_of[u]), 0.0) + prob
+    return _least_fixed_point(
+        gu, p, dest,
+        np.array([i for i, _ in buckets], dtype=np.int64),
+        np.array(list(buckets.values())),
+        np.array([row for _, row in buckets], dtype=bool).reshape(len(buckets), len(nodes)),
+        tol, max_iter,
+    )

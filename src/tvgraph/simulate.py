@@ -240,6 +240,13 @@ def _block_streams(seed, trials):
         yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,))), size
 
 
+def _run_blocks(seed, trials, replay_block, *args):
+    """Run `replay_block(*args, rng, size)` on each block stream and pool the
+    latencies (-1 undelivered) of all `trials` trials."""
+    parts = [replay_block(*args, rng, size) for rng, size in _block_streams(seed, trials)]
+    return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
+
+
 def _trial_stream(seed, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
@@ -272,13 +279,6 @@ def _path_replay_block(model, n_edges, metric, horizon, rng, size):
         keep = ~done
         orig, pos, states = orig[keep], pos[keep], states[keep]
     return latency
-
-
-def _run_path_trials(model, n_edges, metric, horizon, trials, seed):
-    parts = []
-    for rng, size in _block_streams(seed, trials):
-        parts.append(_path_replay_block(model, n_edges, metric, horizon, rng, size))
-    return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
 
 
 def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, model, horizon, rng, size):
@@ -346,7 +346,7 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
         path = shortest_path(gu, source, dest)
         if path is None:
             raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
-        return _run_path_trials(model, len(path) - 1, "soa", horizon, trials, seed)
+        return _run_blocks(seed, trials, _path_replay_block, model, len(path) - 1, "soa", horizon)
     if isinstance(next_hop, dict):
         if not isinstance(model, ErParams):
             raise ValueError("adaptive acceptance lists assume the independent-churn model")
@@ -355,14 +355,10 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
         accept_idx = [None] * len(order)
         for u, cand in next_hop.items():
             accept_idx[index[u]] = np.array([index[v] for v in cand], dtype=np.int64)
-        parts = []
-        for rng, size in _block_streams(seed, trials):
-            parts.append(
-                _adaptive_replay_block(
-                    accept_idx, len(order), index[source], index[dest], model, horizon, rng, size
-                )
-            )
-        return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
+        return _run_blocks(
+            seed, trials, _adaptive_replay_block,
+            accept_idx, len(order), index[source], index[dest], model, horizon,
+        )
     if callable(next_hop):
         return _run_trial_walks(_soa_walk, next_hop, model, gu, source, dest, horizon, trials, seed)
     raise TypeError("next_hop must be None, a dict of acceptance tuples, or a callable")
@@ -390,7 +386,8 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     if rank is None:
         components = SmashedGraph(gu.nodes, gu.edges).components()
         if len(gu.edges) == len(gu.nodes) - len(components):  # a forest
-            return _run_path_trials(model, len(path) - 1, "cut", horizon, trials, seed)
+            hops = len(path) - 1
+            return _run_blocks(seed, trials, _path_replay_block, model, hops, "cut", horizon)
         rank = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)
     return _run_trial_walks(_cut_walk, rank, model, gu, source, dest, horizon, trials, seed)
 

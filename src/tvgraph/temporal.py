@@ -117,7 +117,7 @@ class Graphlet:
 class GraphletSequence:
     """Ordered sequence of graphlets on contiguous slots 1..T."""
 
-    __slots__ = ("graphlets",)
+    __slots__ = ("graphlets", "_node_ids")
 
     def __init__(self, graphlets):
         gs = tuple(graphlets)
@@ -127,6 +127,7 @@ class GraphletSequence:
             if g.time != i:
                 raise ValueError(f"slot {i} carries time index {g.time}; slots must be contiguous from 1")
         self.graphlets = gs
+        self._node_ids = None
 
     @classmethod
     def from_slot_edges(cls, nodes, slot_edges):
@@ -140,10 +141,10 @@ class GraphletSequence:
 
     @property
     def node_ids(self):
-        out = set()
-        for g in self.graphlets:
-            out |= g.nodes
-        return frozenset(out)
+        """Every node id present in some slot, computed on first read."""
+        if self._node_ids is None:
+            self._node_ids = frozenset().union(*(g.nodes for g in self.graphlets))
+        return self._node_ids
 
     def __len__(self):
         return len(self.graphlets)

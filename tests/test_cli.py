@@ -139,6 +139,25 @@ def test_simulate_without_an_automatic_analytic_support(tmp_path):
     assert summary["tv_vs_analytic"] is None
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--model", "mc", "--q", "0.25", "--p0", "0.9"),  # not the stationary start
+        ("--model", "er", "--gu", "complete"),
+    ],
+)
+def test_simulate_without_a_closed_form_reports_null_tv(tmp_path, flags):
+    out = tmp_path / "emp.csv"
+    res = run_cli(
+        "simulate", *flags, "--n", "4", "--p", "0.5", "--metric", "soa",
+        "--trials", "200", "--seed", "1", "--output", out,
+    )
+    assert res.returncode == 0, res.stderr
+    summary = json.loads((tmp_path / "emp.csv.json").read_text())
+    assert summary["undelivered"] == 0
+    assert summary["tv_vs_analytic"] is None
+
+
 def test_simulate_zero_trials_errors():
     res = run_cli(
         "simulate", "--model", "er", "--n", "4", "--p", "0.5",

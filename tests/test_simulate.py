@@ -209,6 +209,36 @@ def test_simulate_vectorized_agrees_with_replay_loop():
     assert slow.total_variation(pmf) < 0.02
 
 
+def test_per_trial_engines_replay_the_per_trial_streams():
+    # trial i replays the sequence sample_*_tgs draws from SeedSequence(seed, spawn_key=(i,))
+    gu = UnderlyingGraph(tuple(range(6)), ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)))
+    rank = {0: 5, 1: 3, 2: 4, 3: 1, 4: 2, 5: 0}  # not hop distance: 1 outranks 2
+
+    def next_hop(u, on_neighbors):
+        better = [v for v in on_neighbors if rank[v] < rank[u]]
+        return min(better, key=rank.get, default=None)
+
+    horizon, trials, seed = 10, 80, 33
+    for model, sampler in (
+        (ErParams(0.35), sample_er_tgs),
+        (MarkovParams(0.3, 0.2, p0=0.1), sample_markov_tgs),
+    ):
+        cut = simulate_cut(model, gu, 0, 5, horizon=horizon, trials=trials, seed=seed, rank=rank)
+        soa = simulate_soa(
+            model, gu, 0, 5, horizon=horizon, trials=trials, seed=seed, next_hop=next_hop
+        )
+        cut_lats, soa_lats = [], []
+        for i in range(trials):
+            tgs = sampler(gu, model, horizon, np.random.SeedSequence(seed, spawn_key=(i,)))
+            cut_lats.append(replay_cut(tgs, 0, 5, rank=rank).latency)
+            soa_lats.append(replay_soa(tgs, 0, 5, next_hop=next_hop).latency)
+        for emp, lats in ((cut, cut_lats), (soa, soa_lats)):
+            want = EmpiricalPmf.from_latencies([-1 if x is None else x for x in lats], trials)
+            assert 0 < want.undelivered < trials
+            assert np.array_equal(emp.counts, want.counts)
+            assert emp.undelivered == want.undelivered
+
+
 def test_simulate_determinism_and_seed_sensitivity():
     gu = UnderlyingGraph.line(5)
     a = simulate_soa(ErParams(0.3), gu, 0, 4, trials=5_000, seed=12)

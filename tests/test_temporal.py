@@ -78,6 +78,14 @@ def test_sequence_requires_contiguous_slots():
         GraphletSequence([])
 
 
+def test_node_ids_is_computed_once_and_read_only():
+    tgs = GraphletSequence([Graphlet(1, "ab", [("a", "b")]), Graphlet(2, "bc", [])])
+    assert tgs.node_ids == frozenset("abc")
+    assert tgs.node_ids is tgs.node_ids
+    with pytest.raises(AttributeError):
+        tgs.node_ids = frozenset()
+
+
 # --- stacked graph -------------------------------------------------------------
 
 
