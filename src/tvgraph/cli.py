@@ -11,6 +11,7 @@ Probabilities are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -217,6 +218,8 @@ def cmd_route(args):
     if args.horizon is not None and args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
     gu = UnderlyingGraph.from_graphlet(tgs[0])
+    if args.source not in gu.nodes:
+        raise ValueError(f"source {args.source} not in the graph")
     table = compute_mett(gu, args.p, args.dest)
     if math.isinf(table.mett.get(args.source, math.inf)):
         raise ValueError(f"destination {args.dest} is unreachable from {args.source}")
@@ -331,9 +334,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """One parser per process: building it costs some fifteen times a parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

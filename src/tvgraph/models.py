@@ -13,8 +13,10 @@ latencies, computed here from the slot-1 configuration bit string.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +46,13 @@ MAX_ENUM_NODES = 24
 
 @dataclass(frozen=True)
 class UnderlyingGraph:
-    """Candidate-edge graph the stochastic processes act on."""
+    """Candidate-edge graph the stochastic processes act on.
+
+    `UnderlyingGraph(nodes, edges, name)` checks every edge: no self-loops,
+    no duplicates in either orientation, both endpoints in `nodes`.  The
+    builders `line`, `complete` and `from_graphlet` skip that check, as
+    their edges are valid by construction.
+    """
 
     nodes: tuple
     edges: tuple
@@ -66,21 +74,35 @@ class UnderlyingGraph:
             seen.add(key)
 
     @classmethod
+    def _unchecked(cls, nodes, edges, name=None):
+        """The graph on `nodes` and `edges`, which the caller guarantees valid
+        and already normalized to (min, max)."""
+        gu = object.__new__(cls)
+        vars(gu).update(nodes=nodes, edges=edges, name=name, _normal_edges=edges)
+        return gu
+
+    @cached_property
+    def _normal_edges(self):
+        """`edges` with each edge as (min, max), in the same order."""
+        return tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+
+    @classmethod
     def line(cls, n):
         if n < 1:
             raise ValueError("a line needs at least one node")
-        return cls(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)), name="line")
+        return cls._unchecked(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)), "line")
 
     @classmethod
     def complete(cls, n):
         if n < 1:
             raise ValueError("a complete graph needs at least one node")
-        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        return cls(tuple(range(n)), edges, name="complete")
+        return cls._unchecked(tuple(range(n)), tuple(itertools.combinations(range(n), 2)),
+                              "complete")
 
     @classmethod
     def from_graphlet(cls, g, name=None):
-        return cls(tuple(sorted(g.nodes)), tuple(sorted(g.edges)), name=name)
+        # A graphlet's edges are normalized, unique and inside its node set.
+        return cls._unchecked(tuple(sorted(g.nodes)), tuple(sorted(g.edges)), name)
 
     def neighbor_map(self):
         out = {v: [] for v in self.nodes}
@@ -161,19 +183,24 @@ def edge_update(params, states, u):
     return np.where(states, u >= params.q, u < params.p)
 
 
-def sample_slots(gu, params, horizon, rng):
-    """Lazily yield the up edges of slots 1..horizon, in gu.edges order."""
+def sample_slots(edges, params, horizon, rng):
+    """Lazily yield the up items of `edges` in slots 1..horizon, in their order."""
     states = None
     for _ in range(horizon):
-        states = edge_step(params, states, rng, len(gu.edges))
-        yield [gu.edges[i] for i in states.nonzero()[0].tolist()]
+        states = edge_step(params, states, rng, len(edges))
+        yield [edges[i] for i in states.nonzero()[0].tolist()]
 
 
 def _sample_tgs(gu, params, horizon, seed):
+    """The sequence of `sample_slots`' slots over gu's edges normalized once."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    return GraphletSequence.from_slot_edges(gu.nodes, sample_slots(gu, params, horizon, rng))
+    nodes = frozenset(gu.nodes)
+    slots = sample_slots(gu._normal_edges, params, horizon, rng)
+    return GraphletSequence(
+        Graphlet._unchecked(t, nodes, frozenset(up)) for t, up in enumerate(slots, start=1)
+    )
 
 
 def sample_er_tgs(gu, params, horizon, seed):

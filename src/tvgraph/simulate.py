@@ -315,7 +315,7 @@ def _run_trial_walks(walk, policy, model, gu, source, dest, horizon, trials, see
     sampled slots, one stream per trial (any edge model)."""
     latencies = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
-        slots = sample_slots(gu, model, horizon, _trial_stream(seed, trial))
+        slots = sample_slots(gu.edges, model, horizon, _trial_stream(seed, trial))
         latency, _ = walk(slots, source, dest, policy)
         latencies[trial] = -1 if latency is None else latency
     return EmpiricalPmf.from_latencies(latencies, trials)

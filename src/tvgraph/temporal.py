@@ -81,7 +81,13 @@ def bfs(adj, starts):
 
 
 class Graphlet:
-    """One slot of a dynamic network: an undirected snapshot with a slot index."""
+    """One slot of a dynamic network: an undirected snapshot with a slot index.
+
+    `Graphlet(time, nodes, edges)` normalizes every edge to (min, max) and
+    checks it: no self-loops, both endpoints in `nodes`.  Builders whose
+    slots are valid by construction (`parse_tgs`, `m_smash`, the samplers
+    in `models`) skip that pass.
+    """
 
     __slots__ = ("time", "nodes", "edges")
 
@@ -96,6 +102,14 @@ class Graphlet:
         self.time = time
         self.nodes = node_set
         self.edges = edge_set
+
+    @classmethod
+    def _unchecked(cls, time, nodes, edges):
+        """The slot on frozensets `nodes` and `edges` of normalized edges,
+        which the caller guarantees valid."""
+        g = object.__new__(cls)
+        g.time, g.nodes, g.edges = time, nodes, edges
+        return g
 
     def has_edge(self, u, v):
         if u == v:
@@ -296,7 +310,7 @@ def m_smash(tgs, m):
         for g in block:
             nodes |= g.nodes
             edges |= g.edges
-        graphlets.append(Graphlet(i, nodes, edges))
+        graphlets.append(Graphlet._unchecked(i, frozenset(nodes), frozenset(edges)))
     return GraphletSequence(graphlets)
 
 
@@ -476,11 +490,11 @@ def reachable_pairs_fraction(tgs):
 #   ...
 #
 # Every slot has node set {0, .., n-1}; slots without a `t` block are empty.
+# format_tgs refuses a sequence with any other slot node set.
 
 
 def parse_tgs(text):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty sequence file")
     head = lines[0].split()
@@ -494,7 +508,7 @@ def parse_tgs(text):
         raise ValueError("node count must be >= 0 and horizon >= 1")
     slot_edges = {t: set() for t in range(1, horizon + 1)}
     declared = set()
-    current = None
+    current = edges = None  # the open slot and its edge set
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "t":
@@ -506,7 +520,7 @@ def parse_tgs(text):
             if slot in declared:
                 raise ValueError(f"slot {slot} declared twice")
             declared.add(slot)
-            current = slot
+            current, edges = slot, slot_edges[slot]
         elif parts[0] == "e":
             if current is None:
                 raise ValueError("edge line before any 't <slot>' line")
@@ -515,24 +529,31 @@ def parse_tgs(text):
             u, v = int(parts[1]), int(parts[2])
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"node id out of range 0..{n - 1} in {ln!r}")
-            e = _normalize_edge(u, v)
-            if e in slot_edges[current]:
+            if u == v:
+                raise ValueError(f"self-loop on node {u!r}")
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
                 raise ValueError(f"duplicate edge {e} in slot {current}")
-            slot_edges[current].add(e)
+            edges.add(e)
         else:
             raise ValueError(f"unrecognized line {ln!r}")
-    nodes = range(n)
+    # Every edge is checked above: in range, no self-loop, normalized, unique.
+    nodes = frozenset(range(n))
     return GraphletSequence(
-        Graphlet(t, nodes, sorted(slot_edges[t])) for t in range(1, horizon + 1)
+        Graphlet._unchecked(t, nodes, frozenset(slot_edges[t])) for t in range(1, horizon + 1)
     )
 
 
 def format_tgs(tgs):
+    """The text of `tgs`; raises ValueError unless every slot's node set is
+    exactly 0..n-1, as the format cannot hold any other."""
     ids = tgs.node_ids
     for v in ids:
         if not isinstance(v, int) or v < 0:
             raise ValueError("the text format requires non-negative integer node ids")
     n = max(ids) + 1 if ids else 0
+    if any(len(g.nodes) != n for g in tgs):
+        raise ValueError(f"the text format requires node set 0..{n - 1} in every slot")
     out = [f"tgs {n} {tgs.horizon}"]
     for g in tgs:
         out.append(f"t {g.time}")

@@ -309,6 +309,14 @@ def test_route_disconnected_errors(tmp_path):
     assert "unreachable" in res.stderr
 
 
+def test_route_rejects_unknown_source(tmp_path):
+    graph = tmp_path / "line.tgs"
+    dump_tgs(GraphletSequence.from_slot_edges(range(5), [UnderlyingGraph.line(5).edges]), graph)
+    res = run_cli("route", "--graph", graph, "--p", "0.5", "--source", "99", "--dest", "4")
+    assert res.returncode == 1
+    assert res.stderr == "error: source 99 not in the graph\n"
+
+
 def test_route_rejects_multi_slot_graph(tmp_path):
     graph = tmp_path / "two.tgs"
     dump_tgs(GraphletSequence.from_slot_edges(range(3), [[(0, 1)], [(1, 2)]]), graph)
@@ -331,6 +339,20 @@ def test_gen_round_trips(tmp_path):
         "--horizon", "12", "--seed", "7",
     )
     assert again.stdout == out.read_text()
+
+
+def test_in_process_calls_share_no_state(capsys):
+    from tvgraph import cli
+
+    argv = ["pmf", "--model", "er", "--n", "3", "--p", "0.5", "--metric", "cut",
+            "--max-latency", "2"]
+    assert cli.main(argv + ["--cdf"]) == 0
+    assert cli.main(argv) == 0
+    assert cli.main(["pmf", "--model", "mc", "--n", "3", "--p", "0.5", "--metric", "cut"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "t,cdf\n0,0.25\n1,0.5\n2,0.6875\nt,probability\n0,0.25\n1,0.25\n2,0.1875\n"
+    assert err == "error: --q is required with --model mc\n"
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_stdout_default_and_version():

@@ -16,7 +16,7 @@ from tvgraph.models import (  # noqa: E402
     format_model_spec,
     parse_model_spec,
 )
-from tvgraph.temporal import GraphletSequence, format_tgs, parse_tgs  # noqa: E402
+from tvgraph.temporal import Graphlet, GraphletSequence, format_tgs, parse_tgs  # noqa: E402
 
 
 @st.composite
@@ -56,3 +56,28 @@ def test_model_spec_text_round_trip(spec):
     text = format_model_spec(spec)
     assert parse_model_spec(text) == spec
     assert format_model_spec(parse_model_spec(text)) == text
+
+
+@st.composite
+def varying_sequences(draw, max_nodes=6, max_slots=4):
+    """Sequences whose slots each keep a drawn subset of the ids 0..n-1."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    graphlets = []
+    for t in range(1, draw(st.integers(min_value=1, max_value=max_slots)) + 1):
+        present = draw(st.sets(st.integers(0, n - 1)))
+        pairs = list(itertools.combinations(sorted(present), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graphlets.append(Graphlet(t, present, [e for e, k in zip(pairs, keep) if k]))
+    return GraphletSequence(graphlets)
+
+
+@settings(deadline=None, max_examples=100)
+@given(varying_sequences())
+def test_format_holds_a_sequence_or_refuses_it(tgs):
+    ids = tgs.node_ids
+    holdable = all(g.nodes == set(range(max(ids, default=-1) + 1)) for g in tgs)
+    if holdable:
+        assert parse_tgs(format_tgs(tgs)) == tgs
+    else:
+        with pytest.raises(ValueError):
+            format_tgs(tgs)

@@ -37,6 +37,14 @@ def test_line_and_complete_shapes():
     assert k4.neighbor_map()[0] == (1, 2, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_builders_equal_the_validating_constructor(n):
+    line = UnderlyingGraph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)), "line")
+    assert UnderlyingGraph.line(n) == line
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    assert UnderlyingGraph.complete(n) == UnderlyingGraph(tuple(range(n)), pairs, "complete")
+
+
 def test_underlying_graph_validation():
     with pytest.raises(ValueError):
         UnderlyingGraph((0, 1), ((0, 0),))

@@ -530,11 +530,43 @@ def test_format_parse_round_trip(tmp_path):
         "tgs 2 1\nt 1\ne 0 2\n",  # id out of range
         "tgs 2 1\ne 0 1\n",  # edge before slot
         "tgs 2 1\nt 1\nx 0 1\n",
+        "tgs 2 1\nt 1\ne 0\n",
+        "tgs 3 1\nt 1\ne 0 1 2\n",
+        "tgs 2 1\nt\n",
+        "tgs 2 2\nt 1 2\n",
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_tgs(text)
+
+
+def test_parse_normalizes_reversed_edges():
+    tgs = parse_tgs("tgs 3 1\nt 1\ne 1 0\ne 2 1\n")
+    assert tgs[0].edges == frozenset({(0, 1), (1, 2)})
+
+
+def test_format_refuses_slots_that_lack_some_ids(tmp_path):
+    # read back, every slot would hold all of 0..2, so a message from 2 could
+    # wait at 1 through slot 2 and reach 0 in slot 3
+    tgs = GraphletSequence([
+        Graphlet(1, {1, 2}, [(1, 2)]), Graphlet(2, {0, 2}), Graphlet(3, {0, 1}, [(0, 1)]),
+    ])
+    assert not t_reachable(tgs, 2, 0)[0]
+    assert reachable_pairs_fraction(tgs) == Fraction(2, 3)
+    with pytest.raises(ValueError, match="node set 0..2 in every slot"):
+        format_tgs(tgs)
+    path = tmp_path / "seq.tgs"
+    with pytest.raises(ValueError):
+        dump_tgs(tgs, path)
+    assert not path.exists()
+
+
+def test_format_refuses_gaps_in_the_ids():
+    # ids {0, 3} would come back with the isolated nodes 1 and 2
+    tgs = GraphletSequence.from_slot_edges({0, 3}, [[(0, 3)], []])
+    with pytest.raises(ValueError, match="node set 0..3 in every slot"):
+        format_tgs(tgs)
 
 
 def test_parse_missing_slots_are_empty():
