@@ -14,13 +14,14 @@ MAX_SUPPORT masses raises ValueError (give `max_latency` instead).  The
 convention 0**0 = 1 is used throughout so the p=1 and q=1 boundaries are
 well defined.
 
-The two-state-chain PMFs (`mc_*`) are one kernel, soa being cut shifted by
-n-1.  It evaluates chunks of latencies as numpy arrays of log terms in
-Loader's saddle-point form, so nothing under- or overflows at any n, and
-masses agree with exact rational arithmetic to about 1e-13 relative.  Its
-automatic support keeps the rule above, with the running sum carried in
-twice double precision.  The independent-churn PMFs and reach CDFs share
-one negative-binomial recurrence.
+Two kernels feed one support rule, which takes masses in chunks and
+carries their running sum in twice double precision.  The two-state-chain
+PMFs (`mc_*`), soa being cut shifted by n-1, evaluate each chunk as numpy
+arrays of log terms in Loader's saddle-point form, so nothing under- or
+overflows at any n, and masses agree with exact rational arithmetic to
+about 1e-13 relative.  The independent-churn PMFs and reach CDFs multiply
+out one negative-binomial recurrence; where its first mass p^(n-1)
+underflows, an automatic support raises.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _TOO_LONG = (
     f"the latency tail does not fall below {TAIL_TARGET:g} within {MAX_SUPPORT:,} masses;"
     " pass max_latency to truncate the support"
 )
-# A chain-mixture chunk holds at most 128 latencies and 2**17 terms (1 MB).
+# A chunk holds at most 128 masses; a chain-mixture chunk also at most 2**17 terms (1 MB).
 _CHUNK_ROWS = 128
 _CHUNK_TERMS = 2 ** 17
 
@@ -136,45 +137,61 @@ def _validate_line(n, p, allow_p_zero=False):
         raise ValueError("p = 0 never delivers")
 
 
-def _check_support(mean, sd):
-    """Refuse an automatic support that cannot reach TAIL_TARGET in MAX_SUPPORT masses.
+def _support(first, chunk, count, moments, rows=_CHUNK_ROWS):
+    """(masses, truncation_mass) of a latency PMF, taken a chunk at a time.
 
-    Cantelli's inequality gives P(T > mean - k sd) >= k^2 / (1 + k^2); at
-    k = 1e-3 that is about 1e-6 of the mass, far above TAIL_TARGET, so the
-    cap is out of reach once mean >= MAX_SUPPORT + sd / 1000.
+    `first` is the first mass; chunk(start, size, last) returns the `size`
+    masses from index `start` on as an array, `last` being the mass before.
+    With an explicit `count` that many masses are taken.  With count None,
+    the support ends at the first mass whose running sum leaves a tail below
+    TAIL_TARGET, and a tail that cannot get there within MAX_SUPPORT masses
+    raises.  moments() gives the closed-form (mean, sd) for a check up
+    front, and is called only then: an explicit count may come with p = 0
+    (a smashed block of tiny p).  By Cantelli's inequality P(T > mean -
+    k sd) >= k^2 / (1 + k^2), about 1e-6 at k = 1e-3, so the cap is out of
+    reach once mean >= MAX_SUPPORT + sd / 1000.
     """
-    if mean >= MAX_SUPPORT + 1e-3 * sd:
+    auto = count is None
+    if auto:
+        mean, sd = moments()
+        if mean >= MAX_SUPPORT + 1e-3 * sd:
+            raise ValueError(_TOO_LONG)
+        count = MAX_SUPPORT
+    # The running sum is cum + cum_err, carried to twice double precision: a
+    # plain running sum drifts by up to 1e-16 per mass, which on a long
+    # support is more than TAIL_TARGET.
+    masses, cum, cum_err, done = [], 0.0, 0.0, False
+    while not done and len(masses) < count:
+        start = len(masses)
+        block = chunk(start, min(rows, count - start), masses[-1]) if masses else np.array([first])
+        if auto:
+            hit = np.flatnonzero(1.0 - (cum + (cum_err + np.cumsum(block))) < TAIL_TARGET)
+            if hit.size:
+                block, done = block[: hit[0] + 1], True
+        block = block.tolist()
+        masses.extend(block)
+        total = math.fsum((cum, cum_err, *block))
+        cum, cum_err = total, math.fsum((cum, cum_err, *block, -total))
+    if auto and not done:
         raise ValueError(_TOO_LONG)
+    return tuple(masses), max(0.0, 1.0 - cum - cum_err)
 
 
 def _negbin_masses(hops, p, q, count):
-    """C(hops-1+j, j) q^j p^hops for j = 0.. (count terms, or auto).
+    """C(hops-1+j, j) q^j p^hops for j = 0.. (count terms, or auto), and the tail.
 
-    q is 1 - p, passed in so that a caller holding q keeps its rounding.
+    q is 1 - p, passed in so that a caller holding q keeps its rounding.  Mass
+    j is mass j-1 times q (hops+j-1) / j, multiplied out in order.
     """
-    if count is None:
-        _check_support(hops * q / p, math.sqrt(hops * q) / p)
-    masses = []
-    cum = 0.0
-    a = p ** hops
-    j = 0
-    while True:
-        if count is not None:
-            if j >= count:
-                break
-        elif j >= MAX_SUPPORT:
-            # The running sum can drift by more than TAIL_TARGET over this
-            # many masses, so the cap is judged by an exact sum.
-            if 1.0 - math.fsum(masses) >= TAIL_TARGET:
-                raise ValueError(_TOO_LONG)
-            break
-        masses.append(a)
-        cum += a
-        if count is None and 1.0 - cum < TAIL_TARGET:
-            break
-        a *= q * (hops + j) / (j + 1)
-        j += 1
-    return tuple(masses), max(0.0, 1.0 - cum)
+    first = p ** hops
+    if count is None and first == 0.0:
+        raise ValueError(f"the first latency mass p ** {hops} underflows to 0.0 at p = {p!r}")
+
+    def chunk(start, size, last):
+        js = np.arange(start, start + size)
+        return np.cumprod(np.concatenate(([last], q * (hops + js - 1) / js)))[1:]
+
+    return _support(first, chunk, count, lambda: (hops * q / p, math.sqrt(hops * q) / p))
 
 
 def er_soa_latency_pmf(n, p, max_latency=None):
@@ -309,20 +326,11 @@ def _chain_mixture(n, params, offset, max_latency):
     m < ell and summed along m; the m = ell terms, the weight times p^m, are
     added after.  Masses come out within about 1e-13 relative of exact
     arithmetic, and no power or binomial coefficient under- or overflows.
-    With no max_latency the support ends at the first latency whose running
-    sum leaves a tail below TAIL_TARGET.
     """
     p, q = params.p, params.q
     hops = n - 1
     pi_on, off = p / (p + q), q / (p + q)
-    if max_latency is None:
-        count = None
-        _check_support(hops * off / p, math.sqrt(hops * off * (2.0 - p - off)) / p)
-    else:
-        count = max(0, max_latency - offset + 1)
-        if count == 0:
-            return LatencyPmf(offset, (), 1.0)
-    limit = MAX_SUPPORT if count is None else count
+    count = None if max_latency is None else max(0, max_latency - offset + 1)
 
     # Column j holds m = hops - j, so that a sliding window over a vector
     # indexed by the wait k = ell - m lines up with each latency's row.
@@ -332,18 +340,10 @@ def _chain_mixture(n, params, offset, max_latency):
     log_weight[1:] = _log_dbinom(ms[1:], hops, off, pi_on)
     # The per-m part of log(weight * (m/ell) P(Binomial(ell, p) = m)).
     per_m = log_weight + 0.5 * np.log(ms) - _stirlerr(ms) - 0.5 * math.log(2.0 * math.pi)
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_TERMS // hops))
 
-    masses = [pi_on ** hops]
-    # The running sum is cum + cum_err, carried to twice double precision: a
-    # plain running sum drifts by up to 1e-16 per mass, which on a long
-    # support is more than TAIL_TARGET.
-    cum, cum_err = masses[0], 0.0
-    done = count is None and 1.0 - cum < TAIL_TARGET
-    while not done and len(masses) < limit:
-        start = len(masses)
-        ells = np.arange(start, start + min(rows, limit - start))
-        chunk = np.zeros(len(ells))
+    def chunk(start, size, last):
+        ells = np.arange(start, start + size)
+        block = np.zeros(size)
         if p < 1.0:  # at p = 1 every blocked edge waits one slot, so m = ell
             ks = np.maximum(np.arange(start - hops, ells[-1], dtype=float), 1.0)
             ell_col = ells[:, None]
@@ -351,20 +351,15 @@ def _chain_mixture(n, params, offset, max_latency):
             terms += (_stirlerr(ells) - 0.5 * np.log(ells))[:, None]
             terms -= _bd0(ms, ell_col * p)
             terms -= _bd0(sliding_window_view(ks, hops), ell_col * (1.0 - p))
-            chunk = np.exp(terms, out=np.zeros_like(terms), where=ms < ell_col).sum(axis=1)
+            block = np.exp(terms, out=np.zeros_like(terms), where=ms < ell_col).sum(axis=1)
         blocked = ells[ells <= hops]
-        chunk[: len(blocked)] += np.exp(log_weight[hops - blocked]) * p ** blocked
-        if count is None:
-            hit = np.flatnonzero(1.0 - (cum + (cum_err + np.cumsum(chunk))) < TAIL_TARGET)
-            if hit.size:
-                chunk, done = chunk[: hit[0] + 1], True
-        chunk = chunk.tolist()
-        masses.extend(chunk)
-        total = math.fsum((cum, cum_err, *chunk))
-        cum, cum_err = total, math.fsum((cum, cum_err, *chunk, -total))
-    if count is None and not done:
-        raise ValueError(_TOO_LONG)
-    return LatencyPmf(offset, tuple(masses), max(0.0, 1.0 - cum - cum_err))
+        block[: len(blocked)] += np.exp(log_weight[hops - blocked]) * p ** blocked
+        return block
+
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_TERMS // hops))
+    support = _support(pi_on ** hops, chunk, count,
+                       lambda: (hops * off / p, math.sqrt(hops * off * (2.0 - p - off)) / p), rows)
+    return LatencyPmf(offset, *support)
 
 
 def mc_cut_latency_pmf(n, params, max_latency=None):

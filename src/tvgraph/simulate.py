@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import LatencyPmf
-from .models import ErParams, edge_step, edge_update, sample_slots, shortest_path
+from .models import ErParams, UnderlyingGraph, edge_step, edge_update, sample_slots, shortest_path
 from .temporal import SmashedGraph, adjacency, bfs, smash
 
 __all__ = [
@@ -150,18 +150,6 @@ def _hop_ranks(adj, nodes, dest):
     return {v: dist.get(v, math.inf) for v in nodes}
 
 
-def _union_path(tgs, source, dest):
-    adj = adjacency(smash(tgs).edges)
-    rank = _hop_ranks(adj, tgs.node_ids, dest)
-    if rank.get(source, math.inf) == math.inf:
-        raise ValueError(f"{dest!r} is not connected to {source!r} in the slot union")
-    path = [source]
-    while path[-1] != dest:
-        cur = path[-1]
-        path.append(min(w for w in adj[cur] if rank[w] == rank[cur] - 1))
-    return path
-
-
 def replay_soa(tgs, source, dest, next_hop=None):
     """Replay store-or-advance forwarding over one sequence.
 
@@ -173,7 +161,9 @@ def replay_soa(tgs, source, dest, next_hop=None):
     if source == dest:
         return TrialResult(0, ((source, 0),))
     if next_hop is None:
-        path = _union_path(tgs, source, dest)
+        path = shortest_path(UnderlyingGraph.from_graphlet(smash(tgs)), source, dest)
+        if path is None:
+            raise ValueError(f"{dest!r} is not connected to {source!r} in the slot union")
         hops = {path[i]: path[i + 1] for i in range(len(path) - 1)}
 
         def next_hop(u, on_neighbors):

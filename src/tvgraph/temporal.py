@@ -506,8 +506,7 @@ def parse_tgs(text):
         raise ValueError(f"bad header {lines[0]!r}; node count and horizon must be integers") from None
     if n < 0 or horizon < 1:
         raise ValueError("node count must be >= 0 and horizon >= 1")
-    slot_edges = {t: set() for t in range(1, horizon + 1)}
-    declared = set()
+    slot_edges = {}  # declared slot -> its edge set; undeclared slots stay empty
     current = edges = None  # the open slot and its edge set
     for ln in lines[1:]:
         parts = ln.split()
@@ -517,10 +516,10 @@ def parse_tgs(text):
             slot = int(parts[1])
             if not 1 <= slot <= horizon:
                 raise ValueError(f"slot {slot} out of range 1..{horizon}")
-            if slot in declared:
+            if slot in slot_edges:
                 raise ValueError(f"slot {slot} declared twice")
-            declared.add(slot)
-            current, edges = slot, slot_edges[slot]
+            current = slot
+            edges = slot_edges[slot] = set()
         elif parts[0] == "e":
             if current is None:
                 raise ValueError("edge line before any 't <slot>' line")
@@ -538,9 +537,10 @@ def parse_tgs(text):
         else:
             raise ValueError(f"unrecognized line {ln!r}")
     # Every edge is checked above: in range, no self-loop, normalized, unique.
-    nodes = frozenset(range(n))
+    nodes, empty = frozenset(range(n)), frozenset()
     return GraphletSequence(
-        Graphlet._unchecked(t, nodes, frozenset(slot_edges[t])) for t in range(1, horizon + 1)
+        Graphlet._unchecked(t, nodes, frozenset(slot_edges.get(t, empty)))
+        for t in range(1, horizon + 1)
     )
 
 

@@ -366,11 +366,24 @@ def test_auto_support_refuses_at_the_cap(monkeypatch):
 
 
 def test_auto_support_keeps_a_tail_reached_within_the_cap():
-    # The running sum drifts by more than 1e-13 over these masses, although
-    # their exact sum reaches the tail long before the cap.
+    # A plain running sum drifts by more than 1e-13 over these masses and ran
+    # on to the cap; the exact sum reaches the tail after 105,400.
     pmf = er_cut_latency_pmf(40, 1e-3)
-    assert len(pmf.masses) == analytics.MAX_SUPPORT
+    assert len(pmf.masses) == 105_400
     assert 1.0 - math.fsum(pmf.masses) < 1e-13
+
+
+@pytest.mark.parametrize("n, p", [(40, 1e-3), (50, 0.01), (44, 0.1), (10, 0.25), (2, 0.5)])
+def test_auto_support_ends_where_the_exact_sum_reaches_the_tail(n, p):
+    m = er_cut_latency_pmf(n, p).masses
+    assert 1.0 - math.fsum(m) < 1e-13 <= 1.0 - math.fsum(m[:-1])
+
+
+@pytest.mark.parametrize("pmf", [er_soa_latency_pmf, er_cut_latency_pmf])
+def test_auto_support_names_an_underflowing_first_mass(pmf):
+    # 0.1 ** 399 is below the smallest subnormal double
+    with pytest.raises(ValueError, match="underflows"):
+        pmf(400, 0.1)
 
 
 def test_tiny_p_still_truncates_at_an_explicit_horizon():

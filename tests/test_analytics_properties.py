@@ -1,4 +1,4 @@
-"""Property-based differential tests of the two-state-chain latency kernel."""
+"""Property-based differential tests of the latency kernels."""
 
 import itertools
 import math
@@ -103,3 +103,20 @@ def test_chain_with_p_plus_q_one_is_independent_churn(n, p, max_latency):
         assert chain.offset == er.offset
         assert len(chain.masses) == len(er.masses)
         assert max(abs(a - b) for a, b in zip(chain.masses, er.masses)) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=2, max_value=12), st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=0, max_value=400))
+def test_auto_support_matches_an_explicit_horizon(n, p, q, max_latency):
+    # The automatic support is taken in chunks too; no mass may depend on
+    # where a chunk starts or how long it is.
+    for auto, explicit in [
+        (er_cut_latency_pmf(n, p), er_cut_latency_pmf(n, p, max_latency)),
+        (er_soa_latency_pmf(n, p), er_soa_latency_pmf(n, p, max_latency + n - 1)),
+        (mc_cut_latency_pmf(n, MarkovParams(p, q)),
+         mc_cut_latency_pmf(n, MarkovParams(p, q), max_latency)),
+    ]:
+        shared = min(len(auto.masses), len(explicit.masses))
+        assert auto.offset == explicit.offset
+        assert auto.masses[:shared] == explicit.masses[:shared]

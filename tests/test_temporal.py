@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -574,3 +575,16 @@ def test_parse_missing_slots_are_empty():
     assert tgs[0].edges == frozenset()
     assert tgs[1].edges == frozenset({(0, 1)})
     assert tgs[2].edges == frozenset()
+
+
+def test_parse_memory_follows_the_file_not_the_horizon():
+    # a header-only file declaring 100,000 slots: one Graphlet per slot, but
+    # no edge set for slots the file never names
+    tracemalloc.start()
+    try:
+        tgs = parse_tgs("tgs 2 100000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tgs.horizon == 100_000 and all(not g.edges for g in tgs)
+    assert peak < 30_000_000
