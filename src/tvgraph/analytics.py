@@ -194,17 +194,21 @@ def _negbin_masses(hops, p, q, count):
     return _support(first, chunk, count, lambda: (hops * q / p, math.sqrt(hops * q) / p))
 
 
+def _negbin_pmf(n, p, offset, max_latency):
+    """Latency offset + T, with T the cut-through latency of the
+    independent-churn line: the failures before its n-1 edges each come up."""
+    _validate_line(n, p)
+    count = None if max_latency is None else max(0, max_latency - offset + 1)
+    return LatencyPmf(offset, *_negbin_masses(n - 1, p, 1.0 - p, count))
+
+
 def er_soa_latency_pmf(n, p, max_latency=None):
     """Latency of store-or-advance on an n-node independent-churn line.
 
     P(T = n-1+j) = C(n+j-2, j) (1-p)^j p^(n-1); the full-distribution mean
     is (n-1)/p.  Support starts at n-1 hops.
     """
-    _validate_line(n, p)
-    offset = n - 1
-    count = None if max_latency is None else max(0, max_latency - offset + 1)
-    masses, trunc = _negbin_masses(n - 1, p, 1.0 - p, count)
-    return LatencyPmf(offset, masses, trunc)
+    return _negbin_pmf(n, p, n - 1, max_latency)
 
 
 def er_cut_latency_pmf(n, p, max_latency=None):
@@ -213,10 +217,7 @@ def er_cut_latency_pmf(n, p, max_latency=None):
     P(T = k) = C(n+k-2, k) (1-p)^k p^(n-1); mean (n-1)(1-p)/p and variance
     (n-1)(1-p)/p^2.
     """
-    _validate_line(n, p)
-    count = None if max_latency is None else max(0, max_latency + 1)
-    masses, trunc = _negbin_masses(n - 1, p, 1.0 - p, count)
-    return LatencyPmf(0, masses, trunc)
+    return _negbin_pmf(n, p, 0, max_latency)
 
 
 def er_soa_latency_masses_exact(n, p, max_latency):
@@ -242,20 +243,19 @@ def er_soa_location_pmf(n, p, t):
     """Position distribution after t slots of store-or-advance on the line.
 
     Evaluates the one-step recurrence P(pos=k at t) = P(k-1) p + P(k)(1-p)
-    from P(pos=1 at 0) = 1, with the destination absorbing.
+    from P(pos=1 at 0) = 1, with the destination absorbing, one array step
+    per slot.
     """
     _validate_line(n, p, allow_p_zero=True)
     if t < 0:
         raise ValueError("t must be >= 0")
-    cur = [1.0] + [0.0] * (n - 1)
+    cur = np.zeros(n)
+    cur[0] = 1.0
     for _ in range(t):
-        nxt = [0.0] * n
-        nxt[0] = cur[0] * (1.0 - p)
-        for k in range(1, n - 1):
-            nxt[k] = cur[k - 1] * p + cur[k] * (1.0 - p)
-        nxt[n - 1] = cur[n - 2] * p + cur[n - 1]
-        cur = nxt
-    return LocationPmf(t, tuple(cur))
+        moved = cur[:-1] * p
+        cur[:-1] *= 1.0 - p
+        cur[1:] += moved
+    return LocationPmf(t, tuple(cur.tolist()))
 
 
 # --- two-state chain latencies (stationary start) ----------------------------

@@ -172,6 +172,8 @@ def _parse_m_list(text):
 def cmd_compare(args):
     gu = _build_gu(args)
     spec = _build_model(args, gu)
+    if args.t_max < 1:
+        raise ValueError("--t-max must be >= 1")
     ms = _parse_m_list(args.m)
     grid = list(range(1, args.t_max + 1))
     header = ["t", "stg"] + [f"msmg_{m}" for m in ms] + ["smg"]
@@ -217,6 +219,8 @@ def cmd_route(args):
         raise ValueError("the routing graph file must hold exactly one slot")
     if args.horizon is not None and args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
+    if args.trials < 0:
+        raise ValueError("--trials must be >= 0")
     gu = UnderlyingGraph.from_graphlet(tgs[0])
     if args.source not in gu.nodes:
         raise ValueError(f"source {args.source} not in the graph")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ErParams
-from .simulate import default_horizon, simulate_soa
+from .simulate import simulate_soa
 from .temporal import adjacency, bfs
 
 __all__ = [
@@ -180,10 +180,10 @@ def run_adaptive_route(gu, p, source, dest, horizon=None, trials=10_000, seed=0)
     """Empirical latency of the greedy METT policy; its mean converges to
     METT[source]."""
     table = compute_mett(gu, p, dest)
+    if source not in gu.nodes:
+        raise ValueError(f"source {source!r} not in the graph")
     if math.isinf(table.mett[source]):
         raise ValueError(f"{dest!r} is unreachable from {source!r}")
-    if horizon is None:
-        horizon = default_horizon(len(gu.nodes), p)
     return simulate_soa(
         ErParams(p), gu, source, dest, horizon=horizon, trials=trials, seed=seed,
         next_hop=dict(table.policy),

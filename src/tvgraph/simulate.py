@@ -8,13 +8,14 @@ costs slots.  Delivery inside the very first cut-through component
 counts as latency zero.
 
 Reproducibility: draws come from numpy PCG64 streams.  The vectorized
-engines (store-or-advance along a path, cut-through on a forest, the
-adaptive replay) give each fixed block of 8192 trials its own child
-stream (SeedSequence(seed, spawn_key=(block,))), so results are
-deterministic and independent of how blocks would be scheduled; per-trial
-python engines (cut-through on other graphs, callable policies) use
-SeedSequence(seed, spawn_key=(trial,)).  Undelivered trials are reported,
-never dropped.
+engines (store-or-advance along a path, cut-through when the destination's
+component is a tree, the adaptive replay) give each fixed block of 8192
+trials its own child stream (SeedSequence(seed, spawn_key=(block,))), so
+results are deterministic and independent of how blocks would be
+scheduled; per-trial python engines (cut-through on other graphs or with an
+explicit rank, callable policies) use SeedSequence(seed, spawn_key=(trial,)).
+A replay caps each trial at a horizon of at least one slot.  Undelivered
+trials are reported, never dropped.
 
 Reachable-pair curves are array code over blocks of trials that keep the
 per-trial streams: each trial draws its slots from its own
@@ -34,7 +35,7 @@ import numpy as np
 
 from .analytics import LatencyPmf
 from .models import ErParams, UnderlyingGraph, edge_step, edge_update, sample_slots, shortest_path
-from .temporal import SmashedGraph, adjacency, bfs, smash
+from .temporal import adjacency, bfs, smash
 
 __all__ = [
     "TrialResult",
@@ -97,12 +98,9 @@ class EmpiricalPmf:
         return float((values * self.counts).sum() / d)
 
     def variance(self):
-        d = self.delivered()
-        if d == 0:
-            raise ValueError("no delivered trials")
+        mean = self.mean()
         values = np.arange(len(self.counts))
-        mean = (values * self.counts).sum() / d
-        return float((((values - mean) ** 2) * self.counts).sum() / d)
+        return float((((values - mean) ** 2) * self.counts).sum() / self.delivered())
 
     def stderr_mean(self):
         d = self.delivered()
@@ -311,9 +309,19 @@ def _run_trial_walks(walk, policy, model, gu, source, dest, horizon, trials, see
     return EmpiricalPmf.from_latencies(latencies, trials)
 
 
-def _validate_endpoints(gu, source, dest):
+def _check_replay(model, gu, source, dest, horizon, trials):
+    """The horizon of a replay, after checking its endpoints, trials >= 1 and
+    horizon >= 1.  None means default_horizon, unless source == dest: a
+    message already at dest needs no cap."""
     if source not in gu.nodes or dest not in gu.nodes:
         raise ValueError(f"unknown node {source!r} or {dest!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if horizon is None and source != dest:
+        horizon = default_horizon(len(gu.nodes), model.p)
+    return horizon
 
 
 def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, next_hop=None):
@@ -325,18 +333,14 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
     the first currently-up listed neighbor" (independent-churn model
     only); a callable(node, on_neighbors) is replayed per trial.
     """
-    _validate_endpoints(gu, source, dest)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
         return EmpiricalPmf(np.array([trials]), trials, 0)
-    if horizon is None:
-        horizon = default_horizon(len(gu.nodes), model.p)
     if next_hop is None:
-        path = shortest_path(gu, source, dest)
-        if path is None:
+        hops = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)[source]
+        if math.isinf(hops):
             raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
-        return _run_blocks(seed, trials, _path_replay_block, model, len(path) - 1, "soa", horizon)
+        return _run_blocks(seed, trials, _path_replay_block, model, hops, "soa", horizon)
     if isinstance(next_hop, dict):
         if not isinstance(model, ErParams):
             raise ValueError("adaptive acceptance lists assume the independent-churn model")
@@ -358,27 +362,23 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     """Empirical cut-through latency distribution.
 
     Each slot the message jumps to the node of minimum rank (default: hop
-    distance to dest) in its current component.  On a forest with the
-    default rank that node lies on the one source-dest path, so the trials
-    replay that path vectorized, with per-block streams; other graphs, or
-    an explicit rank, replay per trial with per-trial streams.
+    distance to dest) in its current component.  The message never leaves
+    dest's component of gu, so when that component is a tree and the rank
+    is the default, the node jumped to lies on the one source-dest path and
+    the trials replay that path vectorized, with per-block streams.  Other
+    graphs, or an explicit rank, replay per trial with per-trial streams.
     """
-    _validate_endpoints(gu, source, dest)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
         return EmpiricalPmf(np.array([trials]), trials, 0)
-    if horizon is None:
-        horizon = default_horizon(len(gu.nodes), model.p)
-    path = shortest_path(gu, source, dest)
-    if path is None:
+    hops = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)
+    if math.isinf(hops[source]):
         raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
     if rank is None:
-        components = SmashedGraph(gu.nodes, gu.edges).components()
-        if len(gu.edges) == len(gu.nodes) - len(components):  # a forest
-            hops = len(path) - 1
-            return _run_blocks(seed, trials, _path_replay_block, model, hops, "cut", horizon)
-        rank = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)
+        reached = sum(h < math.inf for h in hops.values())
+        if sum(hops[u] < math.inf for u, _ in gu.edges) == reached - 1:  # dest's component is a tree
+            return _run_blocks(seed, trials, _path_replay_block, model, hops[source], "cut", horizon)
+        rank = hops
     return _run_trial_walks(_cut_walk, rank, model, gu, source, dest, horizon, trials, seed)
 
 

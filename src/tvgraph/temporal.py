@@ -284,14 +284,19 @@ def stacked_reachable(stg, src, dst):
     return _journey(stg.tgs, src[0], dst[0], src[1], dst[1]) is not None
 
 
-def smash(tgs):
-    """Collapse a sequence into the union of its slots."""
+def _union(graphlets):
+    """Frozen (nodes, edges) of the union of `graphlets`."""
     nodes = set()
     edges = set()
-    for g in tgs:
+    for g in graphlets:
         nodes |= g.nodes
         edges |= g.edges
-    return SmashedGraph(nodes, edges)
+    return frozenset(nodes), frozenset(edges)
+
+
+def smash(tgs):
+    """Collapse a sequence into the union of its slots."""
+    return SmashedGraph(*_union(tgs))
 
 
 def m_smash(tgs, m):
@@ -302,16 +307,10 @@ def m_smash(tgs, m):
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("block size m must be a positive integer")
-    graphlets = []
-    for i, start in enumerate(range(0, tgs.horizon, m), start=1):
-        block = tgs.graphlets[start:start + m]
-        nodes = set()
-        edges = set()
-        for g in block:
-            nodes |= g.nodes
-            edges |= g.edges
-        graphlets.append(Graphlet._unchecked(i, frozenset(nodes), frozenset(edges)))
-    return GraphletSequence(graphlets)
+    return GraphletSequence(
+        Graphlet._unchecked(i, *_union(tgs.graphlets[start:start + m]))
+        for i, start in enumerate(range(0, tgs.horizon, m), start=1)
+    )
 
 
 def _require_known(tgs, *ids):
@@ -382,53 +381,37 @@ def _journey(tgs, source, target, first=None, last=None):
     return journey
 
 
-def component_masks(edges, index):
-    """Bit masks (bit index[v] for node v) of the multi-node components of
-    the graph on `edges`, ignoring edges with an endpoint outside `index`."""
-    adj = adjacency((u, v) for u, v in edges if u in index and v in index)
-    masks = []
-    seen = set()
-    for start in adj:
-        if start not in seen:
-            comp = bfs(adj, [start])
-            seen.update(comp)
-            masks.append(sum(1 << index[x] for x in comp))
-    return masks
-
-
-def close(reach, masks):
-    """One slot of the journey closure: every reach mask that touches a slot
-    component gains the whole component.  Components of one slot are
-    disjoint, so their order does not matter."""
-    for comp in masks:
-        for i, r in enumerate(reach):
-            if r & comp:
-                reach[i] = r | comp
-
-
 def _journey_masks(tgs, removed=frozenset()):
-    """Per-node bit masks of journey-reachable sets, with `removed` ids deleted
-    from every slot.
+    """{node: mask} of journey reachability, with `removed` ids deleted from
+    every slot.  The masks run into each node: bit i of v's mask is set when
+    the i-th id in sorted order reaches v.
 
-    carry[i] holds the ids where a message from order[i] is at the current
-    slot.  When node sets vary, carry is cut to each slot's present ids and
-    order[i] re-enters at every slot where it is present; the reachable set is
-    then the union of carry over the slots.  On a constant node set no cut
-    ever drops a bit, so that union is the last carry.
+    held[v] holds the origins whose message is at v in the current slot; each
+    slot component ORs its members' held masks once and writes the result
+    back to every member.  When node sets vary, an absent id holds nothing
+    and a present id takes its own origin back; the reachable sets are then
+    the union of held over the slots.  On a constant node set no slot drops
+    a bit, so that union is the last held.
     """
-    order = sorted(tgs.node_ids - removed)
-    index = {v: i for i, v in enumerate(order)}
-    carry = [1 << i for i in range(len(order))]
-    varying = any(not index.keys() <= g.nodes for g in tgs)
-    reach = carry
+    own = {v: 1 << i for i, v in enumerate(sorted(tgs.node_ids - removed))}
+    held = reach = dict(own)
+    varying = any(not own.keys() <= g.nodes for g in tgs)
     for g in tgs:
         if varying:
-            present = sum(1 << index[v] for v in g.nodes if v in index)
-            carry = [(c | 1 << i) & present for i, c in enumerate(carry)]
-        close(carry, component_masks(g.edges, index))
+            held = {v: h | own[v] if v in g.nodes else 0 for v, h in held.items()}
+        adj = adjacency((u, v) for u, v in g.edges if u in own and v in own)
+        seen = set()
+        for start in adj:
+            if start not in seen:
+                comp = bfs(adj, [start])
+                seen.update(comp)
+                mask = 0
+                for x in comp:
+                    mask |= held[x]
+                held.update(dict.fromkeys(comp, mask))
         if varying:
-            reach = [r | c for r, c in zip(reach, carry)]
-    return order, reach
+            reach = {v: r | held[v] for v, r in reach.items()}
+    return reach
 
 
 def t_clique(tgs):
@@ -463,8 +446,8 @@ def t_k_connected(tgs, k):
     if k - 1 >= len(ids):
         raise ValueError(f"cannot remove {k - 1} nodes from a {len(ids)}-node sequence")
     for removed in itertools.combinations(ids, k - 1):
-        order, reach = _journey_masks(tgs, frozenset(removed))
-        full = (1 << len(order)) - 1
+        reach = _journey_masks(tgs, frozenset(removed)).values()
+        full = (1 << len(reach)) - 1
         if any(r != full for r in reach):
             return False
     return True
@@ -472,8 +455,8 @@ def t_k_connected(tgs, k):
 
 def reachable_pairs_fraction(tgs):
     """Exact fraction of ordered pairs (u, v), u != v, with u -> v journey-reachable."""
-    order, reach = _journey_masks(tgs)
-    n = len(order)
+    reach = _journey_masks(tgs).values()
+    n = len(reach)
     if n < 2:
         return Fraction(0)
     hits = sum(r.bit_count() - 1 for r in reach)

@@ -258,6 +258,19 @@ def test_compare_empirical_complete_graph(tmp_path):
         assert float(stg) <= float(smg) + 1e-12
 
 
+@pytest.mark.parametrize("mode", [(), ("--gu", "complete", "--trials", "5")])
+@pytest.mark.parametrize("t_max", ["0", "-3"])
+def test_compare_rejects_t_max_below_one(tmp_path, mode, t_max):
+    out = tmp_path / "cmp.csv"
+    res = run_cli(
+        "compare", "--model", "er", "--n", "5", "--p", "0.3", *mode,
+        "--t-max", t_max, "--output", out,
+    )
+    assert res.returncode == 1
+    assert res.stderr == "error: --t-max must be >= 1\n"
+    assert not out.exists()
+
+
 def test_compare_empirical_needs_two_trials(tmp_path):
     out = tmp_path / "emp.csv"
     res = run_cli(
@@ -299,6 +312,19 @@ def test_route_zero_horizon_errors(tmp_path):
     )
     assert res.returncode == 1
     assert "--horizon must be >= 1" in res.stderr
+
+
+def test_route_negative_trials_errors(tmp_path):
+    graph = tmp_path / "line.tgs"
+    dump_tgs(GraphletSequence.from_slot_edges(range(4), [UnderlyingGraph.line(4).edges]), graph)
+    out = tmp_path / "mett.json"
+    res = run_cli(
+        "route", "--graph", graph, "--p", "0.5", "--source", "0", "--dest", "3",
+        "--trials", "-4", "--output", out,
+    )
+    assert res.returncode == 1
+    assert res.stderr == "error: --trials must be >= 0\n"
+    assert not out.exists()
 
 
 def test_route_disconnected_errors(tmp_path):

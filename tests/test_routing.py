@@ -281,6 +281,11 @@ def test_adaptive_route_unreachable_raises():
         run_adaptive_route(gu, 0.5, 2, 0, trials=10, seed=0)
 
 
+def test_adaptive_route_rejects_unknown_source():
+    with pytest.raises(ValueError, match="42"):
+        run_adaptive_route(UnderlyingGraph.line(10), 0.3, 42, 9)
+
+
 def test_adaptive_trajectories_never_backtrack():
     rng = np.random.default_rng(25)
     gu = random_connected(6, 0.45, rng)

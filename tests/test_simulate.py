@@ -277,6 +277,13 @@ def test_simulate_validation():
         simulate_soa(ErParams(0.5), UnderlyingGraph.line(3), 0, 7, trials=5, seed=0)
 
 
+@pytest.mark.parametrize("run", [simulate_soa, simulate_cut])
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_simulate_rejects_horizon_below_one(run, horizon):
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        run(ErParams(0.5), UnderlyingGraph.line(4), 0, 3, horizon=horizon, trials=10, seed=0)
+
+
 def test_simulate_cut_general_graph_matches_line_shape():
     # a path given as a generic graph agrees with the line closed form
     gu = UnderlyingGraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
@@ -295,6 +302,17 @@ def test_simulate_cut_engine_follows_shape_not_name():
         for gu in (unnamed, from_graphlet):
             got = simulate_cut(model, gu, 0, 9, trials=3_000, seed=21).counts
             assert np.array_equal(got, want)
+
+
+def test_simulate_cut_engine_looks_at_the_destination_component():
+    # a triangle the message can never enter leaves the path engine in charge
+    line = UnderlyingGraph.line(10)
+    with_cycle = UnderlyingGraph(tuple(range(13)), line.edges + ((10, 11), (10, 12), (11, 12)))
+    for model in (ErParams(0.25), MarkovParams(0.4, 0.3)):
+        want = simulate_cut(model, line, 0, 9, horizon=400, trials=3_000, seed=27)
+        got = simulate_cut(model, with_cycle, 0, 9, horizon=400, trials=3_000, seed=27)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.undelivered == want.undelivered
 
 
 def test_simulate_cut_tree_with_branches_matches_path_law():

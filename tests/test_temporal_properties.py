@@ -116,3 +116,29 @@ def test_journey_queries_match_the_stacked_definition(tgs):
     if len(ids) >= 2:
         assert reachable_pairs_fraction(tgs) == Fraction(hits, len(ids) * (len(ids) - 1))
         assert t_k_connected(tgs, 1) == (hits == len(ids) * (len(ids) - 1))
+
+
+def without(tgs, removed):
+    """`tgs` with the ids of `removed` deleted from every slot."""
+    return GraphletSequence(
+        Graphlet(g.time, g.nodes - removed, [e for e in g.edges if not removed & set(e)])
+        for g in tgs
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(tgs=sequences())
+def test_t_k_connected_matches_the_definition(tgs):
+    ids = sorted(tgs.node_ids)
+    for k in (2, 3):
+        if k - 1 >= len(ids):
+            with pytest.raises(ValueError):
+                t_k_connected(tgs, k)
+            continue
+        want = True
+        for removed in itertools.combinations(ids, k - 1):
+            stg = build_stacked(without(tgs, set(removed)))
+            rest = [v for v in ids if v not in removed]
+            want = want and all(stacked_pair_reach(stg, u, v)
+                                for u, v in itertools.permutations(rest, 2))
+        assert t_k_connected(tgs, k) == want
