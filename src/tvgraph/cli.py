@@ -237,8 +237,8 @@ def cmd_route(args):
         payload["trials"] = args.trials
         payload["seed"] = args.seed
         payload["undelivered"] = emp.undelivered
-        payload["empirical_mean"] = emp.mean()
-        payload["empirical_stderr"] = emp.stderr_mean()
+        payload["empirical_mean"] = emp.mean() if emp.delivered() else None
+        payload["empirical_stderr"] = emp.stderr_mean() if emp.delivered() >= 2 else None
         payload["mett_source"] = table.mett[args.source]
         if args.pmf_output is not None:
             _write(args.pmf_output, _csv(emp.nonzero_items(), ["latency", "count"]))

@@ -184,11 +184,18 @@ def edge_update(params, states, u):
 
 
 def sample_slots(edges, params, horizon, rng):
-    """Lazily yield the up items of `edges` in slots 1..horizon, in their order."""
-    states = None
-    for _ in range(horizon):
-        states = edge_step(params, states, rng, len(edges))
-        yield [edges[i] for i in states.nonzero()[0].tolist()]
+    """Lazily yield the up items of `edges` in slots 1..horizon, in their order.
+
+    Uniforms come in one draw per chunk of 1, 2, 4, ... slots: the same
+    stream as one draw per slot, so a caller that stops early leaves at most
+    as many slots drawn and unused as it used.
+    """
+    states, t = None, 0
+    while t < horizon:
+        for u in rng.random((min(t + 1, horizon - t), len(edges))):
+            t += 1
+            states = edge_update(params, states, u)
+            yield [edges[i] for i in states.nonzero()[0].tolist()]
 
 
 def _sample_tgs(gu, params, horizon, seed):

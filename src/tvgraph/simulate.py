@@ -7,15 +7,21 @@ jumps the whole currently-connected stretch for free and only waiting
 costs slots.  Delivery inside the very first cut-through component
 counts as latency zero.
 
+Engines: the path engine (`_path_block`) replays store-or-advance along
+its fixed shortest path, and cut-through with the default rank when the
+destination's component is a tree, by deferred decisions: each slot it
+draws only the state of the edge the message waits at.  The adaptive
+engine replays acceptance-list policies.  Per-trial python walks replay
+cut-through on other graphs or with an explicit rank, and callable
+policies, over lazily sampled slots.
+
 Reproducibility: draws come from numpy PCG64 streams.  The vectorized
-engines (store-or-advance along a path, cut-through when the destination's
-component is a tree, the adaptive replay) give each fixed block of 8192
-trials its own child stream (SeedSequence(seed, spawn_key=(block,))), so
-results are deterministic and independent of how blocks would be
-scheduled; per-trial python engines (cut-through on other graphs or with an
-explicit rank, callable policies) use SeedSequence(seed, spawn_key=(trial,)).
-A replay caps each trial at a horizon of at least one slot.  Undelivered
-trials are reported, never dropped.
+engines give each fixed block of 8192 trials its own child stream,
+SeedSequence(seed, spawn_key=(1, block)), so results are deterministic and
+independent of how blocks would be scheduled; per-trial engines use
+SeedSequence(seed, spawn_key=(trial,)), a disjoint key space, so no block
+replays a trial's stream.  A replay caps each trial at a horizon of at
+least one slot.  Undelivered trials are reported, never dropped.
 
 Reachable-pair curves are array code over blocks of trials that keep the
 per-trial streams: each trial draws its slots from its own
@@ -34,7 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import LatencyPmf
-from .models import ErParams, UnderlyingGraph, edge_step, edge_update, sample_slots, shortest_path
+from .models import (
+    ErParams, MarkovParams, UnderlyingGraph, edge_step, edge_update, sample_slots, shortest_path,
+)
 from .temporal import adjacency, bfs, smash
 
 __all__ = [
@@ -223,9 +231,10 @@ def _cut_walk(slots, source, dest, rank):
 
 
 def _block_streams(seed, trials):
+    """Each block's stream and size; keys (1, block) never meet a trial's (trial,)."""
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         size = min(BLOCK_TRIALS, trials - start)
-        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,))), size
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, block))), size
 
 
 def _run_blocks(seed, trials, replay_block, *args):
@@ -239,33 +248,54 @@ def _trial_stream(seed, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _path_replay_block(model, n_edges, metric, horizon, rng, size):
-    """Replay `size` trials along a fixed edge path; returns latencies (-1 undelivered)."""
-    states = None
+def _path_block(model, n_edges, metric, horizon, rng, size):
+    """Replay `size` trials along a fixed path of n_edges edges; returns
+    latencies (-1 undelivered).
+
+    Deferred decisions: edges are independent and a message watches one
+    edge over a run of slots, so each slot draws only the state of the edge
+    the message is at.  An edge watched for the first time in slot t is ON
+    with its marginal m = pi + (p0 - pi) r^(t-1), r = 1 - p - q (p under
+    independent churn, p0 when p + q = 0); one seen OFF in slot t-1 is ON
+    with p.  Cut-through crosses that edge and then a run of edges it has
+    never watched, each ON with m, so the run is geometric and one more
+    uniform draws its length; every trial still waiting afterwards sits at
+    an edge it saw OFF.
+    """
+    p, r = model.p, 0.0
+    pi = p0 = p
+    if isinstance(model, MarkovParams):
+        p0, r = model.p0, 1.0 - p - model.q
+        pi = p0 if p + model.q == 0.0 else p / (p + model.q)
     pos = np.zeros(size, dtype=np.int64)
+    fresh = np.ones(size, dtype=bool)  # the edge at pos has not been watched yet
     orig = np.arange(size)
     latency = np.full(size, -1, dtype=np.int64)
     t = 0
     while orig.size and t < horizon:
         t += 1
-        states = edge_step(model, states, rng, (orig.size, n_edges))
+        m = pi + (p0 - pi) * r ** (t - 1)
+        on = rng.random(orig.size) < (m if m == p else np.where(fresh, m, p))
         if metric == "soa":
-            on = states[np.arange(orig.size), pos]
             pos += on
+            fresh = on
             done = pos == n_edges
             latency[orig[done]] = t
         else:
-            rows = np.arange(orig.size)
-            while rows.size:
-                on = states[rows, pos[rows]]
-                moved = rows[on]
-                pos[moved] += 1
-                at_dest = pos[moved] == n_edges
-                latency[orig[moved[at_dest]]] = t - 1
-                rows = moved[~at_dest]
+            rows = on.nonzero()[0]
+            u = rng.random(rows.size)
+            if m <= 0.0:
+                run = np.zeros(rows.size)
+            elif m >= 1.0:
+                run = np.full(rows.size, np.inf)
+            else:  # log1p, since u may be 0.0
+                run = np.floor(np.log1p(-u) / math.log(m))
+            pos[rows] = np.minimum(pos[rows] + 1 + run, n_edges)
+            fresh[:] = False
             done = pos == n_edges
+            latency[orig[done]] = t - 1
         keep = ~done
-        orig, pos, states = orig[keep], pos[keep], states[keep]
+        orig, pos, fresh = orig[keep], pos[keep], fresh[keep]
     return latency
 
 
@@ -340,7 +370,7 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
         hops = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)[source]
         if math.isinf(hops):
             raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
-        return _run_blocks(seed, trials, _path_replay_block, model, hops, "soa", horizon)
+        return _run_blocks(seed, trials, _path_block, model, hops, "soa", horizon)
     if isinstance(next_hop, dict):
         if not isinstance(model, ErParams):
             raise ValueError("adaptive acceptance lists assume the independent-churn model")
@@ -377,7 +407,7 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     if rank is None:
         reached = sum(h < math.inf for h in hops.values())
         if sum(hops[u] < math.inf for u, _ in gu.edges) == reached - 1:  # dest's component is a tree
-            return _run_blocks(seed, trials, _path_replay_block, model, hops[source], "cut", horizon)
+            return _run_blocks(seed, trials, _path_block, model, hops[source], "cut", horizon)
         rank = hops
     return _run_trial_walks(_cut_walk, rank, model, gu, source, dest, horizon, trials, seed)
 

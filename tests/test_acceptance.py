@@ -107,19 +107,19 @@ def test_criterion_05_alternating_exact_enumeration():
 def test_criterion_06_monte_carlo_vs_analytic():
     gu10 = UnderlyingGraph.line(10)
     results = []
-    emp = simulate_soa(ErParams(0.25), gu10, 0, 9, trials=100_000, seed=0)
+    emp = simulate_soa(ErParams(0.25), gu10, 0, 9, trials=400_000, seed=0)
     results.append(("er soa", emp.total_variation(er_soa_latency_pmf(10, 0.25))))
-    emp = simulate_cut(ErParams(0.25), gu10, 0, 9, trials=100_000, seed=0)
+    emp = simulate_cut(ErParams(0.25), gu10, 0, 9, trials=400_000, seed=0)
     results.append(("er cut", emp.total_variation(er_cut_latency_pmf(10, 0.25))))
     gu6 = UnderlyingGraph.line(6)
     params = MarkovParams(0.5, 0.25)
-    emp = simulate_soa(params, gu6, 0, 5, trials=100_000, seed=0)
+    emp = simulate_soa(params, gu6, 0, 5, trials=400_000, seed=0)
     results.append(("mc soa", emp.total_variation(mc_soa_latency_pmf(6, params))))
-    emp = simulate_cut(params, gu6, 0, 5, trials=100_000, seed=0)
+    emp = simulate_cut(params, gu6, 0, 5, trials=400_000, seed=0)
     results.append(("mc cut", emp.total_variation(mc_cut_latency_pmf(6, params))))
     worst = max(tv for _, tv in results)
     detail = ", ".join(f"{name} tv {tv:.4f}" for name, tv in results)
-    report(6, worst < 0.01, f"100k-trial replays vs analytic: {detail}")
+    report(6, worst < 0.01, f"400k-trial replays vs analytic: {detail}")
 
 
 def test_criterion_07_location_distribution():

@@ -303,6 +303,29 @@ def test_route_line_and_trials(tmp_path):
     assert pmf_out.read_text().splitlines()[0] == "latency,count"
 
 
+@pytest.mark.parametrize("flags, delivered", [
+    (["--trials", "3", "--horizon", "2"], 0),  # 9 hops never fit in 2 slots
+    (["--trials", "1"], 1),
+])
+def test_route_reports_too_few_deliveries(tmp_path, flags, delivered):
+    graph = tmp_path / "line.tgs"
+    dump_tgs(
+        GraphletSequence.from_slot_edges(range(10), [UnderlyingGraph.line(10).edges]),
+        graph,
+    )
+    out = tmp_path / "mett.json"
+    res = run_cli(
+        "route", "--graph", graph, "--p", "0.25", "--source", "0", "--dest", "9",
+        *flags, "--output", out,
+    )
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(out.read_text())
+    assert payload["nodes"]["0"]["mett"] == 36.0
+    assert payload["undelivered"] == payload["trials"] - delivered
+    assert (payload["empirical_mean"] is None) == (delivered == 0)
+    assert payload["empirical_stderr"] is None
+
+
 def test_route_zero_horizon_errors(tmp_path):
     graph = tmp_path / "line.tgs"
     dump_tgs(GraphletSequence.from_slot_edges(range(4), [UnderlyingGraph.line(4).edges]), graph)

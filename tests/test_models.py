@@ -14,10 +14,12 @@ from tvgraph.models import (
     alternating_soa_latency,
     alternating_tgs,
     config_stats,
+    edge_step,
     format_model_spec,
     parse_model_spec,
     sample_er_tgs,
     sample_markov_tgs,
+    sample_slots,
     shortest_path,
     stationary_distribution,
 )
@@ -161,6 +163,19 @@ def test_sample_markov_determinism():
     a = sample_markov_tgs(gu, MarkovParams(0.4, 0.2), 30, seed=3)
     b = sample_markov_tgs(gu, MarkovParams(0.4, 0.2), 30, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("params", [ErParams(0.3), MarkovParams(0.2, 0.4, p0=0.9)])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 7, 8, 100])
+def test_sample_slots_equal_one_draw_per_slot(params, horizon):
+    # chunked draws read the stream a per-slot draw reads, slot for slot
+    edges = UnderlyingGraph.complete(5).edges
+    want, states = [], None
+    rng = np.random.default_rng(5)
+    for _ in range(horizon):
+        states = edge_step(params, states, rng, len(edges))
+        want.append([edges[i] for i in states.nonzero()[0]])
+    assert list(sample_slots(edges, params, horizon, np.random.default_rng(5))) == want
 
 
 # --- alternating special case ----------------------------------------------------

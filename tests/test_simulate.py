@@ -16,11 +16,16 @@ from tvgraph.models import (
     ErParams,
     MarkovParams,
     UnderlyingGraph,
+    edge_step,
     sample_er_tgs,
     sample_markov_tgs,
 )
 from tvgraph.simulate import (
+    BLOCK_TRIALS,
     PAIR_CELLS,
+    _block_streams,
+    _run_blocks,
+    _trial_stream,
     EmpiricalPmf,
     close,
     default_horizon,
@@ -207,6 +212,110 @@ def test_simulate_vectorized_agrees_with_replay_loop():
     pmf = er_soa_latency_pmf(4, 0.5)
     assert fast.total_variation(pmf) < 0.02
     assert slow.total_variation(pmf) < 0.02
+
+
+def full_process_path_block(model, n_edges, metric, horizon, rng, size):
+    """Reference path replay that draws the state of every path edge in every
+    slot, the whole edge process, where the engine draws only the edge at the
+    message; returns latencies (-1 undelivered)."""
+    states = None
+    pos = np.zeros(size, dtype=np.int64)
+    orig = np.arange(size)
+    latency = np.full(size, -1, dtype=np.int64)
+    t = 0
+    while orig.size and t < horizon:
+        t += 1
+        states = edge_step(model, states, rng, (orig.size, n_edges))
+        if metric == "soa":
+            on = states[np.arange(orig.size), pos]
+            pos += on
+            done = pos == n_edges
+            latency[orig[done]] = t
+        else:
+            rows = np.arange(orig.size)
+            while rows.size:
+                on = states[rows, pos[rows]]
+                moved = rows[on]
+                pos[moved] += 1
+                at_dest = pos[moved] == n_edges
+                latency[orig[moved[at_dest]]] = t - 1
+                rows = moved[~at_dest]
+            done = pos == n_edges
+        keep = ~done
+        orig, pos, states = orig[keep], pos[keep], states[keep]
+    return latency
+
+
+def ks_distance(a, b):
+    """Largest gap between the latency CDFs of two histograms (undelivered
+    trials sit past every latency)."""
+    top = max(len(a.counts), len(b.counts))
+    cdf = [np.cumsum(np.pad(e.counts, (0, top - len(e.counts)))) / e.trials for e in (a, b)]
+    return float(np.abs(cdf[0] - cdf[1]).max()) if top else 0.0
+
+
+def assert_same_law(a, b):
+    """Two-sample check at a false-alarm rate of about 1e-6 per statistic: the
+    Kolmogorov-Smirnov bound (conservative on a discrete law) on the latency
+    CDFs, and five standard errors on the difference of the means."""
+    scale = math.sqrt(1 / a.trials + 1 / b.trials)
+    assert ks_distance(a, b) <= math.sqrt(math.log(2e6) / 2) * scale
+    if a.delivered() and b.delivered():
+        se = math.sqrt(a.variance() / a.delivered() + b.variance() / b.delivered())
+        assert abs(a.mean() - b.mean()) <= 5 * se + 1e-12
+
+
+PATH_CASES = [  # (model, nodes, horizon)
+    (ErParams(0.25), 10, None),
+    (MarkovParams(0.5, 0.25), 6, None),
+    (MarkovParams(0.3, 0.2, p0=0.05), 8, None),  # non-stationary start
+    (MarkovParams(0.9, 0.8, p0=0.1), 6, None),  # marginal oscillates: 1 - p - q < 0
+    (MarkovParams(0.02, 0.05), 5, None),  # slow chain
+    (MarkovParams(1.0, 1.0, p0=1.0), 7, None),  # alternating: deterministic
+    (MarkovParams(0.0, 0.0, p0=0.6), 4, 30),  # frozen: p + q = 0
+]
+
+
+@pytest.mark.parametrize("metric", ["soa", "cut"])
+@pytest.mark.parametrize("model, n, horizon", PATH_CASES)
+def test_path_engine_matches_the_full_process_replay(model, n, horizon, metric):
+    # the engine draws only the edge at the message; the reference draws
+    # every edge of the path in every slot
+    run = simulate_soa if metric == "soa" else simulate_cut
+    trials, seed = 100_000, 31
+    got = run(model, UnderlyingGraph.line(n), 0, n - 1, horizon=horizon, trials=trials, seed=seed)
+    if horizon is None:
+        horizon = default_horizon(n, model.p)
+    want = _run_blocks(seed + 1, trials, full_process_path_block, model, n - 1, metric, horizon)
+    assert_same_law(got, want)
+
+
+@pytest.mark.parametrize("metric", ["soa", "cut"])
+def test_path_engine_matches_per_trial_replays(metric):
+    # second reference: replay_* over the sequences sample_markov_tgs draws
+    model, n, horizon, trials = MarkovParams(0.3, 0.2, p0=0.05), 5, 12, 1_500
+    gu = UnderlyingGraph.line(n)
+    lats = []
+    for i in range(trials):
+        tgs = sample_markov_tgs(gu, model, horizon, np.random.SeedSequence(8, spawn_key=(i,)))
+        if metric == "soa":  # along the line: a short sequence may leave its union cut
+            out = replay_soa(tgs, 0, n - 1, next_hop=lambda u, on: u + 1 if u + 1 in on else None)
+        else:
+            out = replay_cut(tgs, 0, n - 1)
+        lats.append(out.latency)
+    want = EmpiricalPmf.from_latencies([-1 if x is None else x for x in lats], trials)
+    run = simulate_soa if metric == "soa" else simulate_cut
+    got = run(model, gu, 0, n - 1, horizon=horizon, trials=40_000, seed=8)
+    assert want.undelivered > 0
+    assert_same_law(got, want)
+
+
+def test_block_streams_are_not_trial_streams():
+    # block k and trial k of one seed used to draw the very same stream
+    for seed in (0, 7):
+        blocks = [rng.random(8) for rng, _ in _block_streams(seed, 4 * BLOCK_TRIALS)]
+        trials = [_trial_stream(seed, i).random(8) for i in range(4)]
+        assert not np.isin(np.concatenate(blocks), np.concatenate(trials)).any()
 
 
 def test_per_trial_engines_replay_the_per_trial_streams():
