@@ -11,14 +11,18 @@ Engines: the path engine (`_path_block`) replays store-or-advance along
 its fixed shortest path, and cut-through with the default rank when the
 destination's component is a tree, by deferred decisions: each slot it
 draws only the state of the edge the message waits at.  The adaptive
-engine replays acceptance-list policies.  Per-trial python walks replay
-cut-through on other graphs or with an explicit rank, and callable
-policies, over lazily sampled slots.
+engine replays acceptance-list policies.  The cut-through labelling kernel
+(`_cut_block`) replays every other cut-through as array code over blocks
+of trials: each slot it draws every edge, labels the slot's components
+with `labels` and jumps each message to its component's lowest node in
+(rank, id) order.  A per-trial python walk replays callable policies over
+lazily sampled slots.
 
-Reproducibility: draws come from numpy PCG64 streams.  The vectorized
-engines give each fixed block of 8192 trials its own child stream,
-SeedSequence(seed, spawn_key=(1, block)), so results are deterministic and
-independent of how blocks would be scheduled; per-trial engines use
+Reproducibility: draws come from numpy PCG64 streams.  The path and
+adaptive engines give each fixed block of 8192 trials its own child
+stream, SeedSequence(seed, spawn_key=(1, block)), so results are
+deterministic and independent of how blocks would be scheduled; the
+cut-through labelling kernel and the per-trial walk give each trial
 SeedSequence(seed, spawn_key=(trial,)), a disjoint key space, so no block
 replays a trial's stream.  A replay caps each trial at a horizon of at
 least one slot.  Undelivered trials are reported, never dropped.
@@ -58,6 +62,9 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 8192
+# Candidate-edge cells per block of cut-through trials: uniforms drawn per
+# chunk of slots, and edge states labelled per slot.
+CUT_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -209,22 +216,16 @@ def replay_cut(tgs, source, dest, rank=None):
         return TrialResult(0, ((source, 0),))
     if rank is None:
         rank = _hop_ranks(adjacency(smash(tgs).edges), tgs.node_ids, dest)
-    latency, trajectory = _cut_walk((g.edges for g in tgs), source, dest, rank)
-    return TrialResult(latency, tuple(trajectory))
-
-
-def _cut_walk(slots, source, dest, rank):
-    """Cut-through walk over per-slot edge lists: (latency or None, trajectory)."""
     cur = source
     trajectory = [(source, 0)]
-    for t, edges in enumerate(slots, start=1):
-        comp = bfs(adjacency(edges), [cur])
+    for t, g in enumerate(tgs, start=1):
+        comp = bfs(adjacency(g.edges), [cur])
         if dest in comp:
             trajectory.append((dest, t))
-            return t - 1, trajectory
+            return TrialResult(t - 1, tuple(trajectory))
         cur = min(comp, key=lambda v: (rank[v], v))
         trajectory.append((cur, t))
-    return None, trajectory
+    return TrialResult(None, tuple(trajectory))
 
 
 # --- vectorized engines -------------------------------------------------------
@@ -328,15 +329,57 @@ def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, model, horiz
     return latency
 
 
-def _run_trial_walks(walk, policy, model, gu, source, dest, horizon, trials, seed):
-    """Per-trial python replay: `walk(slots, source, dest, policy)` over lazily
-    sampled slots, one stream per trial (any edge model)."""
+def _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed):
+    """Per-trial python store-or-advance replay of a callable policy over
+    lazily sampled slots, one stream per trial (any edge model)."""
     latencies = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
         slots = sample_slots(gu.edges, model, horizon, _trial_stream(seed, trial))
-        latency, _ = walk(slots, source, dest, policy)
+        latency, _ = _soa_walk(slots, source, dest, next_hop)
         latencies[trial] = -1 if latency is None else latency
     return EmpiricalPmf.from_latencies(latencies, trials)
+
+
+def _cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
+    """Cut-through latencies (-1 undelivered) of the trials drawn by `rngs`,
+    over n nodes indexed in (rank, id) order.
+
+    Each trial draws all n_edges candidate edges per slot from its own
+    stream, in chunks of at most t+1 slots and about CUT_CELLS cells, and
+    keeps the columns `cols`, whose ends are `ends`.  `labels` gives
+    each node its component's lowest index, which is the node a message
+    there jumps to; it is delivered once that label is dest's.  Uniforms
+    drawn past a trial's delivery go unused.
+    """
+    size = len(rngs)
+    offset = np.arange(size, dtype=np.int32)[:, None] * n
+    head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
+    orig = np.arange(size)
+    cur = np.full(size, source, dtype=np.int32)
+    latency = np.full(size, -1, dtype=np.int64)
+    states, t = None, 0
+    while orig.size and t < horizon:
+        span = min(t + 1, horizon - t, max(1, CUT_CELLS // (orig.size * n_edges)))
+        u = np.empty((orig.size, span, n_edges))
+        for i, rng in enumerate(rngs):
+            rng.random(out=u[i])
+        if len(cols) < n_edges:
+            u = u[:, :, cols]
+        rows = np.arange(orig.size)
+        for k in range(span):
+            t += 1
+            states = edge_update(model, states, u[rows, k])
+            lab = _graph_labels(states, n, head, tail)
+            base = offset[:rows.size, 0]
+            jump = lab[base + cur]
+            done = jump == lab[base + dest]
+            latency[orig[done]] = t - 1
+            keep = ~done
+            cur, orig, rows, states = (jump - base)[keep], orig[keep], rows[keep], states[keep]
+            if not orig.size:
+                break
+        rngs = [rngs[i] for i in rows]
+    return latency
 
 
 def _check_replay(model, gu, source, dest, horizon, trials):
@@ -384,7 +427,7 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
             accept_idx, len(order), index[source], index[dest], model, horizon,
         )
     if callable(next_hop):
-        return _run_trial_walks(_soa_walk, next_hop, model, gu, source, dest, horizon, trials, seed)
+        return _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed)
     raise TypeError("next_hop must be None, a dict of acceptance tuples, or a callable")
 
 
@@ -392,11 +435,14 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     """Empirical cut-through latency distribution.
 
     Each slot the message jumps to the node of minimum rank (default: hop
-    distance to dest) in its current component.  The message never leaves
-    dest's component of gu, so when that component is a tree and the rank
-    is the default, the node jumped to lies on the one source-dest path and
-    the trials replay that path vectorized, with per-block streams.  Other
-    graphs, or an explicit rank, replay per trial with per-trial streams.
+    distance to dest; ties by id) in its current component.  The message
+    never leaves dest's component of gu, so an explicit rank must cover
+    that component.  When the component is a tree and the rank is the
+    default, the node jumped to lies on the one source-dest path and the
+    trials replay that path with the path engine, on per-block streams.
+    Otherwise blocks of trials replay every edge of the component as array
+    code on per-trial streams: the nodes are indexed in (rank, id) order, so
+    the lowest index `labels` gives a component is the node jumped to.
     """
     horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
@@ -404,12 +450,26 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     hops = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)
     if math.isinf(hops[source]):
         raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
+    comp = [v for v in gu.nodes if hops[v] < math.inf]
     if rank is None:
-        reached = sum(h < math.inf for h in hops.values())
-        if sum(hops[u] < math.inf for u, _ in gu.edges) == reached - 1:  # dest's component is a tree
+        if sum(hops[u] < math.inf for u, _ in gu.edges) == len(comp) - 1:  # a tree
             return _run_blocks(seed, trials, _path_block, model, hops[source], "cut", horizon)
         rank = hops
-    return _run_trial_walks(_cut_walk, rank, model, gu, source, dest, horizon, trials, seed)
+    for v in comp:
+        if v not in rank:
+            raise ValueError(f"rank has no entry for node {v!r} of {dest!r}'s component")
+    index = {v: i for i, v in enumerate(sorted(comp, key=lambda v: (rank[v], v)))}
+    cols = [j for j, (u, _) in enumerate(gu.edges) if u in index]
+    ends = np.array([[index[v] for v in gu.edges[j]] for j in cols], dtype=np.int32).T
+    block = max(1, CUT_CELLS // len(gu.edges))
+    parts = [
+        _cut_block(
+            model, len(gu.edges), cols, ends, len(index), index[source], index[dest], horizon,
+            [_trial_stream(seed, trial) for trial in range(start, min(start + block, trials))],
+        )
+        for start in range(0, trials, block)
+    ]
+    return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
 
 
 # --- reachable-pairs curves ---------------------------------------------------

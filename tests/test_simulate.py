@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tvgraph.models import (
 )
 from tvgraph.simulate import (
     BLOCK_TRIALS,
+    CUT_CELLS,
     PAIR_CELLS,
     _block_streams,
     _run_blocks,
@@ -452,6 +454,31 @@ def test_simulate_cut_complete_graph_default_rank_is_geometric():
     pmf = LatencyPmf(0, masses, 1.0 - math.fsum(masses))
     emp = simulate_cut(ErParams(p), gu, 0, 3, trials=10_000, seed=26)
     assert emp.total_variation(pmf) < 0.03
+
+
+def test_simulate_cut_names_a_node_missing_from_rank():
+    # node 2 lies in dest's component: an error before any draw, not a
+    # KeyError on the draws where the message meets it; nodes outside that
+    # component need no rank
+    gu = UnderlyingGraph(tuple(range(6)), ((0, 1), (1, 2), (0, 2), (2, 3), (4, 5)))
+    with pytest.raises(ValueError, match="node 2 "):
+        simulate_cut(ErParams(1e-9), gu, 0, 3, trials=10, seed=0, rank={0: 2, 1: 1, 3: 0})
+    emp = simulate_cut(ErParams(0.5), gu, 0, 3, trials=10, seed=0, rank={0: 2, 1: 1, 2: 1, 3: 0})
+    assert emp.trials == 10
+
+
+def test_simulate_cut_memory_is_bounded_by_the_cell_budget():
+    # K40 has 780 candidate edges: 20,000 trials' uniforms of one slot alone
+    # would take 125 MB, a block of CUT_CELLS cells takes 1 MB
+    gu = UnderlyingGraph.complete(40)
+    tracemalloc.start()
+    try:
+        emp = simulate_cut(ErParams(0.1), gu, 0, 39, trials=20_000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emp.undelivered == 0
+    assert peak < 64 * CUT_CELLS
 
 
 def test_simulate_soa_callable_policy():
