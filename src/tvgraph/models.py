@@ -7,13 +7,20 @@ deterministic given the seed: draws come from numpy's PCG64 seeded with
 SeedSequence(seed), slot-major over the candidate edges in their listed
 order.
 
+A candidate graph holds its edges as index arrays (`_ends`: positions in
+`nodes` of both ends of each edge).  `complete` and `line` are built from
+them alone, and their edge tuples are made on the first read of `edges`.
+Sampling still draws every candidate cell of every slot, but builds
+tuples only for the edges that come up, unless a chunk of slots has as
+many up cells as there are candidate edges: then it builds the graph's
+edge tuples, once, and picks from them.
+
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +58,9 @@ class UnderlyingGraph:
     `UnderlyingGraph(nodes, edges, name)` checks every edge: no self-loops,
     no duplicates in either orientation, both endpoints in `nodes`.  The
     builders `line`, `complete` and `from_graphlet` skip that check, as
-    their edges are valid by construction.
+    their edges are valid by construction.  `line` and `complete` hold
+    their edges as index arrays and build the `edges` tuple on its first
+    read.
     """
 
     nodes: tuple
@@ -81,23 +90,57 @@ class UnderlyingGraph:
         vars(gu).update(nodes=nodes, edges=edges, name=name, _normal_edges=edges)
         return gu
 
+    @classmethod
+    def _from_ends(cls, n, ends, name):
+        """The graph on nodes 0..n-1 whose edge j is (ends[0][j], ends[1][j]),
+        which the caller guarantees valid with ends[0] < ends[1]."""
+        gu = object.__new__(cls)
+        vars(gu).update(nodes=tuple(range(n)), name=name,
+                        _ends=np.array(ends, dtype=np.int32).reshape(2, -1))
+        return gu
+
+    def __getattr__(self, name):
+        # the edge tuples of a graph built by `_from_ends`, on first read
+        if name != "edges" or "_ends" not in vars(self):
+            raise AttributeError(name)
+        edges = tuple(zip(*self._ends.tolist()))
+        vars(self).update(edges=edges, _normal_edges=edges)
+        return edges
+
     @cached_property
     def _normal_edges(self):
         """`edges` with each edge as (min, max), in the same order."""
-        return tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+        edges = self.edges
+        if "_normal_edges" in vars(self):  # set by that read: normalized by construction
+            return edges
+        return tuple((u, v) if u <= v else (v, u) for u, v in edges)
+
+    @cached_property
+    def _ends(self):
+        """Positions in `nodes` of the (min, max) ends of each edge, as a
+        (2, edges) int32 array in `edges` order."""
+        pos = {v: i for i, v in enumerate(self.nodes)}
+        pairs = [(pos[u], pos[v]) for u, v in self._normal_edges]
+        return np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+
+    @cached_property
+    def _edge_array(self):
+        """`_normal_edges` as a numpy object array, for gathers."""
+        return np.fromiter(self._normal_edges, dtype=object, count=len(self._normal_edges))
 
     @classmethod
     def line(cls, n):
         if n < 1:
             raise ValueError("a line needs at least one node")
-        return cls._unchecked(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)), "line")
+        heads = np.arange(n - 1)
+        return cls._from_ends(n, (heads, heads + 1), "line")
 
     @classmethod
     def complete(cls, n):
         if n < 1:
             raise ValueError("a complete graph needs at least one node")
-        return cls._unchecked(tuple(range(n)), tuple(itertools.combinations(range(n), 2)),
-                              "complete")
+        # the order of itertools.combinations(range(n), 2)
+        return cls._from_ends(n, np.triu_indices(n, 1), "complete")
 
     @classmethod
     def from_graphlet(cls, g, name=None):
@@ -183,28 +226,48 @@ def edge_update(params, states, u):
     return np.where(states, u >= params.q, u < params.p)
 
 
-def sample_slots(edges, params, horizon, rng):
-    """Lazily yield the up items of `edges` in slots 1..horizon, in their order.
+def sample_slots(gu, params, horizon, rng):
+    """Lazily yield the up edges of `gu` in slots 1..horizon, in their order,
+    each as (min, max).
 
     Uniforms come in one draw per chunk of 1, 2, 4, ... slots: the same
     stream as one draw per slot, so a caller that stops early leaves at most
-    as many slots drawn and unused as it used.
+    as many slots drawn and unused as it used.  A chunk's up edges are
+    gathered at once: as new tuples from `gu._ends` while they are fewer
+    than the candidate edges, else from gu's edge tuples, built once per graph.
     """
+    ends = gu._ends
+    n_edges = ends.shape[1]
+    ids = np.fromiter(gu.nodes, dtype=object, count=len(gu.nodes))
     states, t = None, 0
     while t < horizon:
-        for u in rng.random((min(t + 1, horizon - t), len(edges))):
+        u = rng.random((min(t + 1, horizon - t), n_edges))
+        if isinstance(params, ErParams):
+            up = edge_update(params, None, u)
+        else:
+            up = np.empty(u.shape, dtype=bool)
+            for k, row in enumerate(u):
+                up[k] = states = edge_update(params, states, row)
+        cells = np.flatnonzero(up)
+        cols = cells % n_edges
+        if cols.size < n_edges:
+            items = list(zip(*ids[ends[:, cols]].tolist()))
+        else:
+            items = gu._edge_array[cols].tolist()
+        start = 0
+        for stop in np.searchsorted(cells, n_edges * np.arange(1, len(u) + 1)).tolist():
             t += 1
-            states = edge_update(params, states, u)
-            yield [edges[i] for i in states.nonzero()[0].tolist()]
+            yield items[start:stop]
+            start = stop
 
 
 def _sample_tgs(gu, params, horizon, seed):
-    """The sequence of `sample_slots`' slots over gu's edges normalized once."""
+    """The sequence of `sample_slots`' slots over gu."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     nodes = frozenset(gu.nodes)
-    slots = sample_slots(gu._normal_edges, params, horizon, rng)
+    slots = sample_slots(gu, params, horizon, rng)
     return GraphletSequence(
         Graphlet._unchecked(t, nodes, frozenset(up)) for t, up in enumerate(slots, start=1)
     )

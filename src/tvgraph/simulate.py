@@ -334,7 +334,7 @@ def _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed):
     lazily sampled slots, one stream per trial (any edge model)."""
     latencies = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
-        slots = sample_slots(gu.edges, model, horizon, _trial_stream(seed, trial))
+        slots = sample_slots(gu, model, horizon, _trial_stream(seed, trial))
         latency, _ = _soa_walk(slots, source, dest, next_hop)
         latencies[trial] = -1 if latency is None else latency
     return EmpiricalPmf.from_latencies(latencies, trials)
@@ -452,19 +452,21 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
         raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
     comp = [v for v in gu.nodes if hops[v] < math.inf]
     if rank is None:
-        if sum(hops[u] < math.inf for u, _ in gu.edges) == len(comp) - 1:  # a tree
+        in_comp = np.array([hops[v] < math.inf for v in gu.nodes])
+        if np.count_nonzero(in_comp[gu._ends[0]]) == len(comp) - 1:  # a tree
             return _run_blocks(seed, trials, _path_block, model, hops[source], "cut", horizon)
         rank = hops
     for v in comp:
         if v not in rank:
             raise ValueError(f"rank has no entry for node {v!r} of {dest!r}'s component")
     index = {v: i for i, v in enumerate(sorted(comp, key=lambda v: (rank[v], v)))}
-    cols = [j for j, (u, _) in enumerate(gu.edges) if u in index]
-    ends = np.array([[index[v] for v in gu.edges[j]] for j in cols], dtype=np.int32).T
-    block = max(1, CUT_CELLS // len(gu.edges))
+    ends = np.array([index.get(v, -1) for v in gu.nodes], dtype=np.int32)[gu._ends]
+    cols = np.flatnonzero(ends[0] >= 0)
+    n_edges = ends.shape[1]
+    block = max(1, CUT_CELLS // n_edges)
     parts = [
         _cut_block(
-            model, len(gu.edges), cols, ends, len(index), index[source], index[dest], horizon,
+            model, n_edges, cols, ends[:, cols], len(index), index[source], index[dest], horizon,
             [_trial_stream(seed, trial) for trial in range(start, min(start + block, trials))],
         )
         for start in range(0, trials, block)
@@ -624,10 +626,10 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     slot_of = {t: row for row, t in enumerate(sorted(set(grid)))}
     column = [slot_of[t] for t in grid]
     t_max = max(grid, default=0)
-    ends = np.array(gu.edges, dtype=np.int32).reshape(-1, 2).T
+    ends = np.array(gu.nodes, dtype=np.int32)[gu._ends]
     # a block draws at most PAIR_CELLS cells per slot (unless one trial's
     # slot is larger) and holds about PAIR_CELLS bitset words per view
-    block = max(1, PAIR_CELLS // max(len(gu.edges), n * ((n + 63) // 64)))
+    block = max(1, PAIR_CELLS // max(ends.shape[1], n * ((n + 63) // 64)))
     out = {}
     for start in range(0, trials, block):
         stop = min(start + block, trials)

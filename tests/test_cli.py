@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -419,6 +420,26 @@ def test_gen_round_trips(tmp_path):
         "--horizon", "12", "--seed", "7",
     )
     assert again.stdout == out.read_text()
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ("--model er --gu complete --n 500 --p 0.03 --horizon 1 --seed 5",
+     "105f3197d62273b87c25561c3a37605142994f0b5efb2c0d3136aa17d7ac7a94"),
+    ("--model er --gu complete --n 150 --p 1.0 --horizon 1 --seed 3",
+     "9a98c4d05c79c716073e100a7e40e04aa50f1c32e38af72ecd11eca30540295d"),
+    ("--model mc --gu complete --n 30 --p 0.005 --q 0.5 --horizon 600 --seed 7",
+     "5536800b913b7c98ccb9c3214bd3639a131bf6faefdc367be72b8df85681cb3c"),
+    ("--model mc --gu complete --n 12 --p 0.3 --q 0.2 --p0 0.05 --horizon 77 --seed 2",
+     "9056c9ce3cd457011f4830f8a5e6224c7b59ede463da9b1aab65ced789fb2260"),
+    ("--model er --gu line --n 12 --p 0.4 --horizon 50 --seed 2",
+     "29101038ba9c1443fd3d6ed005ee27866bbe4a2f8e9e39cb523c6ea6a7135e8d"),
+])
+def test_gen_writes_pinned_bytes(capsys, flags, digest):
+    # SHA-256 of stdout as written when candidate edges were built as tuples
+    from tvgraph import cli
+
+    assert cli.main(["gen", *flags.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_in_process_calls_share_no_state(capsys):

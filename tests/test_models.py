@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,39 @@ def test_builders_equal_the_validating_constructor(n):
     assert UnderlyingGraph.line(n) == line
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     assert UnderlyingGraph.complete(n) == UnderlyingGraph(tuple(range(n)), pairs, "complete")
+
+
+@pytest.mark.parametrize("build", [UnderlyingGraph.line, UnderlyingGraph.complete])
+@pytest.mark.parametrize("edges_first", [True, False])
+def test_builders_make_edge_tuples_once_on_first_read(build, edges_first):
+    gu = build(6)
+    assert "edges" not in vars(gu)
+    assert gu._ends.tolist() == [[u for u, _ in gu.edges], [v for _, v in gu.edges]]
+    # whichever is read first, the normalized edges are the edge tuple itself
+    first, second = (gu.edges, gu._normal_edges) if edges_first else (gu._normal_edges, gu.edges)
+    assert first is second
+    assert hash(gu) == hash(UnderlyingGraph(gu.nodes, gu.edges, gu.name))
+
+
+def test_explicit_edges_give_positions_of_their_normalized_ends():
+    gu = UnderlyingGraph(("c", "a", "b"), (("b", "a"), ("c", "b")))
+    assert gu._normal_edges == (("a", "b"), ("b", "c"))
+    assert gu._ends.tolist() == [[1, 2], [2, 0]]
+    assert UnderlyingGraph((0,), ())._ends.shape == (2, 0)
+
+
+def test_complete_graph_sampling_builds_no_candidate_tuples():
+    # 1,999,000 candidate pairs as tuples take about 140 MiB; one slot's
+    # uniforms take 15 MiB, and the index arrays 15 MiB (46 MiB at the peak
+    # of building them from np.triu_indices' int64 arrays)
+    tracemalloc.start()
+    try:
+        tgs = sample_er_tgs(UnderlyingGraph.complete(2000), ErParams(1e-3), 1, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1_800 < len(tgs[0].edges) < 2_200
+    assert peak < 64 * 2**20
 
 
 def test_underlying_graph_validation():
@@ -165,17 +199,30 @@ def test_sample_markov_determinism():
     assert a == b
 
 
-@pytest.mark.parametrize("params", [ErParams(0.3), MarkovParams(0.2, 0.4, p0=0.9)])
+# node ids whose positions in `nodes` are not their order, so sampling
+# must gather ids from positions
+STRING_IDS = UnderlyingGraph(
+    ("d", "b", "a", "c", "e"),
+    (("a", "b"), ("b", "d"), ("a", "c"), ("c", "d"), ("a", "d"), ("b", "e"), ("c", "e")),
+)
+
+
+@pytest.mark.parametrize("params, gu", [
+    pytest.param(ErParams(0.3), UnderlyingGraph.complete(5), id="params0"),
+    pytest.param(MarkovParams(0.2, 0.4, p0=0.9), UnderlyingGraph.complete(5), id="params1"),
+    pytest.param(ErParams(0.3), STRING_IDS, id="params0-strings"),
+    pytest.param(MarkovParams(0.2, 0.4, p0=0.9), STRING_IDS, id="params1-strings"),
+])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 7, 8, 100])
-def test_sample_slots_equal_one_draw_per_slot(params, horizon):
+def test_sample_slots_equal_one_draw_per_slot(params, gu, horizon):
     # chunked draws read the stream a per-slot draw reads, slot for slot
-    edges = UnderlyingGraph.complete(5).edges
+    edges = gu.edges
     want, states = [], None
     rng = np.random.default_rng(5)
     for _ in range(horizon):
         states = edge_step(params, states, rng, len(edges))
         want.append([edges[i] for i in states.nonzero()[0]])
-    assert list(sample_slots(edges, params, horizon, np.random.default_rng(5))) == want
+    assert list(sample_slots(gu, params, horizon, np.random.default_rng(5))) == want
 
 
 # --- alternating special case ----------------------------------------------------

@@ -440,9 +440,9 @@ def test_simulate_cut_tree_with_branches_matches_path_law():
 
 
 def test_simulate_cut_complete_graph_default_rank_is_geometric():
-    # K4 has cycles, so trials replay one by one; every non-dest node has
-    # rank 1, so each slot delivers with the chance r that the message's
-    # node and dest are connected in G(4, p), r found by enumeration
+    # K4 has cycles, so trials run in the labelling kernel; every non-dest
+    # node has rank 1, so each slot delivers with the chance r that the
+    # message's node and dest are connected in G(4, p), r found by enumeration
     gu = UnderlyingGraph.complete(4)
     p = 0.3
     r = 0.0
