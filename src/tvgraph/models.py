@@ -96,7 +96,7 @@ class UnderlyingGraph:
         which the caller guarantees valid with ends[0] < ends[1]."""
         gu = object.__new__(cls)
         vars(gu).update(nodes=tuple(range(n)), name=name,
-                        _ends=np.array(ends, dtype=np.int32).reshape(2, -1))
+                        _ends=np.asarray(ends, dtype=np.int32).reshape(2, -1))
         return gu
 
     def __getattr__(self, name):
@@ -139,8 +139,16 @@ class UnderlyingGraph:
     def complete(cls, n):
         if n < 1:
             raise ValueError("a complete graph needs at least one node")
-        # the order of itertools.combinations(range(n), 2)
-        return cls._from_ends(n, np.triu_indices(n, 1), "complete")
+        # the order of itertools.combinations(range(n), 2), filled in place
+        # as int32: row i holds (i, i+1) ... (i, n-1), and each end steps by
+        # one along its row, so both are cumulative sums of their steps
+        ends = np.zeros((2, n * (n - 1) // 2), dtype=np.int32)
+        firsts = np.cumsum(np.arange(n - 1, 1, -1))  # where rows 1 .. n-2 start
+        ends[0, firsts] = 1
+        ends[1] = 1
+        ends[1, firsts] = np.arange(3 - n, 1)  # from n-1 back to i+1
+        np.cumsum(ends, axis=1, out=ends)
+        return cls._from_ends(n, ends, "complete")
 
     @classmethod
     def from_graphlet(cls, g, name=None):

@@ -9,8 +9,11 @@ counts as latency zero.
 
 Engines: the path engine (`_path_block`) replays store-or-advance along
 its fixed shortest path, and cut-through with the default rank when the
-destination's component is a tree, by deferred decisions: each slot it
-draws only the state of the edge the message waits at.  The adaptive
+destination's component is a tree, by deferred decisions and one event per
+step: store-or-advance draws one uniform per hop, the slots that hop takes;
+cut-through draws two per stop at an edge seen OFF, the wait there and the
+run of ON edges crossed after it.  Its cost follows the number of waits,
+not the latency in slots.  The adaptive
 engine replays acceptance-list policies.  The cut-through labelling kernel
 (`_cut_block`) replays every other cut-through as array code over blocks
 of trials: each slot it draws every edge, labels the slot's components
@@ -63,7 +66,8 @@ __all__ = [
 
 BLOCK_TRIALS = 8192
 # Candidate-edge cells per block of cut-through trials: uniforms drawn per
-# chunk of slots, and edge states labelled per slot.
+# chunk of slots, and edge states labelled per slot.  The path engine draws
+# the settled hops of store-or-advance in chunks of as many uniforms.
 CUT_CELLS = 1 << 17
 
 
@@ -163,6 +167,25 @@ def _hop_ranks(adj, nodes, dest):
     return {v: dist.get(v, math.inf) for v in nodes}
 
 
+def _candidate_hops(gu, dest):
+    """Hop distance to dest over gu's candidate edges, as a list in `gu.nodes`
+    order (-1 when cut off): one BFS over adjacency arrays built from
+    `gu._ends`, so a graph held as index arrays never builds its edge tuples."""
+    n = len(gu.nodes)
+    heads = gu._ends.ravel()
+    tails = gu._ends[::-1].ravel()[np.argsort(heads, kind="stable")].tolist()
+    start = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))]).tolist()
+    dist = [-1] * n
+    queue = [gu.nodes.index(dest)]
+    dist[queue[0]] = 0
+    for v in queue:  # the loop reads what it appends
+        for w in tails[start[v]:start[v + 1]]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def replay_soa(tgs, source, dest, next_hop=None):
     """Replay store-or-advance forwarding over one sequence.
 
@@ -249,54 +272,114 @@ def _trial_stream(seed, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
+def _log_uniforms(rng, shape):
+    """log(1 - u) of uniforms u in [0, 1), each in [-36.8, -8.7e-19].  Adding
+    2**-60 to u keeps every value below zero, so even at u = 0 a count with
+    an infinite mean comes out huge, never 0 or nan (see _clamped_log)."""
+    u = rng.random(shape)
+    return np.log1p(np.subtract(-(2.0 ** -60), u, out=u), out=u)
+
+
+def _clamped_log(x):
+    """log(x) of probabilities x, clamped to [log 1e-290, -1e-290].  For y from
+    _log_uniforms, ceil(y / _clamped_log(x)) is a geometric count on 1, 2, ...
+    with P(count > j) = x^j: 1 at x <= 0, and 1e271 or more, past any
+    horizon, at x >= 1; sums of fewer than 1e15 such counts stay finite."""
+    return np.minimum(np.log(np.clip(x, 1e-290, 1.0)), -1e-290)
+
+
+def _steady_slot(pi, p0, r):
+    """An e >= 0 with pi + (p0 - pi) r^k == pi in floating point for every
+    k >= e, so that every edge first watched in slot e+1 or later is ON with
+    pi; inf when the marginal never settles (|r| = 1, or pi = 0)."""
+    if p0 == pi:
+        return 0
+    if r == 0.0:
+        return 1
+    if abs(r) >= 1.0 or pi < 1e-290:
+        return math.inf
+    # |p0 - pi| |r|^e <= pi 2^-56 is below half the spacing of doubles at pi
+    return max(1, math.ceil(math.log(pi * 2.0 ** -56 / abs(p0 - pi)) / math.log(abs(r))) + 1)
+
+
+def _hop_slots(y, m, log_q):
+    """Slots a store-or-advance hop takes, given y from _log_uniforms and the
+    marginal m of its edge when first watched: 1 with chance m (y above
+    log(1 - m)), else 1 + Geometric(p), with log_q = _clamped_log(1 - p).
+    Overwrites y."""
+    y -= _clamped_log(1.0 - m)
+    np.ceil(np.divide(y, log_q, out=y), out=y)
+    return np.maximum(y, 0.0, out=y) + 1.0
+
+
 def _path_block(model, n_edges, metric, horizon, rng, size):
     """Replay `size` trials along a fixed path of n_edges edges; returns
     latencies (-1 undelivered).
 
-    Deferred decisions: edges are independent and a message watches one
-    edge over a run of slots, so each slot draws only the state of the edge
-    the message is at.  An edge watched for the first time in slot t is ON
-    with its marginal m = pi + (p0 - pi) r^(t-1), r = 1 - p - q (p under
-    independent churn, p0 when p + q = 0); one seen OFF in slot t-1 is ON
-    with p.  Cut-through crosses that edge and then a run of edges it has
-    never watched, each ON with m, so the run is geometric and one more
-    uniform draws its length; every trial still waiting afterwards sits at
-    an edge it saw OFF.
+    Deferred decisions, one event per step: edges are independent, and a
+    message watches one edge at a time, so only the waits at the edges it
+    meets need drawing.  An edge first watched in slot t is ON with its
+    marginal m(t) = pi + (p0 - pi) r^(t-1), r = 1 - p - q (p under
+    independent churn, p0 when p + q = 0); once seen OFF it comes up after
+    Geometric(p) slots.  Every count is one uniform, inverted
+    (_log_uniforms, _clamped_log), so p = 0, p = 1 and marginals of 0 or 1
+    need no branch.
+
+    Store-or-advance takes one step per hop: the hop takes 1 slot with
+    chance m(t), else 1 + Geometric(p).  From the slot where every trial's
+    marginal has settled to pi (_steady_slot), hop times are independent of
+    the past, so the remaining hops are drawn as arrays of about CUT_CELLS
+    uniforms and summed; either way hop k of trial i uses uniform
+    k * size + i.  Cut-through takes one step per stop: in slot 1 the
+    message crosses the run of ON edges from the source, geometric with
+    parameter p0; at each stop, an edge seen OFF, it waits Geometric(p)
+    slots and then crosses that edge and the run of fresh ON edges after
+    it, geometric with parameter m at that slot: two uniforms.  A
+    store-or-advance trial is delivered when its latency is at most the
+    horizon, a cut-through trial when it reaches dest by slot horizon.
     """
     p, r = model.p, 0.0
     pi = p0 = p
     if isinstance(model, MarkovParams):
         p0, r = model.p0, 1.0 - p - model.q
         pi = p0 if p + model.q == 0.0 else p / (p + model.q)
-    pos = np.zeros(size, dtype=np.int64)
-    fresh = np.ones(size, dtype=bool)  # the edge at pos has not been watched yet
-    orig = np.arange(size)
+    steady = _steady_slot(pi, p0, r)
+    log_q = _clamped_log(1.0 - p)
+    if metric == "soa":
+        if horizon < n_edges:  # every hop takes a slot at least
+            return np.full(size, -1, dtype=np.int64)
+        steady = min(steady, n_edges)
+        t = np.zeros(size)  # slots spent
+        for _ in range(steady):
+            t += _hop_slots(_log_uniforms(rng, size), pi + (p0 - pi) * r ** t, log_q)
+        rows = max(1, CUT_CELLS // size)
+        for k in range(steady, n_edges, rows):
+            t += _hop_slots(_log_uniforms(rng, (min(rows, n_edges - k), size)), pi, log_q).sum(axis=0)
+        return np.where(t <= horizon, t, -1).astype(np.int64)
     latency = np.full(size, -1, dtype=np.int64)
-    t = 0
-    while orig.size and t < horizon:
-        t += 1
-        m = pi + (p0 - pi) * r ** (t - 1)
-        on = rng.random(orig.size) < (m if m == p else np.where(fresh, m, p))
-        if metric == "soa":
-            pos += on
-            fresh = on
-            done = pos == n_edges
-            latency[orig[done]] = t
+    edge = np.floor(_log_uniforms(rng, size) / _clamped_log(p0))  # first OFF edge in slot 1
+    latency[edge >= n_edges] = 0
+    orig = np.flatnonzero((edge < n_edges) & (horizon > 1))  # else it would arrive too late
+    state = np.stack([np.ones(orig.size), edge[orig]])  # (slot, edge) of each stop
+    limit = np.array([[horizon], [n_edges]])  # a stop in slot horizon is too late
+    logs = np.array([[log_q], [_clamped_log(pi)]])
+    step = 0
+    while orig.size:
+        step += 1
+        y = _log_uniforms(rng, (2, orig.size))
+        if step < steady:
+            state[0] += np.ceil(y[0] / log_q)
+            m = pi + (p0 - pi) * r ** (state[0] - 1.0)
+            state[1] += np.ceil(y[1] / _clamped_log(m))
         else:
-            rows = on.nonzero()[0]
-            u = rng.random(rows.size)
-            if m <= 0.0:
-                run = np.zeros(rows.size)
-            elif m >= 1.0:
-                run = np.full(rows.size, np.inf)
-            else:  # log1p, since u may be 0.0
-                run = np.floor(np.log1p(-u) / math.log(m))
-            pos[rows] = np.minimum(pos[rows] + 1 + run, n_edges)
-            fresh[:] = False
-            done = pos == n_edges
-            latency[orig[done]] = t - 1
-        keep = ~done
-        orig, pos, fresh = orig[keep], pos[keep], fresh[keep]
+            state += np.ceil(np.divide(y, logs, out=y), out=y)
+        done = state >= limit
+        if done.any():
+            late, arrived = done
+            delivered = arrived & (state[0] <= horizon)
+            latency[orig[delivered]] = state[0][delivered] - 1
+            keep = ~(late | arrived)
+            orig, state = orig[keep], state.compress(keep, axis=1)
     return latency
 
 
@@ -410,8 +493,8 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
     if source == dest:
         return EmpiricalPmf(np.array([trials]), trials, 0)
     if next_hop is None:
-        hops = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)[source]
-        if math.isinf(hops):
+        hops = _candidate_hops(gu, dest)[gu.nodes.index(source)]
+        if hops < 0:
             raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
         return _run_blocks(seed, trials, _path_block, model, hops, "soa", horizon)
     if isinstance(next_hop, dict):
@@ -447,15 +530,16 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
         return EmpiricalPmf(np.array([trials]), trials, 0)
-    hops = _hop_ranks(gu.neighbor_map(), gu.nodes, dest)
-    if math.isinf(hops[source]):
+    hops = _candidate_hops(gu, dest)
+    source_hops = hops[gu.nodes.index(source)]
+    if source_hops < 0:
         raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
-    comp = [v for v in gu.nodes if hops[v] < math.inf]
+    comp = [v for v, h in zip(gu.nodes, hops) if h >= 0]
     if rank is None:
-        in_comp = np.array([hops[v] < math.inf for v in gu.nodes])
+        in_comp = np.array(hops) >= 0
         if np.count_nonzero(in_comp[gu._ends[0]]) == len(comp) - 1:  # a tree
-            return _run_blocks(seed, trials, _path_block, model, hops[source], "cut", horizon)
-        rank = hops
+            return _run_blocks(seed, trials, _path_block, model, source_hops, "cut", horizon)
+        rank = dict(zip(gu.nodes, hops))
     for v in comp:
         if v not in rank:
             raise ValueError(f"rank has no entry for node {v!r} of {dest!r}'s component")

@@ -67,10 +67,23 @@ def test_explicit_edges_give_positions_of_their_normalized_ends():
     assert UnderlyingGraph((0,), ())._ends.shape == (2, 0)
 
 
+def test_complete_graph_fills_its_int32_ends_in_place():
+    # K2000 keeps 1,999,000 pairs of int32 ends, 15 MiB; building them from
+    # np.triu_indices' two int64 arrays peaked at 46 MiB
+    tracemalloc.start()
+    try:
+        gu = UnderlyingGraph.complete(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gu._ends.dtype == np.int32
+    assert peak < 32 * 2**20
+    assert np.array_equal(gu._ends[:, -3:], [[1997, 1997, 1998], [1998, 1999, 1999]])
+
+
 def test_complete_graph_sampling_builds_no_candidate_tuples():
     # 1,999,000 candidate pairs as tuples take about 140 MiB; one slot's
-    # uniforms take 15 MiB, and the index arrays 15 MiB (46 MiB at the peak
-    # of building them from np.triu_indices' int64 arrays)
+    # uniforms take 15 MiB, and the index arrays 15 MiB
     tracemalloc.start()
     try:
         tgs = sample_er_tgs(UnderlyingGraph.complete(2000), ErParams(1e-3), 1, 11)

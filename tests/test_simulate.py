@@ -26,7 +26,9 @@ from tvgraph.simulate import (
     CUT_CELLS,
     PAIR_CELLS,
     _block_streams,
+    _path_block,
     _run_blocks,
+    _steady_slot,
     _trial_stream,
     EmpiricalPmf,
     close,
@@ -150,13 +152,13 @@ def test_simulate_cut_zero_at_p_one():
 
 
 def test_simulate_soa_matches_analytic_small_line():
-    emp = simulate_soa(ErParams(0.5), UnderlyingGraph.line(3), 0, 2, trials=20_000, seed=2)
+    emp = simulate_soa(ErParams(0.5), UnderlyingGraph.line(3), 0, 2, trials=60_000, seed=2)
     pmf = er_soa_latency_pmf(3, 0.5)
     assert emp.total_variation(pmf) < 0.01
 
 
 def test_simulate_cut_matches_analytic_small_line():
-    emp = simulate_cut(ErParams(0.5), UnderlyingGraph.line(3), 0, 2, trials=20_000, seed=3)
+    emp = simulate_cut(ErParams(0.5), UnderlyingGraph.line(3), 0, 2, trials=60_000, seed=3)
     pmf = er_cut_latency_pmf(3, 0.5)
     assert emp.total_variation(pmf) < 0.01
 
@@ -172,9 +174,9 @@ def test_simulate_er_means():
 def test_simulate_markov_matches_analytic():
     gu = UnderlyingGraph.line(6)
     params = MarkovParams(0.5, 0.25)
-    emp = simulate_cut(params, gu, 0, 5, trials=30_000, seed=6)
+    emp = simulate_cut(params, gu, 0, 5, trials=80_000, seed=6)
     assert emp.total_variation(mc_cut_latency_pmf(6, params)) < 0.01
-    emp = simulate_soa(params, gu, 0, 5, trials=30_000, seed=7)
+    emp = simulate_soa(params, gu, 0, 5, trials=80_000, seed=7)
     assert emp.total_variation(mc_soa_latency_pmf(6, params)) < 0.01
 
 
@@ -189,9 +191,9 @@ def test_simulate_markov_zero_wait_atom():
 def test_simulate_interior_endpoints_on_line():
     # traversing 3 hops of a longer line matches the 4-node closed form
     gu = UnderlyingGraph.line(8)
-    emp = simulate_soa(ErParams(0.5), gu, 2, 5, trials=20_000, seed=9)
+    emp = simulate_soa(ErParams(0.5), gu, 2, 5, trials=30_000, seed=9)
     assert emp.total_variation(er_soa_latency_pmf(4, 0.5)) < 0.015
-    emp = simulate_cut(ErParams(0.5), gu, 2, 5, trials=20_000, seed=10)
+    emp = simulate_cut(ErParams(0.5), gu, 2, 5, trials=30_000, seed=10)
     assert emp.total_variation(er_cut_latency_pmf(4, 0.5)) < 0.015
 
 
@@ -204,7 +206,7 @@ def test_simulate_source_equals_dest():
 def test_simulate_vectorized_agrees_with_replay_loop():
     # same distribution from the block engine and the per-trial python replay
     gu = UnderlyingGraph.line(4)
-    fast = simulate_soa(ErParams(0.5), gu, 0, 3, trials=8_000, seed=11)
+    fast = simulate_soa(ErParams(0.5), gu, 0, 3, trials=20_000, seed=11)
     lats = []
     for trial in range(8_000):
         tgs = sample_er_tgs(gu, ErParams(0.5), 240, seed=(11, trial))
@@ -312,6 +314,98 @@ def test_path_engine_matches_per_trial_replays(metric):
     assert_same_law(got, want)
 
 
+class CountingRng:
+    """A generator that counts its `random` calls and the uniforms they draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = self.drawn = 0
+
+    def random(self, shape):
+        u = self.rng.random(shape)
+        self.calls += 1
+        self.drawn += u.size
+        return u
+
+
+@pytest.mark.parametrize("model", [
+    ErParams(0.3), MarkovParams(0.5, 0.25), MarkovParams(0.3, 0.2, p0=0.05),
+    MarkovParams(0.9, 0.8, p0=0.1), MarkovParams(0.0, 0.0, p0=0.6),
+])
+def test_path_engine_draws_one_uniform_per_event(model):
+    # store-or-advance: one uniform per trial and hop, in at most one call per
+    # hop; cut-through: one per trial in slot 1, then two per stop, and each
+    # stop is at a new edge and in a later slot; so neither takes more calls
+    # than the per-slot engine takes slots
+    size, n_edges = 500, 12
+    for horizon in (400, 6):
+        rng = CountingRng(5)
+        lat = _path_block(model, n_edges, "soa", horizon, rng, size)
+        if horizon >= n_edges:
+            assert rng.drawn == size * n_edges and rng.calls <= n_edges
+        else:  # no trial can arrive in time
+            assert rng.drawn == 0 and (lat == -1).all()
+        rng = CountingRng(5)
+        _path_block(model, n_edges, "cut", horizon, rng, size)
+        assert rng.drawn <= 2 * size * (n_edges + 1)
+        assert rng.calls <= 1 + min(n_edges, horizon - 1)
+
+
+@pytest.mark.parametrize("metric", ["soa", "cut"])
+def test_path_engine_degenerate_marginals_are_exact(metric):
+    # marginals and rates of exactly 0 or 1 give fixed latencies
+    n = 6
+    cases = {  # model: (soa latency, cut latency); None: never delivered
+        ErParams(0.0): (None, None),
+        ErParams(1.0): (n - 1, 0),
+        MarkovParams(1.0, 0.0, p0=1.0): (n - 1, 0),  # ON for good
+        MarkovParams(1.0, 0.0, p0=0.0): (n, 1),  # OFF in slot 1, then ON for good
+        MarkovParams(1.0, 1.0, p0=0.0): (2 * (n - 1), 1),  # OFF in odd slots, ON in even ones
+        MarkovParams(0.0, 1.0, p0=1.0): (None, 0),  # ON in slot 1 only
+    }
+    run = simulate_soa if metric == "soa" else simulate_cut
+    for model, want in cases.items():
+        emp = run(model, UnderlyingGraph.line(n), 0, n - 1, horizon=200, trials=3_000, seed=4)
+        latency = want[metric == "cut"]
+        assert emp.nonzero_items() == ([] if latency is None else [(latency, 3_000)])
+
+
+def test_path_engine_horizon_edges():
+    # soa is delivered iff its latency is at most the horizon, cut-through iff
+    # it reaches dest by slot horizon, i.e. latency at most horizon - 1
+    n = 7
+    gu, model = UnderlyingGraph.line(n), ErParams(1.0)
+    assert simulate_soa(model, gu, 0, n - 1, horizon=n - 1, trials=400, seed=1).undelivered == 0
+    assert simulate_soa(model, gu, 0, n - 1, horizon=n - 2, trials=400, seed=1).undelivered == 400
+    emp = simulate_cut(model, gu, 0, n - 1, horizon=1, trials=400, seed=1)
+    assert emp.nonzero_items() == [(0, 400)]
+
+
+def test_path_engine_frozen_chain():
+    # p = q = 0: every edge keeps its slot-1 state, ON with p0, so a trial is
+    # delivered only if all n - 1 edges start ON, at the least latency
+    model, n, trials = MarkovParams(0.0, 0.0, p0=0.6), 5, 40_000
+    miss = 1 - 0.6 ** (n - 1)
+    tol = 5 * math.sqrt(trials * miss * (1 - miss))
+    for run, latency in ((simulate_soa, n - 1), (simulate_cut, 0)):
+        emp = run(model, UnderlyingGraph.line(n), 0, n - 1, horizon=50, trials=trials, seed=12)
+        assert [v for v, _ in emp.nonzero_items()] == [latency]
+        assert abs(emp.undelivered - trials * miss) < tol
+
+
+@pytest.mark.parametrize("model", [
+    MarkovParams(0.3, 0.2, p0=0.05), MarkovParams(0.9, 0.8, p0=0.1), MarkovParams(0.02, 0.05, p0=1.0),
+    MarkovParams(0.5, 0.5, p0=0.0), MarkovParams(1e-6, 0.3, p0=0.9), MarkovParams(0.4, 0.3),
+])
+def test_steady_slot_is_where_the_marginal_settles(model):
+    # from the steady slot on, the engine draws every first watch with pi;
+    # the marginal as the engine computes it must be exactly pi there
+    p, q, p0 = model.p, model.q, model.p0
+    pi, r = p / (p + q), 1.0 - p - q
+    e = _steady_slot(pi, p0, r)
+    assert all(pi + (p0 - pi) * r ** k == pi for k in range(e, e + 300))
+
+
 def test_block_streams_are_not_trial_streams():
     # block k and trial k of one seed used to draw the very same stream
     for seed in (0, 7):
@@ -398,7 +492,7 @@ def test_simulate_rejects_horizon_below_one(run, horizon):
 def test_simulate_cut_general_graph_matches_line_shape():
     # a path given as a generic graph agrees with the line closed form
     gu = UnderlyingGraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    emp = simulate_cut(ErParams(0.5), gu, 0, 3, trials=4_000, seed=15)
+    emp = simulate_cut(ErParams(0.5), gu, 0, 3, trials=8_000, seed=15)
     assert emp.total_variation(er_cut_latency_pmf(4, 0.5)) < 0.03
 
 
@@ -465,6 +559,15 @@ def test_simulate_cut_names_a_node_missing_from_rank():
         simulate_cut(ErParams(1e-9), gu, 0, 3, trials=10, seed=0, rank={0: 2, 1: 1, 3: 0})
     emp = simulate_cut(ErParams(0.5), gu, 0, 3, trials=10, seed=0, rank={0: 2, 1: 1, 2: 1, 3: 0})
     assert emp.trials == 10
+
+
+@pytest.mark.parametrize("run", [simulate_soa, simulate_cut])
+def test_hop_ranks_build_no_edge_tuples(run):
+    # the hop ranks come from the index arrays; K400 as tuples is 79,800 of them
+    gu = UnderlyingGraph.complete(400)
+    emp = run(ErParams(0.05), gu, 0, 399, trials=2, seed=0)
+    assert emp.trials == 2
+    assert "edges" not in vars(gu)
 
 
 def test_simulate_cut_memory_is_bounded_by_the_cell_budget():
