@@ -67,6 +67,22 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _route_json_text(payload):
+    """`_json_text(payload)` for a route payload, whose `nodes` block
+    {str(id): {"mett": float or "inf", "policy": [int ids]}} is written node
+    by node: `indent` drops json to its pure-Python encoder, which is several
+    times slower on a large table."""
+    blocks = []
+    for key in sorted(payload["nodes"]):
+        entry = payload["nodes"][key]
+        mett, policy = entry["mett"], entry["policy"]
+        mett = '"inf"' if mett == "inf" else float.__repr__(mett)
+        policy = "[\n        " + ",\n        ".join(map(str, policy)) + "\n      ]" if policy else "[]"
+        blocks.append(f'    "{key}": {{\n      "mett": {mett},\n      "policy": {policy}\n    }}')
+    nodes = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
+    return _json_text({**payload, "nodes": None}).replace('\n  "nodes": null', '\n  "nodes": ' + nodes, 1)
+
+
 def _build_model(args, gu):
     if args.model == "er":
         return ModelSpec("er", ErParams(args.p), gu)
@@ -242,7 +258,7 @@ def cmd_route(args):
         payload["mett_source"] = table.mett[args.source]
         if args.pmf_output is not None:
             _write(args.pmf_output, _csv(emp.nonzero_items(), ["latency", "count"]))
-    _write(args.output, _json_text(payload))
+    _write(args.output, _route_json_text(payload))
     return 0
 
 

@@ -216,17 +216,12 @@ def stationary_distribution(params):
     return p / (p + q), q / (p + q)
 
 
-def edge_step(params, states, rng, shape):
-    """Edge states of the next slot, drawn from `rng` as one array of `shape`.
+def edge_update(params, states, u):
+    """Edge states of the next slot from uniforms `u` on [0, 1).
 
     `states` holds the previous slot (None before slot 1); the independent
     model ignores it.
     """
-    return edge_update(params, states, rng.random(shape))
-
-
-def edge_update(params, states, u):
-    """Edge states of the next slot from uniforms `u` on [0, 1), as `edge_step`."""
     if isinstance(params, ErParams):
         return u < params.p
     if states is None:

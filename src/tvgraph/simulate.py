@@ -13,8 +13,11 @@ destination's component is a tree, by deferred decisions and one event per
 step: store-or-advance draws one uniform per hop, the slots that hop takes;
 cut-through draws two per stop at an edge seen OFF, the wait there and the
 run of ON edges crossed after it.  Its cost follows the number of waits,
-not the latency in slots.  The adaptive
-engine replays acceptance-list policies.  The cut-through labelling kernel
+not the latency in slots.  The adaptive engine (`_adaptive_block`) replays
+acceptance-list policies under independent churn the same way, one event
+per move: one uniform per trial and move counts the OFF (slot, list entry)
+cells before the first ON one, which gives both the slots the move takes
+and the neighbor it reaches.  The cut-through labelling kernel
 (`_cut_block`) replays every other cut-through as array code over blocks
 of trials: each slot it draws every edge, labels the slot's components
 with `labels` and jumps each message to its component's lowest node in
@@ -48,7 +51,7 @@ import numpy as np
 
 from .analytics import LatencyPmf
 from .models import (
-    ErParams, MarkovParams, UnderlyingGraph, edge_step, edge_update, sample_slots, shortest_path,
+    ErParams, MarkovParams, UnderlyingGraph, edge_update, sample_slots, shortest_path,
 )
 from .temporal import adjacency, bfs, smash
 
@@ -383,32 +386,50 @@ def _path_block(model, n_edges, metric, horizon, rng, size):
     return latency
 
 
-def _adaptive_replay_block(accept_idx, n_ids, source_idx, dest_idx, model, horizon, rng, size):
-    """Replay trials that, each slot, move to the first currently-up neighbor in
-    the node's acceptance list (or wait).  Independent-churn model only;
-    nodes are pre-mapped to integer indices, and the occupied ones are visited
-    in index order."""
-    pos = np.full(size, source_idx, dtype=np.int64)
-    orig = np.arange(size)
+def _adaptive_block(flat, start, source, dest, log_q, horizon, rng, size):
+    """Replay `size` trials of the policy "move to the first currently-up
+    neighbor in your acceptance list, else wait"; returns latencies (-1
+    undelivered).  Node u's list is flat[start[u]:start[u + 1]], as indices.
+
+    Deferred decisions, one event per move: under independent churn the
+    cells (slot, list position) that a message at a node with a k-long list
+    watches are iid ON with p in slot-major order, so the number G of OFF
+    cells before the first ON one is Geometric(p) on 0, 1, ...: one uniform
+    y per live trial and move, G = floor(y / log_q) with
+    log_q = _clamped_log(1 - p), so p = 1 gives G = 0 and p = 0 a G past any
+    horizon.  The move takes G // k + 1 slots and goes to list entry G % k;
+    the next node's edges are fresh.  Every live trial has made one move
+    per step, so its slot is the slots it waited plus the step.  A trial
+    ends undelivered when its move lands past the horizon, or away from
+    dest at the horizon or at a node with an empty list; so no trial takes
+    more steps than slots.
+    """
+    length = np.diff(start)
+    # per list entry: where the listed node's own list starts, its length,
+    # and whether a move there ends the trial
+    head, k_next = start[flat], length[flat].astype(float)
+    stops = (flat == dest) | (k_next == 0)
     latency = np.full(size, -1, dtype=np.int64)
-    t = 0
-    while orig.size and t < horizon:
-        t += 1
-        new_pos = pos.copy()
-        for u in np.bincount(pos, minlength=n_ids).nonzero()[0]:
-            cand = accept_idx[u]
-            if cand is None or not cand.size:
-                continue
-            rows = np.nonzero(pos == u)[0]
-            on = edge_step(model, None, rng, (rows.size, cand.size))
-            any_on = on.any(axis=1)
-            first = on.argmax(axis=1)
-            new_pos[rows[any_on]] = cand[first[any_on]]
-        pos = new_pos
-        done = pos == dest_idx
-        latency[orig[done]] = t
-        keep = ~done
-        orig, pos = orig[keep], pos[keep]
+    orig = np.arange(size if length[source] else 0)
+    base = np.full(orig.size, start[source])
+    k = np.full(orig.size, float(length[source]))
+    wait = np.zeros(orig.size)
+    step = 0
+    while orig.size:
+        step += 1
+        y = _log_uniforms(rng, orig.size)
+        y /= log_q
+        slots = np.floor(y / k)
+        wait += slots
+        y -= k * slots  # G % k; the clip guards the rounding of a G past 2**52
+        entry = base + np.clip(y, 0.0, k - 1.0, out=y).astype(np.int64)
+        ended = stops[entry] | (wait >= horizon - step)  # no later move lands in time
+        if ended.any():
+            arrived = ended & (flat[entry] == dest) & (wait <= horizon - step)
+            latency[orig[arrived]] = wait[arrived] + step
+            keep = ~ended
+            orig, entry, wait = orig[keep], entry[keep], wait[keep]
+        base, k = head[entry], k_next[entry]
     return latency
 
 
@@ -465,6 +486,29 @@ def _cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
     return latency
 
 
+def _acceptance_arrays(gu, index, next_hop):
+    """The acceptance lists {node: ordered neighbors} as CSR arrays over the
+    node indices `index`: node i's list is flat[start[i]:start[i + 1]].
+    Raises ValueError naming the node or pair when a key or entry is not a
+    node, an entry is not a candidate neighbor of its key, or repeats."""
+    edges = set(gu._normal_edges)
+    lengths = [0] * len(index)
+    for u, cand in next_hop.items():
+        if u not in index:
+            raise ValueError(f"acceptance list key {u!r} is not a node")
+        for v in cand:
+            if v not in index:
+                raise ValueError(f"acceptance list of {u!r} names unknown node {v!r}")
+            if ((u, v) if u <= v else (v, u)) not in edges:
+                raise ValueError(f"acceptance list of {u!r} names {v!r}, which is not its neighbor")
+        if len(set(cand)) < len(cand):
+            raise ValueError(f"acceptance list of {u!r} repeats an entry: {tuple(cand)!r}")
+        lengths[index[u]] = len(cand)
+    order = sorted(next_hop, key=index.__getitem__)
+    flat = np.array([index[v] for u in order for v in next_hop[u]], dtype=np.int64)
+    return flat, np.cumsum([0] + lengths)
+
+
 def _check_replay(model, gu, source, dest, horizon, trials):
     """The horizon of a replay, after checking its endpoints, trials >= 1 and
     horizon >= 1.  None means default_horizon, unless source == dest: a
@@ -487,7 +531,10 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
     candidate graph (on a line: hop by hop toward dest).  A dict
     {node: ordered acceptance tuple} replays the adaptive policy "move to
     the first currently-up listed neighbor" (independent-churn model
-    only); a callable(node, on_neighbors) is replayed per trial.
+    only), one event per move on block streams; a node without a list, or
+    with an empty one, never moves.  Each key must be a node and each list
+    distinct candidate neighbors of its key, else ValueError.  A
+    callable(node, on_neighbors) is replayed per trial.
     """
     horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
@@ -500,14 +547,11 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
     if isinstance(next_hop, dict):
         if not isinstance(model, ErParams):
             raise ValueError("adaptive acceptance lists assume the independent-churn model")
-        order = sorted(gu.nodes)
-        index = {v: i for i, v in enumerate(order)}
-        accept_idx = [None] * len(order)
-        for u, cand in next_hop.items():
-            accept_idx[index[u]] = np.array([index[v] for v in cand], dtype=np.int64)
+        index = {v: i for i, v in enumerate(gu.nodes)}
+        flat, start = _acceptance_arrays(gu, index, next_hop)
         return _run_blocks(
-            seed, trials, _adaptive_replay_block,
-            accept_idx, len(order), index[source], index[dest], model, horizon,
+            seed, trials, _adaptive_block,
+            flat, start, index[source], index[dest], _clamped_log(1.0 - model.p), horizon,
         )
     if callable(next_hop):
         return _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed)

@@ -335,6 +335,29 @@ def test_route_line_and_trials(tmp_path):
     assert pmf_out.read_text().splitlines()[0] == "latency,count"
 
 
+def test_route_readme_example_bytes(tmp_path):
+    # the route table is written node by node, in json.dumps' indented layout;
+    # the digest is that of the bytes json.dumps(indent=2) wrote before
+    graph, out = tmp_path / "line.tgs", tmp_path / "mett.json"
+    res = run_cli("gen", "--model", "er", "--n", "10", "--p", "1", "--horizon", "1",
+                  "--output", graph)
+    assert res.returncode == 0, res.stderr
+    route = ["route", "--graph", graph, "--p", "0.25", "--source", "0", "--dest", "9"]
+    res = run_cli(*route, "--output", out)
+    assert res.returncode == 0, res.stderr
+    table = out.read_text()
+    digest = "ab252b3e528fda3f8437d5471bcf9679f93401495c4cebe93d932b6e3d3b9830"
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
+    res = run_cli(*route, "--trials", "100000", "--seed", "0", "--output", out)
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(out.read_text())
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for key in ("trials", "seed", "undelivered", "mett_source", "empirical_mean",
+                "empirical_stderr"):
+        del payload[key]
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == table
+
+
 @pytest.mark.parametrize("flags, delivered", [
     (["--trials", "3", "--horizon", "2"], 0),  # 9 hops never fit in 2 slots
     (["--trials", "1"], 1),

@@ -1,13 +1,15 @@
-"""Property-based round trips of the sequence text format and the model spec."""
+"""Property-based checks of the text formats: sequence and model-spec round
+trips, and the route JSON layout."""
 
 import itertools
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tvgraph.cli import _json_text, _route_json_text  # noqa: E402
 from tvgraph.models import (  # noqa: E402
     ErParams,
     MarkovParams,
@@ -81,3 +83,33 @@ def test_format_holds_a_sequence_or_refuses_it(tgs):
     else:
         with pytest.raises(ValueError):
             format_tgs(tgs)
+
+
+@st.composite
+def route_payloads(draw):
+    """Route payloads: METT tables with infinite METTs and empty policies,
+    ids past 9 (so that "10" sorts before "9"), with or without trials."""
+    ids = draw(st.sets(st.integers(min_value=0, max_value=120), max_size=15))
+    mett = st.one_of(st.just("inf"), st.floats(min_value=0.0, allow_infinity=False))
+    nodes = {
+        str(v): {"mett": draw(mett), "policy": draw(st.lists(st.sampled_from(sorted(ids))))}
+        for v in ids
+    }
+    payload = {"spec_version": "1", "command": "route", "p": draw(unit),
+               "dest": draw(st.integers(0, 120)), "nodes": nodes}
+    if draw(st.booleans()):
+        payload.update(trials=draw(st.integers(0, 10**6)), seed=draw(st.integers(0, 99)),
+                       undelivered=draw(st.integers(0, 10)), mett_source=draw(mett),
+                       empirical_mean=draw(st.none() | st.floats(0.0, 1e6)),
+                       empirical_stderr=draw(st.none() | st.floats(0.0, 1e3)))
+    return payload
+
+
+@settings(deadline=None, max_examples=200)
+@given(route_payloads())
+@example({"spec_version": "1", "command": "route", "p": 0.5, "dest": 9, "nodes": {}})
+@example({"spec_version": "1", "command": "route", "p": 0.5, "dest": 9, "nodes": {
+    "9": {"mett": 0.0, "policy": []}, "10": {"mett": "inf", "policy": []},
+    "11": {"mett": 2.0000000000000004, "policy": [10, 9]}}})
+def test_route_json_is_the_indented_json_layout(payload):
+    assert _route_json_text(payload) == _json_text(payload)

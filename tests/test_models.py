@@ -15,7 +15,7 @@ from tvgraph.models import (
     alternating_soa_latency,
     alternating_tgs,
     config_stats,
-    edge_step,
+    edge_update,
     format_model_spec,
     parse_model_spec,
     sample_er_tgs,
@@ -233,7 +233,7 @@ def test_sample_slots_equal_one_draw_per_slot(params, gu, horizon):
     want, states = [], None
     rng = np.random.default_rng(5)
     for _ in range(horizon):
-        states = edge_step(params, states, rng, len(edges))
+        states = edge_update(params, states, rng.random(len(edges)))
         want.append([edges[i] for i in states.nonzero()[0]])
     assert list(sample_slots(gu, params, horizon, np.random.default_rng(5))) == want
 

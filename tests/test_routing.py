@@ -252,9 +252,9 @@ def test_next_hop_tie_breaks_by_id():
 
 
 def test_adaptive_route_line_mean():
-    emp = run_adaptive_route(UnderlyingGraph.line(5), 0.5, 0, 4, trials=20_000, seed=30)
+    emp = run_adaptive_route(UnderlyingGraph.line(5), 0.5, 0, 4, trials=80_000, seed=30)
     want = compute_mett(UnderlyingGraph.line(5), 0.5, 4).mett[0]
-    assert abs(emp.mean() - want) <= 2 * emp.stderr_mean()
+    assert abs(emp.mean() - want) <= 4 * emp.stderr_mean()
 
 
 def test_adaptive_route_p_one_is_bfs_distance():
@@ -270,8 +270,8 @@ def test_adaptive_route_diamond_beats_fixed_path():
     table = compute_mett(gu, p, 3)
     fixed_best = 2 / p
     assert table.mett[0] < fixed_best
-    emp = run_adaptive_route(gu, p, 0, 3, trials=40_000, seed=24)
-    assert abs(emp.mean() - table.mett[0]) <= 2 * emp.stderr_mean()
+    emp = run_adaptive_route(gu, p, 0, 3, trials=160_000, seed=24)
+    assert abs(emp.mean() - table.mett[0]) <= 4 * emp.stderr_mean()
     assert emp.mean() + 2 * emp.stderr_mean() < fixed_best
 
 
@@ -313,8 +313,8 @@ def test_adaptive_route_mean_matches_oracle_value():
     p = 0.5
     oracle = mett_value_iteration_oracle(gu, p, 0)
     source = max(gu.nodes, key=lambda v: oracle.mett[v])
-    emp = run_adaptive_route(gu, p, source, 0, trials=40_000, seed=28)
-    assert abs(emp.mean() - oracle.mett[source]) <= 2 * emp.stderr_mean()
+    emp = run_adaptive_route(gu, p, source, 0, trials=160_000, seed=28)
+    assert abs(emp.mean() - oracle.mett[source]) <= 4 * emp.stderr_mean()
 
 
 # --- cut-through expected times --------------------------------------------------------

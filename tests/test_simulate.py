@@ -17,7 +17,7 @@ from tvgraph.models import (
     ErParams,
     MarkovParams,
     UnderlyingGraph,
-    edge_step,
+    edge_update,
     sample_er_tgs,
     sample_markov_tgs,
 )
@@ -229,7 +229,7 @@ def full_process_path_block(model, n_edges, metric, horizon, rng, size):
     t = 0
     while orig.size and t < horizon:
         t += 1
-        states = edge_step(model, states, rng, (orig.size, n_edges))
+        states = edge_update(model, states, rng.random((orig.size, n_edges)))
         if metric == "soa":
             on = states[np.arange(orig.size), pos]
             pos += on
@@ -595,6 +595,18 @@ def test_simulate_soa_callable_policy():
         ErParams(0.5), gu, 0, 3, horizon=200, trials=4_000, seed=16, next_hop=toward_dest
     )
     assert emp.total_variation(er_soa_latency_pmf(4, 0.5)) < 0.03
+
+
+@pytest.mark.parametrize("next_hop, message", [
+    ({9: (1,)}, "key 9 is not a node"),
+    ({0: (99,)}, "of 0 names unknown node 99"),
+    ({0: (5,)}, "of 0 names 5, which is not its neighbor"),  # would jump across a non-edge
+    ({0: (1, 1, 1)}, "of 0 repeats"),  # would draw the one edge three times a slot
+])
+def test_simulate_soa_rejects_malformed_acceptance_lists(next_hop, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_soa(ErParams(0.5), UnderlyingGraph.line(6), 0, 5, trials=10, seed=0,
+                     next_hop=next_hop)
 
 
 # --- reachable-pairs curves -------------------------------------------------------
