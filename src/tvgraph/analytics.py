@@ -22,6 +22,19 @@ overflows at any n, and masses agree with exact rational arithmetic to
 about 1e-13 relative.  The independent-churn PMFs and reach CDFs multiply
 out one negative-binomial recurrence; where its first mass p^(n-1)
 underflows, an automatic support raises.
+
+The reach CDFs of the stacked, coarsened and smashed views rest on one
+block law.  Coarsen the slots into blocks of m.  Edges are independent,
+so the edge the message meets is in its stationary law at the start of
+that block: OFF with probability off, which is 1 - p under independent
+churn and q/(p+q) for a stationary chain.  The block holds the edge with
+probability on_b = 1 - off (1-p)^(m-1).  An edge absent for a whole block
+ends it OFF, so every later block holds it with probability
+p_b = 1 - (1-p)^m (p itself at m = 1).  The coarsened curve is the
+cut-through CDF at that law: the chain mixture at (on_b, p_b), which under
+independent churn, where on_b = p_b, is the negative-binomial recurrence.
+m = 1 gives the stacked curve, and one block of t slots the smashed view
+of t slots.
 """
 
 from __future__ import annotations
@@ -33,6 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .models import ErParams, MarkovParams, stationary_distribution
 
 __all__ = [
     "LatencyPmf",
@@ -313,10 +328,13 @@ def _log_dbinom(x, n, p, q):
             - 0.5 * np.log(2.0 * math.pi * x * (n - x) / n))
 
 
-def _chain_mixture(n, params, offset, max_latency):
-    """Latency offset + T, with T the cut-through latency of the chain line.
+def _chain_mixture(n, on, off, p, offset, max_latency):
+    """Latency offset + T, with T the cut-through latency of a line whose
+    edges are each up when first watched with probability `on` (off = 1 - on,
+    passed in so that neither loses digits) and, once seen down, come up in
+    each later slot with probability p.
 
-    T = 0 with probability pi_on^(n-1).  Otherwise m ~ Binomial(n-1, q/(p+q))
+    T = 0 with probability on^(n-1).  Otherwise m ~ Binomial(n-1, off)
     edges are found OFF and each waits a Geometric(p) >= 1 number of slots,
     so P(T = ell) sums, over m = 1..min(n-1, ell), the binomial weight of m
     times the negative-binomial mass (m/ell) P(Binomial(ell, p) = m).
@@ -327,9 +345,7 @@ def _chain_mixture(n, params, offset, max_latency):
     added after.  Masses come out within about 1e-13 relative of exact
     arithmetic, and no power or binomial coefficient under- or overflows.
     """
-    p, q = params.p, params.q
     hops = n - 1
-    pi_on, off = p / (p + q), q / (p + q)
     count = None if max_latency is None else max(0, max_latency - offset + 1)
 
     # Column j holds m = hops - j, so that a sliding window over a vector
@@ -337,7 +353,7 @@ def _chain_mixture(n, params, offset, max_latency):
     ms = np.arange(hops, 0, -1, dtype=float)
     log_weight = np.empty(hops)
     log_weight[0] = hops * math.log(off)
-    log_weight[1:] = _log_dbinom(ms[1:], hops, off, pi_on)
+    log_weight[1:] = _log_dbinom(ms[1:], hops, off, on)
     # The per-m part of log(weight * (m/ell) P(Binomial(ell, p) = m)).
     per_m = log_weight + 0.5 * np.log(ms) - _stirlerr(ms) - 0.5 * math.log(2.0 * math.pi)
 
@@ -357,7 +373,7 @@ def _chain_mixture(n, params, offset, max_latency):
         return block
 
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_TERMS // hops))
-    support = _support(pi_on ** hops, chunk, count,
+    support = _support(on ** hops, chunk, count,
                        lambda: (hops * off / p, math.sqrt(hops * off * (2.0 - p - off)) / p), rows)
     return LatencyPmf(offset, *support)
 
@@ -374,7 +390,7 @@ def mc_cut_latency_pmf(n, params, max_latency=None):
     Mean (n-1) q / (p (p+q)).
     """
     _validate_markov(n, params)
-    return _chain_mixture(n, params, 0, max_latency)
+    return _chain_mixture(n, *stationary_distribution(params), params.p, 0, max_latency)
 
 
 def mc_soa_latency_pmf(n, params, max_latency=None):
@@ -390,23 +406,62 @@ def mc_soa_latency_pmf(n, params, max_latency=None):
     Mean n-1 + (n-1) q / (p (p+q)).
     """
     _validate_markov(n, params)
-    return _chain_mixture(n, params, n - 1, max_latency)
+    return _chain_mixture(n, *stationary_distribution(params), params.p, n - 1, max_latency)
 
 
-# --- reachability CDFs of the stacked / smashed representations --------------
+# --- reachability CDFs of the stacked / coarsened / smashed views -------------
 
 
-def reach_curve(n, p, m, blocks):
+def _block_off(params, m):
+    """Chance that an edge is absent throughout the first block of m >= 1
+    slots in which it is watched."""
+    if isinstance(params, MarkovParams):
+        return stationary_distribution(params)[1] * (1.0 - params.p) ** (m - 1)
+    return (1.0 - params.p) ** m
+
+
+def _one_block(n, params, m):
+    """Reach CDF after one block of m slots: every edge present in it."""
+    return (1.0 - _block_off(params, m)) ** (n - 1)
+
+
+def _validate_reach(n, params, allow_p_zero=False):
+    _validate_line(n, params.p, allow_p_zero)
+    if isinstance(params, MarkovParams) and not params.is_stationary_start():
+        raise ValueError("the reach CDFs assume the stationary start p0 = p/(p+q)")
+
+
+def reach_curve(n, params, m, blocks):
     """Reach CDFs after 0..blocks blocks of m slots, each block smashed into one.
 
-    A block holds an edge with probability 1 - (1-p)^m, so the curve is the
-    running sum of the cut-through masses at that presence (at m = 1, of
-    er_cut_latency_pmf(n, p, blocks - 1)).
+    The running sum of the cut-through masses at the block law (see the
+    module docstring): negative-binomial masses under independent churn,
+    where every block is alike (at m = 1, those of er_cut_latency_pmf), and
+    the chain mixture for a stationary chain (at m = 1, those of
+    mc_cut_latency_pmf).
     """
-    _validate_line(n, p)
-    q_block = (1.0 - p) ** m
-    masses, _ = _negbin_masses(n - 1, p if m == 1 else 1.0 - q_block, q_block, blocks)
+    _validate_reach(n, params)
+    off = _block_off(params, m)
+    if off == 0.0:  # every edge holds in the first block
+        return [0.0] + [1.0] * blocks
+    p = params.p
+    if isinstance(params, MarkovParams):
+        on, off_1 = stationary_distribution(params)
+        if m > 1:  # here p < 1, else off would be 0
+            stay = math.log1p(-p)
+            on += off_1 * -math.expm1((m - 1) * stay)
+            p = -math.expm1(m * stay)
+        masses = _chain_mixture(n, on, off, p, 0, blocks - 1).masses
+    else:
+        masses, _ = _negbin_masses(n - 1, p if m == 1 else 1.0 - off, off, blocks)
     return [0.0, *itertools.accumulate(masses)]
+
+
+def smashed_curve(n, params, t_max):
+    """Reach CDFs of the smashed views of 0..t_max slots: t slots smashed
+    into one are one block of t slots."""
+    _validate_reach(n, params, allow_p_zero=True)
+    return [0.0] + [_one_block(n, params, t) for t in range(1, t_max + 1)]
 
 
 def stacked_reach_cdf(n, p, t):
@@ -414,9 +469,7 @@ def stacked_reach_cdf(n, p, t):
 
     The cut-through CDF at t-1.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return reach_curve(n, p, 1, t)[t]
+    return m_smashed_reach_cdf(n, p, t, 1)
 
 
 def smashed_reach_cdf(n, p, t):
@@ -424,8 +477,7 @@ def smashed_reach_cdf(n, p, t):
     _validate_line(n, p, allow_p_zero=True)
     if t < 0:
         raise ValueError("t must be >= 0")
-    q_union = (1.0 - p) ** t
-    return (1.0 - q_union) ** (n - 1)
+    return _one_block(n, ErParams(p), t)
 
 
 def m_smashed_reach_cdf(n, p, t, m):
@@ -440,19 +492,13 @@ def m_smashed_reach_cdf(n, p, t, m):
         raise ValueError("block size m must be a positive integer")
     if t < 0:
         raise ValueError("t must be >= 0")
-    return reach_curve(n, p, m, t // m)[-1]
+    return reach_curve(n, ErParams(p), m, t // m)[-1]
 
 
 def mc_smashed_reach_cdf(n, params, t):
-    """Smashed-union reach CDF for two-state edge chains with stationary start."""
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    """Smashed-union reach CDF for two-state edge chains with stationary start:
+    one block of t slots, (1 - q/(p+q) (1-p)^(t-1))^(n-1)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    p, q = params.p, params.q
-    if p + q <= 0.0:
-        raise ValueError("p + q must be positive")
-    if not params.is_stationary_start():
-        raise ValueError("this closed form assumes the stationary start p0 = p/(p+q)")
-    absent = (q / (p + q)) * (1.0 - p) ** (t - 1)
-    return (1.0 - absent) ** (n - 1)
+    _validate_reach(n, params, allow_p_zero=True)  # p + q = 0 is no stationary start
+    return _one_block(n, params, t)

@@ -24,10 +24,9 @@ from .analytics import (
     er_soa_latency_pmf,
     er_soa_location_pmf,
     mc_cut_latency_pmf,
-    mc_smashed_reach_cdf,
     mc_soa_latency_pmf,
     reach_curve,
-    smashed_reach_cdf,
+    smashed_curve,
 )
 from .models import (
     ErParams,
@@ -85,6 +84,9 @@ def _route_json_text(payload):
 
 def _build_model(args, gu):
     if args.model == "er":
+        for flag in ("q", "p0"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies only to --model mc")
         return ModelSpec("er", ErParams(args.p), gu)
     if args.q is None:
         raise ValueError("--q is required with --model mc")
@@ -194,23 +196,10 @@ def cmd_compare(args):
     grid = list(range(1, args.t_max + 1))
     header = ["t", "stg"] + [f"msmg_{m}" for m in ms] + ["smg"]
     if gu.name == "line":
-        if spec.kind == "er":
-            # The coarsened curve at t has taken t // m blocks.
-            stg = reach_curve(args.n, spec.params.p, 1, args.t_max)
-            coarse = [reach_curve(args.n, spec.params.p, m, args.t_max // m) for m in ms]
-            rows = [
-                [t, stg[t]] + [curve[t // m] for m, curve in zip(ms, coarse)]
-                + [smashed_reach_cdf(args.n, spec.params.p, t)]
-                for t in grid
-            ]
-        else:
-            if ms:
-                raise ValueError("analytic coarsened columns exist only for the er model")
-            pmf = mc_cut_latency_pmf(args.n, spec.params, max_latency=args.t_max)
-            cdf = itertools.accumulate(pmf.mass(t - 1) for t in grid)
-            rows = [
-                [t, c, mc_smashed_reach_cdf(args.n, spec.params, t)] for t, c in zip(grid, cdf)
-            ]
+        # The coarsened curve at t has taken t // m blocks.
+        curves = {m: reach_curve(args.n, spec.params, m, args.t_max // m) for m in {1, *ms}}
+        smg = smashed_curve(args.n, spec.params, args.t_max)
+        rows = [[t, curves[1][t], *(curves[m][t // m] for m in ms), smg[t]] for t in grid]
         _write(args.output, _csv(rows, header))
         return 0
     if args.trials < 2:
@@ -324,7 +313,9 @@ def build_parser():
     _add_model_flags(sp)
     sp.add_argument("--gu", choices=["line", "complete"], default="line")
     sp.add_argument("--t-max", type=int, default=100, help="horizon grid 1..t-max (default 100)")
-    sp.add_argument("--m", default="", help="comma-separated block sizes, e.g. 1,2,5 ('all' = fully smashed, always emitted)")
+    sp.add_argument("--m", default="",
+                    help="comma-separated block sizes, e.g. 1,2,5: a coarsened column each, under"
+                         " either model ('all' = fully smashed, always emitted)")
     sp.add_argument("--trials", type=int, default=100, help="trials for the empirical mode (default 100)")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sp.add_argument("--output", default=None)

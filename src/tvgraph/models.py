@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 MAX_ENUM_NODES = 24
+# How far p0 may lie from p/(p+q) for a chain to count as starting stationary.
+STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -197,15 +199,8 @@ class MarkovParams:
         elif not 0.0 <= self.p0 <= 1.0:
             raise ValueError("p0 must lie in [0, 1]")
 
-    @property
-    def stationary_on(self):
-        pi_on, _ = stationary_distribution(self)
-        return pi_on
-
-    def is_stationary_start(self, tol=1e-12):
-        if self.p + self.q <= 0.0:
-            return False
-        return abs(self.p0 - self.p / (self.p + self.q)) <= tol
+    def is_stationary_start(self):
+        return self.p + self.q > 0.0 and abs(self.p0 - self.p / (self.p + self.q)) <= STATIONARY_TOL
 
 
 def stationary_distribution(params):

@@ -17,6 +17,7 @@ from tvgraph.analytics import (
     mc_smashed_reach_cdf,
     mc_soa_latency_pmf,
     pmf_moments,
+    reach_curve,
     smashed_reach_cdf,
     stacked_reach_cdf,
 )
@@ -477,6 +478,69 @@ def test_mc_smashed_cdf():
         )
     with pytest.raises(ValueError):
         mc_smashed_reach_cdf(4, MarkovParams(0.5, 0.25, p0=0.2), 3)
+
+
+def _exact_chain_reach(n, p, q, m, blocks):
+    """Exact reach CDFs after 1..blocks blocks of m slots of a stationary chain
+    line, by a transfer over (message position, states of the edges ahead).
+
+    A block's per-edge kernel maps the state before it to (present in some
+    slot of the block, state at its end); the message crosses every edge
+    present in the block from its position on.
+    """
+    step = {(0, 1): p, (0, 0): 1 - p, (1, 0): q, (1, 1): 1 - q}
+    kernel = {}
+    for start in (0, 1):
+        out = {}
+        for path in itertools.product((0, 1), repeat=m):
+            w, prev = Fraction(1), start
+            for state in path:
+                w *= step[prev, state]
+                prev = state
+            out[max(path), prev] = out.get((max(path), prev), 0) + w
+        kernel[start] = list(out.items())
+    pi_on = p / (p + q)
+    dist = {}
+    for states in itertools.product((0, 1), repeat=n - 1):
+        dist[0, states] = math.prod((pi_on if s else 1 - pi_on for s in states), start=Fraction(1))
+    reach = []
+    for _ in range(blocks):
+        new = {}
+        for (pos, states), w in dist.items():
+            for outcome in itertools.product(*(kernel[s] for s in states)):
+                crossed = next((k for k, ((present, _), _) in enumerate(outcome) if not present),
+                               len(outcome))
+                key = (pos + crossed, tuple(end for (_, end), _ in outcome[crossed:]))
+                new[key] = new.get(key, 0) + math.prod((pr for _, pr in outcome), start=w)
+        dist = new
+        reach.append(dist.get((n - 1, ()), 0))
+    return reach
+
+
+@pytest.mark.parametrize("p, q", [
+    ("1/2", "1/4"), ("3/10", "1/5"), ("1/20", "9/10"), ("9/10", "1/2"),
+    ("1e-9", "1"),  # pi_on about 1e-9: the block law must keep its digits
+])
+def test_chain_coarsened_reach_matches_exact_transfer(p, q):
+    p, q = Fraction(p), Fraction(q)
+    params = MarkovParams(float(p), float(q))
+    for n in (2, 3, 4):
+        for m in (1, 2, 3):
+            got = reach_curve(n, params, m, 6)
+            assert got[0] == 0.0
+            for b, want in enumerate(_exact_chain_reach(n, p, q, m, 6), start=1):
+                assert abs(got[b] - want) <= 1e-12
+                assert abs(got[b] - want) <= 1e-10 * want
+            # one block of m slots is the smashed view of m slots
+            assert got[1] == pytest.approx(mc_smashed_reach_cdf(n, params, m), rel=1e-12)
+            if m == 1:  # the stacked curve is the cut-through CDF
+                pmf = mc_cut_latency_pmf(n, params, max_latency=5)
+                assert got[1:] == list(itertools.accumulate(pmf.masses))
+
+
+def test_chain_reach_curve_rejects_a_non_stationary_start():
+    with pytest.raises(ValueError, match="stationary start"):
+        reach_curve(4, MarkovParams(0.5, 0.25, p0=0.2), 2, 3)
 
 
 # --- pmf container & moments -----------------------------------------------------------

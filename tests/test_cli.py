@@ -242,23 +242,72 @@ def test_compare_analytic_ordering(tmp_path):
 
 
 def test_compare_mc_analytic_columns(tmp_path):
+    # the chain line gets coarsened columns from the same block law as the er line
     out = tmp_path / "cmp.csv"
     res = run_cli(
         "compare", "--model", "mc", "--n", "6", "--p", "0.5", "--q", "0.25",
-        "--t-max", "30", "--output", out,
+        "--m", "1,2,5", "--t-max", "30", "--output", out,
     )
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
-    assert lines[0] == "t,stg,smg"
-    for ln in lines[1:]:
-        _, stg, smg = ln.split(",")
-        assert float(stg) <= float(smg) + 1e-12
-    # coarsened analytic columns are only derived for the independent model
-    res = run_cli(
-        "compare", "--model", "mc", "--n", "6", "--p", "0.5", "--q", "0.25",
-        "--m", "2", "--t-max", "10",
-    )
-    assert res.returncode != 0
+    assert lines[0] == "t,stg,msmg_1,msmg_2,msmg_5,smg"
+    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 31))
+    for t, stg, m1, m2, m5, smg in rows:
+        assert m1 == stg
+        assert stg <= smg + 1e-12
+        for m, mid in ((2, m2), (5, m5)):
+            if t % m == 0:  # a whole number of blocks
+                assert stg <= mid + 1e-12
+                assert mid <= smg + 1e-12
+            if t == m:  # one block of m slots is the smashed view of m slots
+                assert mid == pytest.approx(smg, rel=1e-14)
+
+
+def test_compare_mc_block_law_without_a_chance_of_absence(capsys):
+    # off (1-p)^(m-1) underflows to 0.0 at m = 400: every edge holds in the first block
+    from tvgraph import cli
+
+    assert cli.main(["compare", "--model", "mc", "--n", "6", "--p", "0.9", "--q", "0.5",
+                     "--m", "400", "--t-max", "800"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [ln.split(",") for ln in captured.out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0"] * 399 + ["1"] * 401
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ("--model er --n 10 --p 0.1 --t-max 100 --m 1,2,5",
+     "b3291c29b8bf0f0b4e55814febdf0fd4ac5be0326f1354597b7b80d97eaa7b23"),
+    ("--model mc --n 100 --p 0.1 --q 0.1 --t-max 500",
+     "48110dcf622407c3ca184f154a479ea3e027fcb13ee9bffe10dcf057c86019ec"),
+    ("--model mc --n 6 --p 0.5 --q 0.25 --t-max 30",
+     "8d873d675412f476623b5e7dd9beeaec302d8734be922f481df5f341b1b0d80a"),
+])
+def test_compare_line_writes_pinned_bytes(capsys, flags, digest):
+    # SHA-256 of the analytic line curves as written when each model had its own branch
+    from tvgraph import cli
+
+    assert cli.main(["compare", *flags.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    ("pmf", "--metric", "cut"),
+    ("simulate", "--metric", "cut", "--trials", "5"),
+    ("compare", "--t-max", "3"),
+    ("gen", "--horizon", "3"),
+])
+@pytest.mark.parametrize("flag", [("--q", "0.2"), ("--p0", "0.5"), ("--p0", "stationary")])
+def test_er_rejects_chain_flags(capsys, command, flag):
+    # a chain flag under --model er is an error, not silently dropped
+    from tvgraph import cli
+
+    assert cli.main([command[0], "--model", "er", "--n", "5", "--p", "0.3", *flag,
+                     *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[0]} applies only to --model mc\n"
 
 
 def test_compare_m_all_is_accepted_as_no_op():

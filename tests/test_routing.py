@@ -349,9 +349,9 @@ def test_cut_mett_triangle_with_pendant_vs_simulation():
     p = 0.5
     table = cut_mett_small(gu, p, 3)
     emp = simulate_cut(
-        ErParams(p), gu, 0, 3, trials=40_000, seed=29, rank=dict(table.mett)
+        ErParams(p), gu, 0, 3, trials=160_000, seed=29, rank=dict(table.mett)
     )
-    assert abs(emp.mean() - table.mett[0]) <= 2 * emp.stderr_mean()
+    assert abs(emp.mean() - table.mett[0]) <= 4 * emp.stderr_mean()
 
 
 def test_cut_mett_unreachable():

@@ -11,6 +11,7 @@ from tvgraph.analytics import (
     mc_cut_latency_pmf,
     mc_smashed_reach_cdf,
     mc_soa_latency_pmf,
+    reach_curve,
     smashed_reach_cdf,
 )
 from tvgraph.models import (
@@ -48,6 +49,7 @@ from tvgraph.temporal import (
     m_smash,
     reachable_pairs_fraction,
     smash,
+    t_reachable,
 )
 
 
@@ -592,7 +594,7 @@ def test_simulate_soa_callable_policy():
         return want if want in on_neighbors else None
 
     emp = simulate_soa(
-        ErParams(0.5), gu, 0, 3, horizon=200, trials=4_000, seed=16, next_hop=toward_dest
+        ErParams(0.5), gu, 0, 3, horizon=200, trials=8_000, seed=16, next_hop=toward_dest
     )
     assert emp.total_variation(er_soa_latency_pmf(4, 0.5)) < 0.03
 
@@ -741,6 +743,21 @@ def test_mc_smashed_closed_form_vs_sampling():
 
         connected += smash(tgs).connected(0, 5)
     assert connected / trials == pytest.approx(mc_smashed_reach_cdf(6, params, t), abs=0.005)
+
+
+def test_coarsened_chain_reach_vs_sampling():
+    # sampled chain lines, smashed in blocks of m, their ends joined by a journey
+    n, params, m, blocks, trials = 5, MarkovParams(0.3, 0.2), 3, 6, 4_000
+    curve = reach_curve(n, params, m, blocks)
+    gu = UnderlyingGraph.line(n)
+    reached = [0] * (blocks + 1)
+    for trial in range(trials):
+        coarse = m_smash(sample_markov_tgs(gu, params, m * blocks, seed=(8, trial)), m)
+        for b in range(1, blocks + 1):
+            reached[b] += t_reachable(GraphletSequence(coarse.graphlets[:b]), 0, n - 1)[0]
+    for b in range(1, blocks + 1):
+        se = math.sqrt(curve[b] * (1.0 - curve[b]) / trials)
+        assert abs(reached[b] / trials - curve[b]) <= 4 * se
 
 
 def test_reachable_pairs_validation():
