@@ -60,6 +60,8 @@ __all__ = [
     "er_cut_latency_masses_exact",
     "mc_cut_latency_pmf",
     "mc_soa_latency_pmf",
+    "reach_curve",
+    "smashed_curve",
     "stacked_reach_cdf",
     "smashed_reach_cdf",
     "m_smashed_reach_cdf",

@@ -7,13 +7,18 @@ deterministic given the seed: draws come from numpy's PCG64 seeded with
 SeedSequence(seed), slot-major over the candidate edges in their listed
 order.
 
+Every sampler draws edge states through `slot_states`: given per-trial
+streams, it reads each stream's uniforms slot-major over the candidate
+edges and returns the ON states of the next slots.  So trial i's states in
+slot t are the same whether `sample_slots` draws them for one sequence or
+a replay kernel draws them for a block of trials, however the slots are
+chunked.
+
 A candidate graph holds its edges as index arrays (`_ends`: positions in
 `nodes` of both ends of each edge).  `complete` and `line` are built from
 them alone, and their edge tuples are made on the first read of `edges`.
-Sampling still draws every candidate cell of every slot, but builds
-tuples only for the edges that come up, unless a chunk of slots has as
-many up cells as there are candidate edges: then it builds the graph's
-edge tuples, once, and picks from them.
+Sampling draws every candidate cell of every slot, but builds tuples, from
+`_ends`, only for the edges that come up.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -89,7 +94,7 @@ class UnderlyingGraph:
         """The graph on `nodes` and `edges`, which the caller guarantees valid
         and already normalized to (min, max)."""
         gu = object.__new__(cls)
-        vars(gu).update(nodes=nodes, edges=edges, name=name, _normal_edges=edges)
+        vars(gu).update(nodes=nodes, edges=edges, name=name)
         return gu
 
     @classmethod
@@ -106,29 +111,16 @@ class UnderlyingGraph:
         if name != "edges" or "_ends" not in vars(self):
             raise AttributeError(name)
         edges = tuple(zip(*self._ends.tolist()))
-        vars(self).update(edges=edges, _normal_edges=edges)
+        vars(self)["edges"] = edges
         return edges
-
-    @cached_property
-    def _normal_edges(self):
-        """`edges` with each edge as (min, max), in the same order."""
-        edges = self.edges
-        if "_normal_edges" in vars(self):  # set by that read: normalized by construction
-            return edges
-        return tuple((u, v) if u <= v else (v, u) for u, v in edges)
 
     @cached_property
     def _ends(self):
         """Positions in `nodes` of the (min, max) ends of each edge, as a
         (2, edges) int32 array in `edges` order."""
         pos = {v: i for i, v in enumerate(self.nodes)}
-        pairs = [(pos[u], pos[v]) for u, v in self._normal_edges]
+        pairs = [(pos[u], pos[v]) if u <= v else (pos[v], pos[u]) for u, v in self.edges]
         return np.array(pairs, dtype=np.int32).reshape(-1, 2).T
-
-    @cached_property
-    def _edge_array(self):
-        """`_normal_edges` as a numpy object array, for gathers."""
-        return np.fromiter(self._normal_edges, dtype=object, count=len(self._normal_edges))
 
     @classmethod
     def line(cls, n):
@@ -224,36 +216,47 @@ def edge_update(params, states, u):
     return np.where(states, u >= params.q, u < params.p)
 
 
+def slot_states(params, states, rngs, span, n_edges):
+    """ON states of n_edges candidate edges in the next `span` slots of each
+    trial stream in `rngs`, as a (span, trials, edges) bool array.
+
+    `states` holds each trial's last slot (None before slot 1); a caller
+    carries the last row forward.  Each stream gives span * n_edges
+    uniforms, slot-major, so the states of a trial do not depend on how its
+    slots are chunked or which other streams are drawn with it.
+    """
+    u = np.empty((len(rngs), span, n_edges))
+    for i, rng in enumerate(rngs):
+        rng.random(out=u[i])
+    if isinstance(params, ErParams):
+        return edge_update(params, None, u).transpose(1, 0, 2)
+    out = np.empty((span, len(rngs), n_edges), dtype=bool)
+    for k in range(span):
+        out[k] = states = edge_update(params, states, u[:, k])
+    return out
+
+
 def sample_slots(gu, params, horizon, rng):
     """Lazily yield the up edges of `gu` in slots 1..horizon, in their order,
     each as (min, max).
 
-    Uniforms come in one draw per chunk of 1, 2, 4, ... slots: the same
-    stream as one draw per slot, so a caller that stops early leaves at most
-    as many slots drawn and unused as it used.  A chunk's up edges are
-    gathered at once: as new tuples from `gu._ends` while they are fewer
-    than the candidate edges, else from gu's edge tuples, built once per graph.
+    States come from `slot_states`, one trial on `rng`, in chunks of 1, 2,
+    4, ... slots: the same stream as one draw per slot, so a caller that
+    stops early leaves at most as many slots drawn and unused as it used.
+    A chunk's up edges are gathered at once, as tuples of node ids from
+    `gu._ends`.
     """
     ends = gu._ends
     n_edges = ends.shape[1]
     ids = np.fromiter(gu.nodes, dtype=object, count=len(gu.nodes))
     states, t = None, 0
     while t < horizon:
-        u = rng.random((min(t + 1, horizon - t), n_edges))
-        if isinstance(params, ErParams):
-            up = edge_update(params, None, u)
-        else:
-            up = np.empty(u.shape, dtype=bool)
-            for k, row in enumerate(u):
-                up[k] = states = edge_update(params, states, row)
-        cells = np.flatnonzero(up)
-        cols = cells % n_edges
-        if cols.size < n_edges:
-            items = list(zip(*ids[ends[:, cols]].tolist()))
-        else:
-            items = gu._edge_array[cols].tolist()
+        slots = slot_states(params, states, [rng], min(t + 1, horizon - t), n_edges)
+        states = slots[-1]
+        cells = np.flatnonzero(slots)
+        items = list(zip(*ids[ends[:, cells % n_edges]].tolist()))
         start = 0
-        for stop in np.searchsorted(cells, n_edges * np.arange(1, len(u) + 1)).tolist():
+        for stop in np.searchsorted(cells, n_edges * np.arange(1, len(slots) + 1)).tolist():
             t += 1
             yield items[start:stop]
             start = stop

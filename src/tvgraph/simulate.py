@@ -33,13 +33,19 @@ SeedSequence(seed, spawn_key=(trial,)), a disjoint key space, so no block
 replays a trial's stream.  A replay caps each trial at a horizon of at
 least one slot.  Undelivered trials are reported, never dropped.
 
+Slot states on per-trial streams all come from `models.slot_states`: the
+labelling kernel and the reachable-pairs kernel draw a block of trials'
+slots through it, and the per-trial walk through `sample_slots`, which
+calls it with one stream.  So trial i sees the same edge states in slot t
+in every engine and view that reads its stream.
+
 Reachable-pair curves are array code over blocks of trials that keep the
-per-trial streams: each trial draws its slots from its own
-SeedSequence(seed, spawn_key=(trial,)), exactly the uniforms a per-trial
-sampler would draw.  One numpy component labeller (`labels`) and one
-closure step on uint64 reach bitsets (`close`) serve the stacked, smashed
-and m-smashed views, and PAIR_CELLS candidate-edge cells per draw and
-labelling call bound the working memory.
+per-trial streams: each trial's slots are exactly the ones
+sample_*_tgs(gu, model, T, SeedSequence(seed, spawn_key=(trial,))) draws.
+One numpy component labeller (`labels`) and one closure step on uint64
+reach bitsets (`close`) serve the stacked, smashed and m-smashed views,
+and PAIR_CELLS candidate-edge cells per draw and labelling call bound the
+working memory.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 
 from .analytics import LatencyPmf
 from .models import (
-    ErParams, MarkovParams, UnderlyingGraph, edge_update, sample_slots, shortest_path,
+    ErParams, MarkovParams, UnderlyingGraph, sample_slots, shortest_path, slot_states,
 )
 from .temporal import adjacency, bfs, smash
 
@@ -162,14 +168,6 @@ def default_horizon(n, p):
 # --- single-trial replays on a materialized sequence -------------------------
 
 
-def _hop_ranks(adj, nodes, dest):
-    """Hop distance to dest over `adj` for each of `nodes`; inf when cut off."""
-    dist = {}
-    for v, u in bfs(adj, [dest]).items():
-        dist[v] = 0 if u is None else dist[u] + 1
-    return {v: dist.get(v, math.inf) for v in nodes}
-
-
 def _candidate_hops(gu, dest):
     """Hop distance to dest over gu's candidate edges, as a list in `gu.nodes`
     order (-1 when cut off): one BFS over adjacency arrays built from
@@ -195,8 +193,10 @@ def replay_soa(tgs, source, dest, next_hop=None):
     With no policy the message follows a fixed shortest path of the slot
     union, waiting at each hop for its edge.  A callable policy
     next_hop(node, on_neighbors) may return the neighbor to move to, or
-    None to wait.
+    None to wait.  An unknown source or dest is a ValueError.
     """
+    if source not in tgs.node_ids or dest not in tgs.node_ids:
+        raise ValueError(f"unknown node {source!r} or {dest!r}")
     if source == dest:
         return TrialResult(0, ((source, 0),))
     if next_hop is None:
@@ -236,12 +236,16 @@ def replay_cut(tgs, source, dest, rank=None):
     Each slot the message jumps, for free, to the best node of its current
     component (lowest rank, ties by id; default rank is hop distance to
     dest in the slot union); if dest is in the component the trial ends at
-    latency slot-1.  Otherwise the slot is spent waiting.
+    latency slot-1.  Otherwise the slot is spent waiting.  An unknown source
+    or dest is a ValueError.
     """
+    if source not in tgs.node_ids or dest not in tgs.node_ids:
+        raise ValueError(f"unknown node {source!r} or {dest!r}")
     if source == dest:
         return TrialResult(0, ((source, 0),))
     if rank is None:
-        rank = _hop_ranks(adjacency(smash(tgs).edges), tgs.node_ids, dest)
+        gu = UnderlyingGraph.from_graphlet(smash(tgs))
+        rank = {v: math.inf if h < 0 else h for v, h in zip(gu.nodes, _candidate_hops(gu, dest))}
     cur = source
     trajectory = [(source, 0)]
     for t, g in enumerate(tgs, start=1):
@@ -448,12 +452,12 @@ def _cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
     """Cut-through latencies (-1 undelivered) of the trials drawn by `rngs`,
     over n nodes indexed in (rank, id) order.
 
-    Each trial draws all n_edges candidate edges per slot from its own
-    stream, in chunks of at most t+1 slots and about CUT_CELLS cells, and
-    keeps the columns `cols`, whose ends are `ends`.  `labels` gives
-    each node its component's lowest index, which is the node a message
-    there jumps to; it is delivered once that label is dest's.  Uniforms
-    drawn past a trial's delivery go unused.
+    Each trial draws the states of all n_edges candidate edges per slot
+    from its own stream (`slot_states`), in chunks of at most t+1 slots and
+    about CUT_CELLS cells, and keeps the columns `cols`, whose ends are
+    `ends`.  `labels` gives each node its component's lowest index, which
+    is the node a message there jumps to; it is delivered once that label
+    is dest's.  States drawn past a trial's delivery go unused.
     """
     size = len(rngs)
     offset = np.arange(size, dtype=np.int32)[:, None] * n
@@ -464,25 +468,23 @@ def _cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
     states, t = None, 0
     while orig.size and t < horizon:
         span = min(t + 1, horizon - t, max(1, CUT_CELLS // (orig.size * n_edges)))
-        u = np.empty((orig.size, span, n_edges))
-        for i, rng in enumerate(rngs):
-            rng.random(out=u[i])
+        slots = slot_states(model, states, rngs, span, n_edges)
+        states = slots[-1]
         if len(cols) < n_edges:
-            u = u[:, :, cols]
+            slots = slots[:, :, cols]
         rows = np.arange(orig.size)
         for k in range(span):
             t += 1
-            states = edge_update(model, states, u[rows, k])
-            lab = _graph_labels(states, n, head, tail)
+            lab = _graph_labels(slots[k, rows], n, head, tail)
             base = offset[:rows.size, 0]
             jump = lab[base + cur]
             done = jump == lab[base + dest]
             latency[orig[done]] = t - 1
             keep = ~done
-            cur, orig, rows, states = (jump - base)[keep], orig[keep], rows[keep], states[keep]
+            cur, orig, rows = (jump - base)[keep], orig[keep], rows[keep]
             if not orig.size:
                 break
-        rngs = [rngs[i] for i in rows]
+        rngs, states = [rngs[i] for i in rows], states[rows]
     return latency
 
 
@@ -491,7 +493,7 @@ def _acceptance_arrays(gu, index, next_hop):
     node indices `index`: node i's list is flat[start[i]:start[i + 1]].
     Raises ValueError naming the node or pair when a key or entry is not a
     node, an entry is not a candidate neighbor of its key, or repeats."""
-    edges = set(gu._normal_edges)
+    edges = set(gu.edges)
     lengths = [0] * len(index)
     for u, cand in next_hop.items():
         if u not in index:
@@ -499,7 +501,7 @@ def _acceptance_arrays(gu, index, next_hop):
         for v in cand:
             if v not in index:
                 raise ValueError(f"acceptance list of {u!r} names unknown node {v!r}")
-            if ((u, v) if u <= v else (v, u)) not in edges:
+            if (u, v) not in edges and (v, u) not in edges:
                 raise ValueError(f"acceptance list of {u!r} names {v!r}, which is not its neighbor")
         if len(set(cand)) < len(cand):
             raise ValueError(f"acceptance list of {u!r} repeats an entry: {tuple(cand)!r}")
@@ -686,15 +688,11 @@ def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
     chunk = max(1, min(t_max, PAIR_CELLS // (size * max(n, n_edges))))
     offset = np.arange(chunk * size, dtype=np.int32)[:, None] * n
     head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
-    u = np.empty((size, chunk, n_edges))
     states = None
     for t0 in range(0, t_max, chunk):
         span = min(chunk, t_max - t0)
-        for i, rng in enumerate(rngs):
-            rng.random(out=u[i, :span])
-        slots = np.empty((span, size, n_edges), dtype=bool)
-        for k in range(span):
-            states = slots[k] = edge_update(model, states, u[:, k])
+        slots = slot_states(model, states, rngs, span, n_edges)
+        states = slots[-1]
         keys = _graph_labels(slots.reshape(span * size, n_edges), n, head, tail)
         keys = keys.reshape(span, size * n) - offset[:span] * size
         for k in range(span):

@@ -53,17 +53,19 @@ def test_builders_equal_the_validating_constructor(n):
 def test_builders_make_edge_tuples_once_on_first_read(build, edges_first):
     gu = build(6)
     assert "edges" not in vars(gu)
-    assert gu._ends.tolist() == [[u for u, _ in gu.edges], [v for _, v in gu.edges]]
-    # whichever is read first, the normalized edges are the edge tuple itself
-    first, second = (gu.edges, gu._normal_edges) if edges_first else (gu._normal_edges, gu.edges)
-    assert first is second
+    if not edges_first:
+        gu._ends.tolist()
+        assert "edges" not in vars(gu)  # reading the index arrays builds no tuples
+    edges = gu.edges
+    assert vars(gu)["edges"] is edges and gu.edges is edges  # built once, on the first read
+    assert gu._ends.tolist() == [[u for u, _ in edges], [v for _, v in edges]]
     assert hash(gu) == hash(UnderlyingGraph(gu.nodes, gu.edges, gu.name))
 
 
 def test_explicit_edges_give_positions_of_their_normalized_ends():
     gu = UnderlyingGraph(("c", "a", "b"), (("b", "a"), ("c", "b")))
-    assert gu._normal_edges == (("a", "b"), ("b", "c"))
     assert gu._ends.tolist() == [[1, 2], [2, 0]]
+    assert [(gu.nodes[i], gu.nodes[j]) for i, j in gu._ends.T.tolist()] == [("a", "b"), ("b", "c")]
     assert UnderlyingGraph((0,), ())._ends.shape == (2, 0)
 
 

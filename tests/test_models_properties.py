@@ -30,4 +30,6 @@ def graphlets(draw, ids):
 def test_from_graphlet_equals_the_validating_constructor(g, name):
     gu = UnderlyingGraph.from_graphlet(g, name=name)
     assert gu == UnderlyingGraph(tuple(sorted(g.nodes)), tuple(sorted(g.edges)), name)
-    assert gu._normal_edges == gu.edges
+    # its edges come normalized, and the index arrays give their ends
+    assert all(u < v for u, v in gu.edges)
+    assert [(gu.nodes[i], gu.nodes[j]) for i, j in gu._ends.T.tolist()] == list(gu.edges)
