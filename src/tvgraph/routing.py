@@ -18,11 +18,13 @@ costs O(E log V).
 
 Two oracles, independent of the solver, check it.  Each builds a
 table of weighted node sets for every node u, and one kernel finds the
-least fixed point of V(u) = sum_j w_uj (1 + min over S_uj of V) by
-whole-array value iteration upward from zero.  The store-or-advance
-oracle takes one row per subset of u's edges that is up (exponential in
-degree, desk scale only); the cut-through oracle takes one row per
-component of u without the destination, over all edge subsets.
+least fixed point of V(u) = sum_j w_uj (1 + min over S_uj of V) exactly,
+by policy iteration: a finite number of linear solves, with no tolerance
+and no sweep count.  The store-or-advance oracle takes one row per subset
+of u's edges that is up (exponential in degree, desk scale only); the
+cut-through oracle takes one row per component of u, over all edge
+subsets.  Every METT is at most (n-1)/p, so a p at which n/p overflows a
+float is refused up front.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ErParams
-from .simulate import simulate_soa
-from .temporal import adjacency, bfs
+from .simulate import _candidate_hops, simulate_soa
+from .temporal import adjacency, components
 
 __all__ = [
     "MettTable",
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 INF = math.inf
+MAX_CUT_EDGES = 16  # cut_mett_small enumerates 2^edges up-sets
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,8 @@ def prefix_cost(p, sorted_metts):
 def _check_query(gu, p, dest):
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
+    if math.isinf(len(gu.nodes) / p):  # n/p bounds every METT and every cost on the way
+        raise ValueError(f"p = {p!r} is too small: expected traversal times overflow a float")
     if dest not in gu.nodes:
         raise ValueError(f"destination {dest!r} not in the graph")
 
@@ -193,46 +198,58 @@ def run_adaptive_route(gu, p, source, dest, horizon=None, trials=10_000, seed=0)
 # --- oracles ------------------------------------------------------------------
 
 
-def _least_fixed_point(gu, p, dest, owner, weight, member, tol, max_iter):
+def _least_fixed_point(gu, dest, owner, weight, member):
     """Least fixed point of V(u) = sum_j w_uj (1 + min over x in S_uj of V(x)).
 
-    Table row j belongs to the node at position owner[j] of sorted(gu.nodes),
-    weighs weight[j] and marks the set S_uj in the boolean row member[j];
-    every S_uj lies in u's component of gu.  dest is pinned at 0 and nodes
-    cut off from it at infinity; the rest iterate upward from zero in
-    Jacobi sweeps, every node updated from the previous sweep's values,
-    until no value moves by more than tol.  Raises after max_iter sweeps
-    without convergence.
+    Table row j belongs to the node at position owner[j] of gu.nodes, weighs
+    weight[j] and marks the set S_uj in the boolean row member[j]; every
+    S_uj lies in u's component of gu.  dest is pinned at 0 and nodes cut
+    off from it at infinity.  The rest are solved by policy iteration
+    (Howard 1960): a policy picks one member of every row, its values are
+    the exact solution of one linear system, and each row then switches to
+    its cheapest member where that is strictly cheaper than its pick.  The
+    first policy picks the member fewest hops from dest, which is proper,
+    so every system is nonsingular and every later policy is proper too
+    (Bertsekas and Tsitsiklis 1991).  Strict improvement never returns to
+    a policy in exact arithmetic, so the loop stops when a policy repeats:
+    at once when no row improves, or on a tie that rounding breaks both ways.
+    Returns {node: V}.
     """
-    nodes = sorted(gu.nodes)
-    reachable = bfs(gu.neighbor_map(), [dest])
-    live = np.array([v in reachable and v != dest for v in nodes])
-    keep = live[owner]  # no live set holds a cut-off node, so those may sit at 0 until the end
+    n = len(gu.nodes)
+    hops = np.array(_candidate_hops(gu, dest))  # -1 when cut off
+    live = hops > 0
+    keep = live[owner]
     owner, weight, member = owner[keep], weight[keep], member[keep]
-    value = np.zeros(len(nodes))
-    for _ in range(max_iter):
-        nearest = np.where(member, value, INF).min(axis=1)
-        new = np.bincount(owner, weight * (1.0 + nearest), minlength=len(nodes))
-        delta = np.abs(new - value).max()
-        value = new
-        if delta <= tol:
-            break
-    else:
-        raise RuntimeError(f"value iteration did not converge within {max_iter} sweeps")
-    mett = {v: (x if v in reachable else INF) for v, x in zip(nodes, value.tolist())}
-    return MettTable(dest=dest, p=p, mett=mett, policy=_improving_policy(gu, mett, dest))
+    choice = np.where(member, hops, n).argmin(axis=1)  # a live row holds no cut-off node
+    pinned = np.flatnonzero(~live)
+    seen = set()
+    while choice.tobytes() not in seen:
+        seen.add(choice.tobytes())
+        # u's equation: sum over its rows j that leave u of w_j (V(u) - V(pick_j))
+        # = u's total weight.  A (1 - w_stay) diagonal would cancel digits at small p.
+        go = choice != owner
+        at = np.concatenate([owner[go] * (n + 1), owner[go] * n + choice[go]])
+        system = np.bincount(at, np.concatenate([weight[go], -weight[go]]), minlength=n * n)
+        system = system.reshape(n, n)
+        system[:, pinned] = 0.0  # V = 0 there, so each pinned value solves to an exact 0
+        system[pinned, pinned] = 1.0
+        value = np.linalg.solve(system, np.bincount(owner, weight, minlength=n))
+        cost = np.where(member, value, INF)
+        choice = np.where(cost.min(axis=1) < value[choice], cost.argmin(axis=1), choice)
+    return dict(zip(gu.nodes, np.where(hops < 0, INF, value).tolist()))
 
 
-def mett_value_iteration_oracle(gu, p, dest, tol=1e-12, max_iter=100_000):
+def mett_value_iteration_oracle(gu, p, dest):
     """Fixed point of the one-slot lookahead over every edge-observation subset.
 
     V(u) = 1 + E[min(min over up neighbors of V, V(u))], expectation taken by
     enumerating all 2^deg up-sets: each up-set S of u's edges is one table
-    row, the set S + {u} weighted by P(S).  Exponential in degree; desk
-    scale only.  Raises on non-convergence.
+    row, the set S + {u} weighted by P(S).  Solved exactly by policy
+    iteration (`_least_fixed_point`), independently of compute_mett's
+    settling order and prefix rule.  Exponential in degree; desk scale only.
     """
     _check_query(gu, p, dest)
-    nodes = sorted(gu.nodes)
+    nodes = gu.nodes
     nbr = gu.neighbor_map()
     owner, weight, member = [], [], []
     for i, u in enumerate(nodes):
@@ -245,10 +262,8 @@ def mett_value_iteration_oracle(gu, p, dest, tol=1e-12, max_iter=100_000):
         owner.append(np.full(1 << degree, i))
         weight.append(p ** bits * (1.0 - p) ** (degree - bits))
         member.append(sets)
-    return _least_fixed_point(
-        gu, p, dest, np.concatenate(owner), np.concatenate(weight), np.concatenate(member),
-        tol, max_iter,
-    )
+    mett = _least_fixed_point(gu, dest, *map(np.concatenate, (owner, weight, member)))
+    return MettTable(dest=dest, p=p, mett=mett, policy=_improving_policy(gu, mett, dest))
 
 
 def _improving_policy(gu, value, dest):
@@ -263,7 +278,7 @@ def _improving_policy(gu, value, dest):
     return policy
 
 
-def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
+def cut_mett_small(gu, p, dest):
     """Cut-through METT by exact enumeration of all per-slot edge subsets.
 
     Each slot the whole current component is reachable for free; if it holds
@@ -273,37 +288,31 @@ def cut_mett_small(gu, p, dest, tol=1e-12, max_iter=100_000, max_edges=16):
         V(u) = sum over up-sets P(S) * (0 if dest in comp(u, S)
                                         else 1 + min over comp(u, S) of V)
 
-    Each table row is one component without the destination, weighted by
-    the summed probability of the up-sets that give u that component.
-    Feasible only for graphs with at most `max_edges` candidate edges;
-    beyond that, use the Monte Carlo cut-through simulator instead.
+    With W = V + 1 off dest and W(dest) = 0 this is W(u) = 1 + E[min over
+    comp(u, S) of W], the form `_least_fixed_point` solves: each table row
+    is one component of u, dest's included, weighted by the summed
+    probability of the up-sets that give u that component.  Feasible only
+    for graphs with at most MAX_CUT_EDGES candidate edges; beyond that, use
+    the Monte Carlo cut-through simulator instead.
     """
     _check_query(gu, p, dest)
     n_edges = len(gu.edges)
-    if n_edges > max_edges:
+    if n_edges > MAX_CUT_EDGES:
         raise ValueError(
-            f"{n_edges} candidate edges exceeds the {max_edges}-edge enumeration cap; "
+            f"{n_edges} candidate edges exceeds the {MAX_CUT_EDGES}-edge enumeration cap; "
             "evaluate cut-through routing by Monte Carlo instead"
         )
-    nodes = sorted(gu.nodes)
-    buckets = {}  # (owner position, component row) -> probability
+    nodes = gu.nodes
+    isolated = dict.fromkeys(nodes, ())  # adjacency() lists only nodes with an up edge
+    buckets = {}  # component -> summed probability of the up-sets that give it
     for mask in range(1 << n_edges):
         bits = mask.bit_count()
         prob = p ** bits * (1.0 - p) ** (n_edges - bits)
         adj = adjacency(e for i, e in enumerate(gu.edges) if mask >> i & 1)
-        row_of = {}
-        for u in nodes:
-            if u not in row_of:
-                comp = bfs(adj, [u])
-                row = None if dest in comp else tuple(v in comp for v in nodes)
-                row_of.update(dict.fromkeys(comp, row))
-        for i, u in enumerate(nodes):
-            if row_of[u] is not None:
-                buckets[i, row_of[u]] = buckets.get((i, row_of[u]), 0.0) + prob
-    return _least_fixed_point(
-        gu, p, dest,
-        np.array([i for i, _ in buckets], dtype=np.int64),
-        np.array(list(buckets.values())),
-        np.array([row for _, row in buckets], dtype=bool).reshape(len(buckets), len(nodes)),
-        tol, max_iter,
-    )
+        for comp in map(frozenset, components(isolated | adj)):
+            buckets[comp] = buckets.get(comp, 0.0) + prob
+    sets = np.array([[v in comp for v in nodes] for comp in buckets])
+    at, owner = np.nonzero(sets)  # each component is one table row of each of its members
+    w = _least_fixed_point(gu, dest, owner, np.array(list(buckets.values()))[at], sets[at])
+    mett = {v: x if v == dest else x - 1.0 for v, x in w.items()}
+    return MettTable(dest=dest, p=p, mett=mett, policy=_improving_policy(gu, mett, dest))

@@ -162,7 +162,10 @@ def default_horizon(n, p):
     """Default trial cap: 20 (n-1) / p slots."""
     if p <= 0.0:
         raise ValueError("p must be positive")
-    return math.ceil(20 * (n - 1) / p)
+    horizon = 20 * (n - 1) / p
+    if math.isinf(horizon):
+        raise ValueError(f"p = {p!r} gives no finite default horizon; pass a horizon")
+    return math.ceil(horizon)
 
 
 # --- single-trial replays on a materialized sequence -------------------------

@@ -80,6 +80,18 @@ def bfs(adj, starts):
     return parent
 
 
+def components(adj):
+    """Yield the bfs map of each connected component of `adj`, started from
+    its first node in `adj`'s key order; nodes that are not keys of `adj`
+    belong to no component."""
+    seen = set()
+    for start in adj:
+        if start not in seen:
+            comp = bfs(adj, [start])
+            seen.update(comp)
+            yield comp
+
+
 class Graphlet:
     """One slot of a dynamic network: an undirected snapshot with a slot index.
 
@@ -262,14 +274,7 @@ class SmashedGraph:
         return v in bfs(self._adj, [u])
 
     def components(self):
-        comps = []
-        seen = set()
-        for start in self.nodes:
-            if start not in seen:
-                comp = frozenset(bfs(self._adj, [start]))
-                seen |= comp
-                comps.append(comp)
-        return comps
+        return [frozenset(comp) for comp in components(self._adj)]
 
 
 def build_stacked(tgs):
@@ -400,15 +405,11 @@ def _journey_masks(tgs, removed=frozenset()):
         if varying:
             held = {v: h | own[v] if v in g.nodes else 0 for v, h in held.items()}
         adj = adjacency((u, v) for u, v in g.edges if u in own and v in own)
-        seen = set()
-        for start in adj:
-            if start not in seen:
-                comp = bfs(adj, [start])
-                seen.update(comp)
-                mask = 0
-                for x in comp:
-                    mask |= held[x]
-                held.update(dict.fromkeys(comp, mask))
+        for comp in components(adj):
+            mask = 0
+            for x in comp:
+                mask |= held[x]
+            held.update(dict.fromkeys(comp, mask))
         if varying:
             reach = {v: r | held[v] for v, r in reach.items()}
     return reach

@@ -462,6 +462,28 @@ def test_route_disconnected_errors(tmp_path):
     assert "unreachable" in res.stderr
 
 
+def test_route_overflowing_mett_is_an_error_not_unreachable(tmp_path):
+    graph = tmp_path / "line.tgs"
+    dump_tgs(GraphletSequence.from_slot_edges(range(3), [UnderlyingGraph.line(3).edges]), graph)
+    res = run_cli("route", "--graph", graph, "--p", "1e-310", "--source", "0", "--dest", "2")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: p = 1e-310 ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "er", "--n", "3", "--p", "1e-308", "--metric", "soa"],
+    ["route", "--p", "1e-307", "--source", "0", "--dest", "1"],
+])
+def test_overflowing_default_horizon_is_an_error(tmp_path, command):
+    if command[0] == "route":
+        command += ["--graph", tmp_path / "k2.tgs"]
+        dump_tgs(GraphletSequence.from_slot_edges(range(2), [[(0, 1)]]), command[-1])
+    res = run_cli(*command, "--trials", "10")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "pass a horizon" in res.stderr
+
+
 def test_route_rejects_unknown_source(tmp_path):
     graph = tmp_path / "line.tgs"
     dump_tgs(GraphletSequence.from_slot_edges(range(5), [UnderlyingGraph.line(5).edges]), graph)

@@ -193,7 +193,7 @@ def test_oracle_agrees_exhaustively_small():
                 a = compute_mett(gu, p, 0)
                 b = mett_value_iteration_oracle(gu, p, 0)
                 for v in gu.nodes:
-                    assert a.mett[v] == pytest.approx(b.mett[v], abs=1e-6)
+                    assert a.mett[v] == pytest.approx(b.mett[v], rel=0, abs=1e-9)
 
 
 def test_oracle_agrees_on_random_graphs():
@@ -204,7 +204,7 @@ def test_oracle_agrees_on_random_graphs():
             a = compute_mett(gu, p, 0)
             b = mett_value_iteration_oracle(gu, p, 0)
             for v in gu.nodes:
-                assert a.mett[v] == pytest.approx(b.mett[v], abs=1e-6)
+                assert a.mett[v] == pytest.approx(b.mett[v], rel=0, abs=1e-9)
 
 
 def test_oracle_unreachable_nodes():
@@ -213,9 +213,31 @@ def test_oracle_unreachable_nodes():
     assert math.isinf(table.mett[2])
 
 
-def test_oracle_nonconvergence_raises():
-    with pytest.raises(RuntimeError):
-        mett_value_iteration_oracle(UnderlyingGraph.line(6), 0.2, 5, max_iter=3)
+@pytest.mark.parametrize("p", [5e-4, 1e-4])
+def test_oracles_are_exact_at_small_p(p):
+    # an oracle that stops once a sweep moves less than tol ends about tol (1-p)/p short
+    k2 = mett_value_iteration_oracle(UnderlyingGraph.complete(2), p, 1)
+    assert k2.mett[0] == pytest.approx(1 / p, rel=0, abs=1e-9)
+    cut = cut_mett_small(UnderlyingGraph.line(4), p, 3)
+    assert cut.mett[0] == pytest.approx(3 * (1 - p) / p, rel=0, abs=1e-9)
+
+
+def test_oracle_stops_on_rounding_ties():
+    # nodes 1 and 3 are symmetric: their values tie to within one ulp, and a
+    # loop that stopped only when no row improves switched between them forever
+    gu = UnderlyingGraph((0, 1, 2, 3), ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3)))
+    a, b = compute_mett(gu, 0.2, 0), mett_value_iteration_oracle(gu, 0.2, 0)
+    for v in gu.nodes:
+        assert a.mett[v] == pytest.approx(b.mett[v], rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("solver", [compute_mett, mett_value_iteration_oracle, cut_mett_small])
+def test_overflowing_mett_is_an_error(solver):
+    # the METT of node 0, 2/p, overflows: not "unreachable"
+    with pytest.raises(ValueError, match="1e-308"):
+        solver(UnderlyingGraph.line(3), 1e-308, 2)
+    # n/p bounds every cost: a finite bound solves
+    assert solver(UnderlyingGraph.line(3), 1e-307, 2).mett[0] == pytest.approx(2e307)
 
 
 # --- adaptive next hop ------------------------------------------------------------
@@ -338,7 +360,7 @@ def test_cut_mett_edge_cap():
 
 
 def test_cut_mett_rejects_p_outside_unit_interval():
-    # p = 0 never delivers; it must fail up front, not after max_iter sweeps
+    # p = 0 never delivers: it must fail up front, before any table is built
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             cut_mett_small(UnderlyingGraph.line(4), p, 3)

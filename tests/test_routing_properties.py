@@ -21,7 +21,7 @@ from tvgraph.simulate import (  # noqa: E402
 
 INF = math.inf
 
-churn = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0))
+churn = st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0))
 
 
 @st.composite

@@ -146,6 +146,9 @@ def test_default_horizon():
     assert default_horizon(10, 0.25) == 720
     with pytest.raises(ValueError):
         default_horizon(10, 0.0)
+    # 20 (n-1) / p overflows: a ValueError that asks for a horizon, not an OverflowError
+    with pytest.raises(ValueError, match="pass a horizon"):
+        default_horizon(3, 1e-308)
 
 
 # --- vectorized engines vs analytics ----------------------------------------------
