@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -518,27 +519,47 @@ def test_format_parse_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "",
-        "tgs 2\nt 1\n",
-        "nope 2 1\n",
-        "tgs 2 1\nt 2\n",  # slot out of range
-        "tgs 2 1\nt 0\n",
-        "tgs 2 2\nt 1\nt 1\n",  # duplicate slot
-        "tgs 3 1\nt 1\ne 0 1\ne 1 0\n",  # duplicate edge
-        "tgs 3 1\nt 1\ne 1 1\n",  # self loop
-        "tgs 2 1\nt 1\ne 0 2\n",  # id out of range
-        "tgs 2 1\ne 0 1\n",  # edge before slot
-        "tgs 2 1\nt 1\nx 0 1\n",
-        "tgs 2 1\nt 1\ne 0\n",
-        "tgs 3 1\nt 1\ne 0 1 2\n",
-        "tgs 2 1\nt\n",
-        "tgs 2 2\nt 1 2\n",
+        ("", "empty sequence file"),
+        ("tgs 2\nt 1\n", "bad header 'tgs 2'; expected 'tgs <n> <T>'"),
+        ("nope 2 1\n", "bad header 'nope 2 1'; expected 'tgs <n> <T>'"),
+        ("tgs x 1\n", "bad header 'tgs x 1'; node count and horizon must be integers"),
+        ("tgs -1 1\n", "node count must be >= 0 and horizon >= 1"),
+        ("tgs 2 0\n", "node count must be >= 0 and horizon >= 1"),
+        ("tgs 2 1\nt 2\n", "slot 2 out of range 1..1"),
+        ("tgs 2 1\nt 0\n", "slot 0 out of range 1..1"),
+        ("tgs 2 1\nt -1\n", "slot -1 out of range 1..1"),
+        ("tgs 2 2\nt 1\nt 1\n", "slot 1 declared twice"),
+        ("tgs 3 1\nt 1\ne 0 1\ne 1 0\n", "duplicate edge (0, 1) in slot 1"),
+        ("tgs 3 1\nt 1\ne 1 1\n", "self-loop on node 1"),
+        ("tgs 2 1\nt 1\ne 0 2\n", "node id out of range 0..1 in 'e 0 2'"),
+        ("tgs 2 1\nt 1\ne -1 0\n", "node id out of range 0..1 in 'e -1 0'"),
+        ("tgs 2 1\ne 0 1\n", "edge line before any 't <slot>' line"),
+        ("tgs 2 1\ne 0\n", "edge line before any 't <slot>' line"),
+        ("tgs 2 1\nt 1\nx 0 1\n", "unrecognized line 'x 0 1'"),
+        ("tgs 2 1\nt 1\ne 0\n", "bad edge line 'e 0'"),
+        ("tgs 3 1\nt 1\ne 0 1 2\n", "bad edge line 'e 0 1 2'"),
+        ("tgs 2 1\nt\n", "bad slot line 't'"),
+        ("tgs 2 2\nt 1 2\n", "bad slot line 't 1 2'"),
+        # comment and blank lines are skipped; messages quote the stripped line
+        ("# head\n\ntgs 2 1\n  # note\n\nt 1\n  e 0 2  \n", "node id out of range 0..1 in 'e 0 2'"),
+        ("tgs 2 1\nt 1\ne\t0   2\n", "node id out of range 0..1 in 'e\\t0   2'"),
+        ("tgs 3 1\r\nt 1\r\ne 1 1\r\n", "self-loop on node 1"),
+        # slots may come in any order, but each once
+        ("tgs 3 3\nt 2\ne 0 1\nt 1\ne 1 2\nt 2\n", "slot 2 declared twice"),
+        ("tgs 3 3\nt 3\ne 0 1\nt 1\ne 0 1\ne 0 1\n", "duplicate edge (0, 1) in slot 1"),
+        # two faults: the earlier line's message wins
+        ("tgs 3 1\nt 1\ne 1 1\ne 0 5\n", "self-loop on node 1"),
+        ("tgs 3 1\nt 1\ne 0 5\ne 1 1\n", "node id out of range 0..2 in 'e 0 5'"),
+        ("tgs 3 1\nt 1\ne 0 1\ne 1 0\nfoo\n", "duplicate edge (0, 1) in slot 1"),
+        ("tgs 3 2\nt 1\ne 0 1 2\ne 1 1\n", "bad edge line 'e 0 1 2'"),
+        ("tgs 3 2\nt 1\ne 0 5\nt 3\n", "node id out of range 0..2 in 'e 0 5'"),
+        ("tgs 3 2\nt 3\ne 0 5\n", "slot 3 out of range 1..2"),
     ],
 )
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+def test_parse_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_tgs(text)
 
 
