@@ -147,14 +147,30 @@ class UnderlyingGraph:
     @classmethod
     def from_graphlet(cls, g, name=None):
         # A graphlet's edges are normalized, unique and inside its node set.
+        ends = getattr(g, "_ends", None)  # a slot's index arrays, on ids 0..n-1
+        if ends is not None:
+            return cls._from_ends(len(g.nodes), ends, name)
         return cls._unchecked(tuple(sorted(g.nodes)), tuple(sorted(g.edges)), name)
 
+    @cached_property
+    def _adjacency(self):
+        """Adjacency over positions in `nodes`, from `_ends`: position i's
+        neighbors are tails[start[i]:start[i + 1]], in position order (both
+        lists)."""
+        n = len(self.nodes)
+        heads, tails = self._ends.ravel(), self._ends[::-1].ravel()
+        order = np.argsort(heads.astype(np.int64) * n + tails)
+        start = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
+        return tails[order].tolist(), start.tolist()
+
     def neighbor_map(self):
-        out = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            out[u].append(v)
-            out[v].append(u)
-        return {v: tuple(sorted(ws)) for v, ws in out.items()}
+        """{node: its neighbors sorted by id}."""
+        tails, start = self._adjacency
+        nodes = self.nodes
+        if nodes == tuple(range(len(nodes))):  # positions are the ids
+            return {v: tuple(tails[start[v]:start[v + 1]]) for v in nodes}
+        return {v: tuple(sorted(nodes[w] for w in tails[start[i]:start[i + 1]]))
+                for i, v in enumerate(nodes)}
 
 
 @dataclass(frozen=True)
@@ -236,42 +252,70 @@ def slot_states(params, states, rngs, span, n_edges):
     return out
 
 
-def sample_slots(gu, params, horizon, rng):
-    """Lazily yield the up edges of `gu` in slots 1..horizon, in their order,
-    each as (min, max).
-
-    States come from `slot_states`, one trial on `rng`, in chunks of 1, 2,
-    4, ... slots: the same stream as one draw per slot, so a caller that
-    stops early leaves at most as many slots drawn and unused as it used.
-    A chunk's up edges are gathered at once, as tuples of node ids from
-    `gu._ends`.
-    """
-    ends = gu._ends
-    n_edges = ends.shape[1]
-    ids = np.fromiter(gu.nodes, dtype=object, count=len(gu.nodes))
+def _state_chunks(params, horizon, rng, n_edges):
+    """Lazily yield the states of n_edges candidate edges in slots
+    1..horizon, drawn by `slot_states` on the one trial stream `rng` in
+    chunks of 1, 2, 4, ... slots, as (slots, edges) bool arrays: the same
+    stream as one draw per slot, so a caller that stops early leaves at most
+    as many slots drawn and unused as it used."""
     states, t = None, 0
     while t < horizon:
         slots = slot_states(params, states, [rng], min(t + 1, horizon - t), n_edges)
         states = slots[-1]
-        cells = np.flatnonzero(slots)
-        items = list(zip(*ids[ends[:, cells % n_edges]].tolist()))
+        t += len(slots)
+        yield slots[:, 0]
+
+
+def _slot_bounds(cells, chunk):
+    """Where each slot of `chunk` starts in its flat up cells `cells`, but
+    the first."""
+    return np.searchsorted(cells, chunk.shape[1] * np.arange(1, len(chunk)))
+
+
+def sample_slots(gu, params, horizon, rng):
+    """Lazily yield the up edges of `gu` in slots 1..horizon, in their order,
+    each as (min, max).
+
+    States come from `_state_chunks`; a chunk's up edges are gathered at
+    once, as tuples of node ids from `gu._ends`.
+    """
+    ends = gu._ends
+    ids = np.fromiter(gu.nodes, dtype=object, count=len(gu.nodes))
+    for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
+        cells = np.flatnonzero(chunk)
+        items = list(zip(*ids[ends[:, cells % ends.shape[1]]].tolist()))
         start = 0
-        for stop in np.searchsorted(cells, n_edges * np.arange(1, len(slots) + 1)).tolist():
-            t += 1
+        for stop in [*_slot_bounds(cells, chunk).tolist(), len(items)]:
             yield items[start:stop]
             start = stop
 
 
 def _sample_tgs(gu, params, horizon, seed):
-    """The sequence of `sample_slots`' slots over gu."""
+    """The sequence of `sample_slots`' slots over gu.  On node ids 0..n-1
+    each slot holds its up edges as a sorted index array (see `Graphlet`),
+    gathered from the chunked states without building a tuple."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     nodes = frozenset(gu.nodes)
-    slots = sample_slots(gu, params, horizon, rng)
-    return GraphletSequence(
-        Graphlet._unchecked(t, nodes, frozenset(up)) for t, up in enumerate(slots, start=1)
-    )
+    if nodes != frozenset(range(len(nodes))):  # ids an index array cannot stand for
+        slots = sample_slots(gu, params, horizon, rng)
+        return GraphletSequence(
+            Graphlet._unchecked(t, nodes, frozenset(up)) for t, up in enumerate(slots, start=1)
+        )
+    ends = gu._ends
+    if gu.nodes != tuple(range(len(nodes))):  # positions are not the ids
+        ids = np.array(gu.nodes, dtype=np.int32)[ends]
+        ends = np.stack([ids.min(axis=0), ids.max(axis=0)])
+    key = ends[0].astype(np.int64) * len(nodes) + ends[1]
+    order = slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)  # by (u, v)
+    ends = ends[:, order]
+    graphlets = []
+    for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
+        cells = np.flatnonzero(chunk[:, order])
+        parts = np.split(ends[:, cells % ends.shape[1]], _slot_bounds(cells, chunk), axis=1)
+        graphlets += [Graphlet._from_ends(len(graphlets) + k, nodes, up) for k, up in enumerate(parts, 1)]
+    return GraphletSequence(graphlets)
 
 
 def sample_er_tgs(gu, params, horizon, seed):

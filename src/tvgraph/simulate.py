@@ -173,13 +173,10 @@ def default_horizon(n, p):
 
 def _candidate_hops(gu, dest):
     """Hop distance to dest over gu's candidate edges, as a list in `gu.nodes`
-    order (-1 when cut off): one BFS over adjacency arrays built from
+    order (-1 when cut off): one BFS over `gu._adjacency`, built from
     `gu._ends`, so a graph held as index arrays never builds its edge tuples."""
-    n = len(gu.nodes)
-    heads = gu._ends.ravel()
-    tails = gu._ends[::-1].ravel()[np.argsort(heads, kind="stable")].tolist()
-    start = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))]).tolist()
-    dist = [-1] * n
+    tails, start = gu._adjacency
+    dist = [-1] * len(gu.nodes)
     queue = [gu.nodes.index(dest)]
     dist[queue[0]] = 0
     for v in queue:  # the loop reads what it appends
@@ -495,23 +492,36 @@ def _acceptance_arrays(gu, index, next_hop):
     """The acceptance lists {node: ordered neighbors} as CSR arrays over the
     node indices `index`: node i's list is flat[start[i]:start[i + 1]].
     Raises ValueError naming the node or pair when a key or entry is not a
-    node, an entry is not a candidate neighbor of its key, or repeats."""
-    edges = set(gu.edges)
-    lengths = [0] * len(index)
-    for u, cand in next_hop.items():
-        if u not in index:
+    node, an entry is not a candidate neighbor of its key, or repeats; each
+    (key, entry) pair is looked up among the sorted keys of `gu._ends`."""
+    n = len(index)
+    lists = [tuple(cand) for cand in next_hop.values()]
+    lengths = np.array([len(cand) for cand in lists], dtype=np.int64)
+    owner = np.array([index.get(u, -1) for u in next_hop], dtype=np.int64)
+    flat = np.array([index.get(v, -1) for cand in lists for v in cand], dtype=np.int64)
+    row = np.repeat(owner, lengths)
+    pair = np.minimum(row, flat) * n + np.maximum(row, flat)
+    edges = np.sort(gu._ends[0].astype(np.int64) * n + gu._ends[1])
+    found = np.append(edges, -1)[np.searchsorted(edges, pair)] == pair
+    ok = (row >= 0) & (flat >= 0) & found
+    key_of = np.repeat(np.arange(len(lists)), lengths)
+    bad = (owner < 0) | (np.bincount(key_of[~ok], minlength=len(lists)) > 0)
+    bad |= np.array([len(set(cand)) < len(cand) for cand in lists], dtype=bool)
+    if bad.any():
+        k = int(bad.argmax())
+        u, cand = list(next_hop)[k], lists[k]
+        if owner[k] < 0:
             raise ValueError(f"acceptance list key {u!r} is not a node")
-        for v in cand:
+        for v, good in zip(cand, ok[key_of == k].tolist()):
             if v not in index:
                 raise ValueError(f"acceptance list of {u!r} names unknown node {v!r}")
-            if (u, v) not in edges and (v, u) not in edges:
+            if not good:
                 raise ValueError(f"acceptance list of {u!r} names {v!r}, which is not its neighbor")
-        if len(set(cand)) < len(cand):
-            raise ValueError(f"acceptance list of {u!r} repeats an entry: {tuple(cand)!r}")
-        lengths[index[u]] = len(cand)
-    order = sorted(next_hop, key=index.__getitem__)
-    flat = np.array([index[v] for u in order for v in next_hop[u]], dtype=np.int64)
-    return flat, np.cumsum([0] + lengths)
+        raise ValueError(f"acceptance list of {u!r} repeats an entry: {cand!r}")
+    order = np.argsort(row, kind="stable")
+    sizes = np.zeros(n, dtype=np.int64)
+    sizes[owner] = lengths
+    return flat[order], np.concatenate([[0], np.cumsum(sizes)])
 
 
 def _check_replay(model, gu, source, dest, horizon, trials):

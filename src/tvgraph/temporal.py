@@ -21,10 +21,13 @@ safe to use concurrently.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "Graphlet",
@@ -99,9 +102,13 @@ class Graphlet:
     checks it: no self-loops, both endpoints in `nodes`.  Builders whose
     slots are valid by construction (`parse_tgs`, `m_smash`, the samplers
     in `models`) skip that pass.
-    """
 
-    __slots__ = ("time", "nodes", "edges")
+    A slot on the ids 0..n-1 that `parse_tgs` or a sampler builds holds its
+    edges as a private (2, E) int32 index array `_ends`, sorted by (u, v)
+    with u < v, and builds the `edges` frozenset on its first read.
+    Equality, hashing and `repr` go through `edges`, so they do not depend
+    on how a slot holds its edges.
+    """
 
     def __init__(self, time, nodes, edges=()):
         if time < 1:
@@ -122,6 +129,23 @@ class Graphlet:
         g = object.__new__(cls)
         g.time, g.nodes, g.edges = time, nodes, edges
         return g
+
+    @classmethod
+    def _from_ends(cls, time, nodes, ends):
+        """The slot on `nodes`, the frozenset of ids 0..n-1, whose edge j is
+        (ends[0][j], ends[1][j]); the caller guarantees ends sorted by (u, v),
+        u < v < n, and no repeats."""
+        g = object.__new__(cls)
+        g.time, g.nodes, g._ends = time, nodes, ends
+        return g
+
+    def __getattr__(self, name):
+        # the edge set of a slot built by `_from_ends`, on first read
+        if name != "edges" or "_ends" not in vars(self):
+            raise AttributeError(name)
+        edges = frozenset(zip(*self._ends.tolist()))
+        self.edges = edges
+        return edges
 
     def has_edge(self, u, v):
         if u == v:
@@ -474,63 +498,133 @@ def reachable_pairs_fraction(tgs):
 #   ...
 #
 # Every slot has node set {0, .., n-1}; slots without a `t` block are empty.
+# Lines are stripped, blank lines and lines starting with '#' are skipped,
+# and fields are split at any whitespace.  Numbers are ASCII decimal digits,
+# with an optional '-' that every field's range check then refuses.
 # format_tgs refuses a sequence with any other slot node set.
+
+_MAX_NODES = 2 ** 31  # slots hold int32 ids
+_INT = re.compile(r"-?[0-9]+")
+# on stripped lines that each follow a "\n" ([^\S\n] is whitespace inside a
+# line): the first line that is neither a slot line nor an edge line, and
+# each slot line
+_ODD_LINE = re.compile(r"\n(?!(?:t[^\S\n]+-?[0-9]+|e[^\S\n]+-?[0-9]+[^\S\n]+-?[0-9]+)(?:\n|\Z))")
+_SLOT_LINE = re.compile(r"\nt[^\S\n]+(-?[0-9]+)")
+# every character of an edge run but digits, '-' and the whitespace that
+# np.fromstring skips, as a space: "e" and the rest of what str.split skips
+_TO_SPACE = str.maketrans(dict.fromkeys(
+    "e\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000", " "))
+_NO_ENDS = np.zeros((2, 0), dtype=np.int32)
+_NO_ENDS.flags.writeable = False
+
+
+def _line_fault(line, declared):
+    """The message for a line that is neither a slot line nor an edge line."""
+    kind = line.split()[0]
+    if kind == "t":
+        return f"bad slot line {line!r}"
+    if kind == "e":
+        return f"bad edge line {line!r}" if declared else "edge line before any 't <slot>' line"
+    return f"unrecognized line {line!r}"
+
+
+def _run_ends(runs, run_slots, n):
+    """Per run of edge-line text, its edges as a sorted (2, E) int32 array;
+    raises ValueError for the first edge line with an id out of 0..n-1, a
+    self-loop, or an edge already in its slot."""
+    counts = [run.count("\n") for run in runs]
+    text = "".join(runs).translate(_TO_SPACE)
+    u, v = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2).T
+    run_of = np.repeat(np.arange(len(runs)), counts)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    outside = (lo < 0) | (hi >= n)
+    key = np.where(outside, -1, lo * n + hi)  # an outside line is refused before a repeat
+    order = np.lexsort((key, run_of))
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:]] = (key[order[1:]] == key[order[:-1]]) & (run_of[order[1:]] == run_of[order[:-1]])
+    bad = outside | (u == v) | repeat
+    if bad.any():
+        i = int(bad.argmax())
+        r = int(run_of[i])
+        line = runs[r].split("\n")[i - sum(counts[:r]) + 1]
+        if outside[i]:
+            raise ValueError(f"node id out of range 0..{n - 1} in {line!r}")
+        if u[i] == v[i]:
+            raise ValueError(f"self-loop on node {int(u[i])!r}")
+        raise ValueError(f"duplicate edge {(int(lo[i]), int(hi[i]))} in slot {run_slots[r]}")
+    ends = np.stack([lo, hi])[:, order].astype(np.int32)
+    return np.split(ends, np.cumsum(counts[:-1]), axis=1)
 
 
 def parse_tgs(text):
+    """The sequence written in the text format; a malformed file raises
+    ValueError naming its first bad line in file order.
+
+    One regular-expression search finds the first line that is neither a
+    slot line nor an edge line.  The edge lines of all slots are read as one
+    integer array and checked for range, self-loops and repeats within a
+    slot with array operations.  Each slot holds its edges as a sorted
+    index array (see `Graphlet`).
+    """
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty sequence file")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "tgs":
         raise ValueError(f"bad header {lines[0]!r}; expected 'tgs <n> <T>'")
-    try:
-        n, horizon = int(head[1]), int(head[2])
-    except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}; node count and horizon must be integers") from None
+    if not all(map(_INT.fullmatch, head[1:])):
+        raise ValueError(f"bad header {lines[0]!r}; node count and horizon must be integers")
+    n, horizon = int(head[1]), int(head[2])
     if n < 0 or horizon < 1:
         raise ValueError("node count must be >= 0 and horizon >= 1")
-    slot_edges = {}  # declared slot -> its edge set; undeclared slots stay empty
-    current = edges = None  # the open slot and its edge set
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "t":
-            if len(parts) != 2:
-                raise ValueError(f"bad slot line {ln!r}")
-            slot = int(parts[1])
-            if not 1 <= slot <= horizon:
-                raise ValueError(f"slot {slot} out of range 1..{horizon}")
-            if slot in slot_edges:
-                raise ValueError(f"slot {slot} declared twice")
-            current = slot
-            edges = slot_edges[slot] = set()
-        elif parts[0] == "e":
-            if current is None:
-                raise ValueError("edge line before any 't <slot>' line")
-            if len(parts) != 3:
-                raise ValueError(f"bad edge line {ln!r}")
-            u, v = int(parts[1]), int(parts[2])
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"node id out of range 0..{n - 1} in {ln!r}")
-            if u == v:
-                raise ValueError(f"self-loop on node {u!r}")
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                raise ValueError(f"duplicate edge {e} in slot {current}")
-            edges.add(e)
-        else:
-            raise ValueError(f"unrecognized line {ln!r}")
-    # Every edge is checked above: in range, no self-loop, normalized, unique.
-    nodes, empty = frozenset(range(n)), frozenset()
+    if n > _MAX_NODES:
+        raise ValueError(f"node count {n} is above the format's limit of {_MAX_NODES}")
+    body = "\n".join(lines)[len(lines[0]):]  # each line after the header follows a "\n"
+    odd = _ODD_LINE.search(body)
+    stop = len(body) if odd is None else odd.start()  # well-formed lines end here
+    slot_lines = list(_SLOT_LINE.finditer(body, 0, stop))
+    if stop and (not slot_lines or slot_lines[0].start()):
+        raise ValueError("edge line before any 't <slot>' line")
+    runs, run_slots = [], []  # the edge lines of each declared slot that has some
+    declared = set()
+    fault = None  # a line that is malformed on its own; the edge lines before it are checked first
+    for m, end in zip(slot_lines, [m.start() for m in slot_lines[1:]] + [stop]):
+        slot = int(m[1])
+        if not 1 <= slot <= horizon:
+            fault = f"slot {slot} out of range 1..{horizon}"
+            break
+        if slot in declared:
+            fault = f"slot {slot} declared twice"
+            break
+        declared.add(slot)
+        if m.end() < end:
+            runs.append(body[m.end():end])
+            run_slots.append(slot)
+    else:
+        if odd is not None:
+            fault = _line_fault(body[stop + 1:].partition("\n")[0], declared)
+    slot_ends = dict(zip(run_slots, _run_ends(runs, run_slots, n))) if runs else {}
+    if fault is not None:
+        raise ValueError(fault)
+    nodes = frozenset(range(n))
     return GraphletSequence(
-        Graphlet._unchecked(t, nodes, frozenset(slot_edges.get(t, empty)))
-        for t in range(1, horizon + 1)
+        Graphlet._from_ends(t, nodes, slot_ends.get(t, _NO_ENDS)) for t in range(1, horizon + 1)
     )
+
+
+def _slot_ends(g):
+    """The (2, E) index array of a slot on integer ids, sorted by (u, v)."""
+    ends = getattr(g, "_ends", None)
+    if ends is not None:
+        return ends
+    return np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2).T
 
 
 def format_tgs(tgs):
     """The text of `tgs`; raises ValueError unless every slot's node set is
-    exactly 0..n-1, as the format cannot hold any other."""
+    exactly 0..n-1, as the format cannot hold any other.  Every slot's edges
+    are written from its index array, through one string per node id."""
     ids = tgs.node_ids
     for v in ids:
         if not isinstance(v, int) or v < 0:
@@ -538,12 +632,18 @@ def format_tgs(tgs):
     n = max(ids) + 1 if ids else 0
     if any(len(g.nodes) != n for g in tgs):
         raise ValueError(f"the text format requires node set 0..{n - 1} in every slot")
-    out = [f"tgs {n} {tgs.horizon}"]
-    for g in tgs:
-        out.append(f"t {g.time}")
-        for u, v in sorted(g.edges):
-            out.append(f"e {u} {v}")
-    return "\n".join(out) + "\n"
+    ends = [_slot_ends(g) for g in tgs]
+    sizes = np.array([e.shape[1] for e in ends])
+    lines = np.empty(tgs.horizon + sizes.sum(), dtype=object)
+    slot_lines = np.arange(tgs.horizon) + np.concatenate([[0], np.cumsum(sizes[:-1])])
+    lines[slot_lines] = [f"t {t}\n" for t in range(1, tgs.horizon + 1)]
+    heads = np.array([f"e {v} " for v in range(n)], dtype=object)
+    tails = np.array([f"{v}\n" for v in range(n)], dtype=object)
+    u, v = np.concatenate(ends, axis=1)
+    edge_lines = np.ones(lines.size, dtype=bool)
+    edge_lines[slot_lines] = False
+    lines[edge_lines] = heads[u] + tails[v]
+    return f"tgs {n} {tgs.horizon}\n" + "".join(lines.tolist())
 
 
 def load_tgs(path):

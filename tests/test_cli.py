@@ -536,6 +536,28 @@ def test_gen_writes_pinned_bytes(capsys, flags, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_gen_then_route_build_no_edge_tuples(tmp_path, monkeypatch):
+    # the sampled slots, the slot read back and the routing graph all hold
+    # index arrays from sampler to file to replay: none builds its edge set
+    from tvgraph import cli
+
+    seen = {}
+    sample, load, compute = cli.sample_er_tgs, cli.load_tgs, cli.compute_mett
+    monkeypatch.setattr(cli, "sample_er_tgs", lambda *a: seen.setdefault("sampled", sample(*a)))
+    monkeypatch.setattr(cli, "load_tgs", lambda path: seen.setdefault("read", load(path)))
+    monkeypatch.setattr(cli, "compute_mett", lambda gu, *a: compute(seen.setdefault("gu", gu), *a))
+    graph, out = tmp_path / "g.tgs", tmp_path / "route.json"
+    assert cli.main(["gen", "--model", "er", "--gu", "complete", "--n", "60", "--p", "0.2",
+                     "--horizon", "1", "--seed", "5", "--output", str(graph)]) == 0
+    assert cli.main(["route", "--graph", str(graph), "--p", "0.3", "--source", "0", "--dest", "59",
+                     "--trials", "500", "--seed", "1", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["undelivered"] == 0
+    assert "edges" not in vars(seen["sampled"][0])
+    assert "edges" not in vars(seen["read"][0])
+    assert "edges" not in vars(seen["gu"])
+    assert seen["read"] == seen["sampled"]
+
+
 def test_in_process_calls_share_no_state(capsys):
     from tvgraph import cli
 

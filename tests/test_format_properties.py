@@ -2,6 +2,7 @@
 trips, and the route JSON layout."""
 
 import itertools
+import re
 
 import pytest
 
@@ -35,6 +36,114 @@ def integer_sequences(draw, max_nodes=8, max_slots=6):
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
+def _reference_parse_tgs(text):
+    """The line-by-line parser that parse_tgs replaced, kept as its reference."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty sequence file")
+    head = lines[0].split()
+    if len(head) != 3 or head[0] != "tgs":
+        raise ValueError(f"bad header {lines[0]!r}; expected 'tgs <n> <T>'")
+    try:
+        n, horizon = int(head[1]), int(head[2])
+    except ValueError:
+        raise ValueError(f"bad header {lines[0]!r}; node count and horizon must be integers") from None
+    if n < 0 or horizon < 1:
+        raise ValueError("node count must be >= 0 and horizon >= 1")
+    slot_edges = {}  # declared slot -> its edge set; undeclared slots stay empty
+    current = edges = None  # the open slot and its edge set
+    for ln in lines[1:]:
+        parts = ln.split()
+        if parts[0] == "t":
+            if len(parts) != 2:
+                raise ValueError(f"bad slot line {ln!r}")
+            slot = int(parts[1])
+            if not 1 <= slot <= horizon:
+                raise ValueError(f"slot {slot} out of range 1..{horizon}")
+            if slot in slot_edges:
+                raise ValueError(f"slot {slot} declared twice")
+            current = slot
+            edges = slot_edges[slot] = set()
+        elif parts[0] == "e":
+            if current is None:
+                raise ValueError("edge line before any 't <slot>' line")
+            if len(parts) != 3:
+                raise ValueError(f"bad edge line {ln!r}")
+            u, v = int(parts[1]), int(parts[2])
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"node id out of range 0..{n - 1} in {ln!r}")
+            if u == v:
+                raise ValueError(f"self-loop on node {u!r}")
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
+                raise ValueError(f"duplicate edge {e} in slot {current}")
+            edges.add(e)
+        else:
+            raise ValueError(f"unrecognized line {ln!r}")
+    # Every edge is checked above: in range, no self-loop, normalized, unique.
+    nodes, empty = frozenset(range(n)), frozenset()
+    return GraphletSequence(
+        Graphlet._unchecked(t, nodes, frozenset(slot_edges.get(t, empty)))
+        for t in range(1, horizon + 1)
+    )
+
+
+GAPS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x1f", "\u2009"]
+# ASCII numbers, which both parsers read alike, and number tokens that are
+# not ASCII decimal digits, which parse_tgs refuses where int() may read them
+NUMBERS = ["-1", "0", "1", "2", "3", "5", "007", "-0", "99", "12345678901234567890"]
+ODD_NUMBERS = ["x", "1.5", "+1", "1_0", "\u0662", "\uff13", "0x1", "--1", "1e3", "\U0001d7d9"]
+
+
+@st.composite
+def tgs_texts(draw):
+    """(text, message): a sequence text, written well-formed, then perhaps
+    reordered, spaced, commented and given one mutated line.  message is
+    what parse_tgs must raise when the mutation put a number that is not
+    ASCII decimal digits in a line, else None."""
+    tgs = draw(integer_sequences(max_nodes=6, max_slots=4))
+    blocks = []  # (slot line, its edge lines), as token lists
+    for g in tgs:
+        edges = [["e", *map(str, draw(st.permutations(e)))] for e in sorted(g.edges)]
+        if edges or draw(st.booleans()):
+            blocks.append((["t", str(g.time)], draw(st.permutations(edges))))
+    rows = [["tgs", str(len(tgs.node_ids)), str(tgs.horizon)]]
+    for slot, edges in draw(st.permutations(blocks)):
+        rows += [slot, *edges]
+    odd_row = None  # the row given a number that is not ASCII decimal digits
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[i])
+        kind = draw(st.sampled_from(["number", "odd number", "kind", "drop", "add", "repeat"]))
+        at = draw(st.integers(0, len(row) - 1))
+        if kind in ("number", "odd number") and at > 0:
+            row[at] = draw(st.sampled_from(NUMBERS if kind == "number" else ODD_NUMBERS))
+            odd_row = row if kind == "odd number" else None
+        elif kind == "kind":
+            row[0] = draw(st.sampled_from(["t", "e", "x", "tgs", "E"]))
+        elif kind == "drop" and len(row) > 1:
+            del row[at]
+        elif kind == "add":
+            row.insert(at + 1, draw(st.sampled_from(["1", "e", "t"])))
+        elif kind == "repeat":
+            rows.insert(draw(st.integers(1, len(rows))), row)
+        rows[i] = row
+    lines, message = [], None
+    for row in rows:
+        gaps = [draw(st.sampled_from(GAPS)) for _ in row[1:]]
+        line = row[0] + "".join(g + tok for g, tok in zip(gaps, row[1:]))
+        if row is odd_row:
+            what = {"tgs": "header", "t": "slot line"}.get(row[0], "edge line")
+            message = (f"bad header {line!r}; node count and horizon must be integers"
+                       if what == "header" else f"bad {what} {line!r}")
+        pad = st.sampled_from(["", " ", "\t", "\xa0 "])
+        lines.append(draw(pad) + line + draw(pad))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "  # e 0 1", "#t 1"])))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, message
+
+
 @st.composite
 def model_specs(draw):
     gu = draw(st.sampled_from([UnderlyingGraph.line, UnderlyingGraph.complete]))(
@@ -58,6 +167,27 @@ def test_model_spec_text_round_trip(spec):
     text = format_model_spec(spec)
     assert parse_model_spec(text) == spec
     assert format_model_spec(parse_model_spec(text)) == text
+
+
+@settings(deadline=None, max_examples=400)
+@given(tgs_texts())
+@example(("tgs 3 1\nt 1\ne 0 1\ne 1 +2\n", "bad edge line 'e 1 +2'"))
+@example(("tgs 3 1\nt 1\ne 0 1\ne 1 0\ne 0 x\n", None))
+@example(("# c\r\n  tgs\t3  2 \r\n\r\nt 2\r\n e\xa02 1\r\n", None))
+def test_parse_matches_the_reference_parser(case):
+    text, message = case
+    if message is None:  # both read every number alike
+        try:
+            want = _reference_parse_tgs(text)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            got = parse_tgs(text)
+            assert got == want and hash(got) == hash(want)
+            assert list(map(repr, got)) == list(map(repr, want))
+            return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_tgs(text)
 
 
 @st.composite

@@ -240,6 +240,43 @@ def test_sample_slots_equal_one_draw_per_slot(params, gu, horizon):
     assert list(sample_slots(gu, params, horizon, np.random.default_rng(5))) == want
 
 
+# integer ids 0..n-1 whose positions are not their order, with edges listed
+# out of (u, v) order: sampled slots must sort the ids of their index arrays
+PERMUTED_IDS = UnderlyingGraph(
+    (3, 1, 0, 2, 4),
+    ((1, 0), (1, 3), (0, 2), (2, 3), (0, 3), (1, 4), (2, 4)),
+)
+
+
+@pytest.mark.parametrize("gu", [UnderlyingGraph.complete(5), STRING_IDS, PERMUTED_IDS],
+                         ids=["complete", "strings", "permuted"])
+@pytest.mark.parametrize("params", [ErParams(0.3), MarkovParams(0.2, 0.4, p0=0.9)],
+                         ids=["er", "mc"])
+def test_sampled_sequences_hold_the_slots_sample_slots_draws(gu, params):
+    sampler = sample_er_tgs if isinstance(params, ErParams) else sample_markov_tgs
+    tgs = sampler(gu, params, 9, 5)
+    slots = sample_slots(gu, params, 9, np.random.default_rng(5))
+    assert [g.edges for g in tgs] == [frozenset(up) for up in slots]
+    for g in tgs:
+        ends = vars(g).get("_ends")
+        if gu is not STRING_IDS:  # ids 0..n-1: a sorted index array, no tuples until read
+            assert ends.dtype == np.int32
+            assert sorted(zip(*ends.tolist())) == list(zip(*ends.tolist())) and (ends[0] < ends[1]).all()
+        else:
+            assert ends is None
+
+
+@pytest.mark.parametrize("gu", [UnderlyingGraph.complete(5), UnderlyingGraph.line(4), STRING_IDS,
+                                PERMUTED_IDS, UnderlyingGraph((0, 1, 2), ((1, 2), (0, 2)))])
+def test_neighbor_map_lists_neighbors_by_id(gu):
+    want = {v: [] for v in gu.nodes}
+    for u, v in gu.edges:
+        want[u].append(v)
+        want[v].append(u)
+    assert gu.neighbor_map() == {v: tuple(sorted(ws)) for v, ws in want.items()}
+    assert list(gu.neighbor_map()) == list(gu.nodes)
+
+
 # --- alternating special case ----------------------------------------------------
 
 

@@ -619,6 +619,13 @@ def test_simulate_soa_callable_policy():
     ({0: (99,)}, "of 0 names unknown node 99"),
     ({0: (5,)}, "of 0 names 5, which is not its neighbor"),  # would jump across a non-edge
     ({0: (1, 1, 1)}, "of 0 repeats"),  # would draw the one edge three times a slot
+    # the first fault in key order, and in list order within a key, wins
+    ({0: (1, 5), 9: (1,)}, "of 0 names 5, which is not its neighbor"),
+    ({9: (1,), 0: (5,)}, "key 9 is not a node"),
+    ({1: (2, 0), 2: (3, 3)}, "of 2 repeats"),
+    ({1: (2, 7, 4)}, "of 1 names unknown node 7"),
+    ({1: (2, 4, 7)}, "of 1 names 4, which is not its neighbor"),
+    ({3: (2, 2, 9)}, "of 3 names unknown node 9"),
 ])
 def test_simulate_soa_rejects_malformed_acceptance_lists(next_hop, message):
     with pytest.raises(ValueError, match=message):

@@ -4,8 +4,10 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tvgraph import temporal
 from tvgraph.temporal import (
     Graphlet,
     GraphletSequence,
@@ -518,49 +520,91 @@ def test_format_parse_round_trip(tmp_path):
     assert load_tgs(path) == tgs
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "empty sequence file"),
-        ("tgs 2\nt 1\n", "bad header 'tgs 2'; expected 'tgs <n> <T>'"),
-        ("nope 2 1\n", "bad header 'nope 2 1'; expected 'tgs <n> <T>'"),
-        ("tgs x 1\n", "bad header 'tgs x 1'; node count and horizon must be integers"),
-        ("tgs -1 1\n", "node count must be >= 0 and horizon >= 1"),
-        ("tgs 2 0\n", "node count must be >= 0 and horizon >= 1"),
-        ("tgs 2 1\nt 2\n", "slot 2 out of range 1..1"),
-        ("tgs 2 1\nt 0\n", "slot 0 out of range 1..1"),
-        ("tgs 2 1\nt -1\n", "slot -1 out of range 1..1"),
-        ("tgs 2 2\nt 1\nt 1\n", "slot 1 declared twice"),
-        ("tgs 3 1\nt 1\ne 0 1\ne 1 0\n", "duplicate edge (0, 1) in slot 1"),
-        ("tgs 3 1\nt 1\ne 1 1\n", "self-loop on node 1"),
-        ("tgs 2 1\nt 1\ne 0 2\n", "node id out of range 0..1 in 'e 0 2'"),
-        ("tgs 2 1\nt 1\ne -1 0\n", "node id out of range 0..1 in 'e -1 0'"),
-        ("tgs 2 1\ne 0 1\n", "edge line before any 't <slot>' line"),
-        ("tgs 2 1\ne 0\n", "edge line before any 't <slot>' line"),
-        ("tgs 2 1\nt 1\nx 0 1\n", "unrecognized line 'x 0 1'"),
-        ("tgs 2 1\nt 1\ne 0\n", "bad edge line 'e 0'"),
-        ("tgs 3 1\nt 1\ne 0 1 2\n", "bad edge line 'e 0 1 2'"),
-        ("tgs 2 1\nt\n", "bad slot line 't'"),
-        ("tgs 2 2\nt 1 2\n", "bad slot line 't 1 2'"),
-        # comment and blank lines are skipped; messages quote the stripped line
-        ("# head\n\ntgs 2 1\n  # note\n\nt 1\n  e 0 2  \n", "node id out of range 0..1 in 'e 0 2'"),
-        ("tgs 2 1\nt 1\ne\t0   2\n", "node id out of range 0..1 in 'e\\t0   2'"),
-        ("tgs 3 1\r\nt 1\r\ne 1 1\r\n", "self-loop on node 1"),
-        # slots may come in any order, but each once
-        ("tgs 3 3\nt 2\ne 0 1\nt 1\ne 1 2\nt 2\n", "slot 2 declared twice"),
-        ("tgs 3 3\nt 3\ne 0 1\nt 1\ne 0 1\ne 0 1\n", "duplicate edge (0, 1) in slot 1"),
-        # two faults: the earlier line's message wins
-        ("tgs 3 1\nt 1\ne 1 1\ne 0 5\n", "self-loop on node 1"),
-        ("tgs 3 1\nt 1\ne 0 5\ne 1 1\n", "node id out of range 0..2 in 'e 0 5'"),
-        ("tgs 3 1\nt 1\ne 0 1\ne 1 0\nfoo\n", "duplicate edge (0, 1) in slot 1"),
-        ("tgs 3 2\nt 1\ne 0 1 2\ne 1 1\n", "bad edge line 'e 0 1 2'"),
-        ("tgs 3 2\nt 1\ne 0 5\nt 3\n", "node id out of range 0..2 in 'e 0 5'"),
-        ("tgs 3 2\nt 3\ne 0 5\n", "slot 3 out of range 1..2"),
-    ],
-)
-def test_parse_rejects_malformed(text, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+# each malformed text and the message it must raise
+MALFORMED = {
+    "": "empty sequence file",
+    "tgs 2\nt 1\n": "bad header 'tgs 2'; expected 'tgs <n> <T>'",
+    "nope 2 1\n": "bad header 'nope 2 1'; expected 'tgs <n> <T>'",
+    "tgs x 1\n": "bad header 'tgs x 1'; node count and horizon must be integers",
+    "tgs -1 1\n": "node count must be >= 0 and horizon >= 1",
+    "tgs 2 0\n": "node count must be >= 0 and horizon >= 1",
+    "tgs 2 1\nt 2\n": "slot 2 out of range 1..1",
+    "tgs 2 1\nt 0\n": "slot 0 out of range 1..1",
+    "tgs 2 1\nt -1\n": "slot -1 out of range 1..1",
+    "tgs 2 2\nt 1\nt 1\n": "slot 1 declared twice",
+    "tgs 3 1\nt 1\ne 0 1\ne 1 0\n": "duplicate edge (0, 1) in slot 1",
+    "tgs 3 1\nt 1\ne 1 1\n": "self-loop on node 1",
+    "tgs 2 1\nt 1\ne 0 2\n": "node id out of range 0..1 in 'e 0 2'",
+    "tgs 2 1\nt 1\ne -1 0\n": "node id out of range 0..1 in 'e -1 0'",
+    "tgs 2 1\ne 0 1\n": "edge line before any 't <slot>' line",
+    "tgs 2 1\ne 0\n": "edge line before any 't <slot>' line",
+    "tgs 2 1\nt 1\nx 0 1\n": "unrecognized line 'x 0 1'",
+    "tgs 2 1\nt 1\ne 0\n": "bad edge line 'e 0'",
+    "tgs 3 1\nt 1\ne 0 1 2\n": "bad edge line 'e 0 1 2'",
+    "tgs 2 1\nt\n": "bad slot line 't'",
+    "tgs 2 2\nt 1 2\n": "bad slot line 't 1 2'",
+    # comment and blank lines are skipped; messages quote the stripped line
+    "# head\n\ntgs 2 1\n  # note\n\nt 1\n  e 0 2  \n": "node id out of range 0..1 in 'e 0 2'",
+    "tgs 2 1\nt 1\ne\t0   2\n": "node id out of range 0..1 in 'e\\t0   2'",
+    "tgs 3 1\r\nt 1\r\ne 1 1\r\n": "self-loop on node 1",
+    # slots may come in any order, but each once
+    "tgs 3 3\nt 2\ne 0 1\nt 1\ne 1 2\nt 2\n": "slot 2 declared twice",
+    "tgs 3 3\nt 3\ne 0 1\nt 1\ne 0 1\ne 0 1\n": "duplicate edge (0, 1) in slot 1",
+    # two faults: the earlier line's message wins
+    "tgs 3 1\nt 1\ne 1 1\ne 0 5\n": "self-loop on node 1",
+    "tgs 3 1\nt 1\ne 0 5\ne 1 1\n": "node id out of range 0..2 in 'e 0 5'",
+    "tgs 3 1\nt 1\ne 0 1\ne 1 0\nfoo\n": "duplicate edge (0, 1) in slot 1",
+    "tgs 3 2\nt 1\ne 0 1 2\ne 1 1\n": "bad edge line 'e 0 1 2'",
+    "tgs 3 2\nt 1\ne 0 5\nt 3\n": "node id out of range 0..2 in 'e 0 5'",
+    "tgs 3 2\nt 3\ne 0 5\n": "slot 3 out of range 1..2",
+    # numbers are ASCII decimal digits, not whatever int() reads
+    "tgs 2 1\nt x\n": "bad slot line 't x'",
+    "tgs 2 1\nt 1\ne a 1\n": "bad edge line 'e a 1'",
+    "tgs 11 1\nt 1\ne 1_0 2\n": "bad edge line 'e 1_0 2'",
+    "tgs 3 1\nt +1\ne +0 \u0662\n": "bad slot line 't +1'",
+    "tgs 3 1\nt 1\ne +0 2\n": "bad edge line 'e +0 2'",
+    "tgs 3 1\nt 1\ne 0 \u0662\n": "bad edge line 'e 0 \u0662'",
+    "tgs \uff13 1\n": "bad header 'tgs \uff13 1'; node count and horizon must be integers",
+    "tgs 2 1\nt 1\ne 0 1\nt 1_0\n": "bad slot line 't 1_0'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
+def test_parse_rejects_malformed(text):
+    with pytest.raises(ValueError, match=f"^{re.escape(MALFORMED[text])}$"):
         parse_tgs(text)
+
+
+def test_parse_reads_any_whitespace_and_leading_zeros():
+    tgs = parse_tgs("tgs 003 1\nt\u30001\ne\xa00\u2003\u2003002\x1f\ne\t1 2\n")
+    assert tgs == GraphletSequence.from_slot_edges(range(3), [[(0, 2), (1, 2)]])
+
+
+def test_edge_runs_read_every_whitespace_that_split_skips():
+    # parse_tgs reads edge ids with np.fromstring, which skips only ASCII
+    # whitespace; every other character str.split skips is turned into a space
+    odd = [chr(c) for c in range(0x110000) if chr(c).isspace() and chr(c) not in " \t\n\r\x0b\x0c"]
+    assert sorted(k for k in temporal._TO_SPACE if k != ord("e")) == list(map(ord, odd))
+    for c in odd:
+        if len(f"e{c}0".splitlines()) == 1:  # whitespace inside a line
+            assert parse_tgs(f"tgs 3 1\nt 1\ne{c}0 2{c}\ne 1{c}{c}2\n")[0].edges == {(0, 2), (1, 2)}
+
+
+def test_parse_refuses_node_counts_past_int32():
+    with pytest.raises(ValueError, match="node count 2147483649 is above"):
+        parse_tgs("tgs 2147483649 1\n")
+
+
+def test_parsed_slots_hold_index_arrays_and_compare_as_edge_sets():
+    text = "tgs 4 2\nt 1\ne 2 1\ne 0 3\ne 0 1\n"
+    tgs = parse_tgs(text)
+    g = tgs[0]
+    assert "edges" not in vars(g)
+    assert g._ends.dtype == np.int32 and g._ends.tolist() == [[0, 0, 1], [1, 3, 2]]
+    want = GraphletSequence.from_slot_edges(range(4), [[(0, 1), (0, 3), (1, 2)], []])
+    assert hash(tgs) == hash(want)  # reads edges
+    assert tgs == want and repr(tgs[0]) == repr(want[0]) and repr(tgs[1]) == repr(want[1])
+    assert format_tgs(tgs) == format_tgs(want) == "tgs 4 2\nt 1\ne 0 1\ne 0 3\ne 1 2\nt 2\n"
 
 
 def test_parse_normalizes_reversed_edges():
