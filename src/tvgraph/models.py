@@ -16,9 +16,11 @@ chunked.
 
 A candidate graph holds its edges as index arrays (`_ends`: positions in
 `nodes` of both ends of each edge).  `complete` and `line` are built from
-them alone, and their edge tuples are made on the first read of `edges`.
-Sampling draws every candidate cell of every slot, but builds tuples, from
-`_ends`, only for the edges that come up.
+them alone, and their edge tuples are made on the first read of `edges`;
+`neighbor_map` and `from_graphlet` of a slot held as index arrays work
+from the arrays.  Sampling draws every candidate cell of every slot; on
+node ids 0..n-1 each sampled slot holds its up edges as an index array
+gathered from `_ends`, and on other ids as tuples.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -65,9 +67,9 @@ class UnderlyingGraph:
     `UnderlyingGraph(nodes, edges, name)` checks every edge: no self-loops,
     no duplicates in either orientation, both endpoints in `nodes`.  The
     builders `line`, `complete` and `from_graphlet` skip that check, as
-    their edges are valid by construction.  `line` and `complete` hold
-    their edges as index arrays and build the `edges` tuple on its first
-    read.
+    their edges are valid by construction.  `line`, `complete` and
+    `from_graphlet` of a slot held as index arrays hold their edges as
+    index arrays and build the `edges` tuple on its first read.
     """
 
     nodes: tuple
@@ -154,9 +156,9 @@ class UnderlyingGraph:
 
     @cached_property
     def _adjacency(self):
-        """Adjacency over positions in `nodes`, from `_ends`: position i's
-        neighbors are tails[start[i]:start[i + 1]], in position order (both
-        lists)."""
+        """Adjacency over positions in `nodes`, from `_ends`, as two lists:
+        position i's neighbors are tails[start[i]:start[i + 1]], in position
+        order."""
         n = len(self.nodes)
         heads, tails = self._ends.ravel(), self._ends[::-1].ravel()
         order = np.argsort(heads.astype(np.int64) * n + tails)
@@ -313,8 +315,8 @@ def _sample_tgs(gu, params, horizon, seed):
     graphlets = []
     for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
         cells = np.flatnonzero(chunk[:, order])
-        parts = np.split(ends[:, cells % ends.shape[1]], _slot_bounds(cells, chunk), axis=1)
-        graphlets += [Graphlet._from_ends(len(graphlets) + k, nodes, up) for k, up in enumerate(parts, 1)]
+        for up in np.split(ends[:, cells % ends.shape[1]], _slot_bounds(cells, chunk), axis=1):
+            graphlets.append(Graphlet._from_ends(len(graphlets) + 1, nodes, up))
     return GraphletSequence(graphlets)
 
 

@@ -6,6 +6,10 @@ views of such a sequence -- the time-expanded stacked graph and the
 collapsed smashed graph -- together with slot-aware reachability,
 connectivity, and clique queries.
 
+A slot on the ids 0..n-1 built by `parse_tgs` or a sampler in `models`
+holds its edges as a sorted int32 index array and builds its edge set
+only when read; the text format reads and writes those arrays directly.
+
 The stacked graph is a lazy view: it keeps the sequence and builds its
 vertex and arc sets only when they are read.  Reachability queries never
 build them; they scan the slots forward once, spreading the message over
