@@ -269,9 +269,9 @@ def _state_chunks(params, horizon, rng, n_edges):
 
 
 def _slot_bounds(cells, chunk):
-    """Where each slot of `chunk` starts in its flat up cells `cells`, but
-    the first."""
-    return np.searchsorted(cells, chunk.shape[1] * np.arange(1, len(chunk)))
+    """Where each slot of `chunk` starts in its flat up cells `cells`, and
+    where the last one ends, as a list."""
+    return np.searchsorted(cells, chunk.shape[1] * np.arange(len(chunk) + 1)).tolist()
 
 
 def sample_slots(gu, params, horizon, rng):
@@ -286,10 +286,22 @@ def sample_slots(gu, params, horizon, rng):
     for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
         cells = np.flatnonzero(chunk)
         items = list(zip(*ids[ends[:, cells % ends.shape[1]]].tolist()))
-        start = 0
-        for stop in [*_slot_bounds(cells, chunk).tolist(), len(items)]:
+        bounds = _slot_bounds(cells, chunk)
+        for start, stop in zip(bounds, bounds[1:]):
             yield items[start:stop]
-            start = stop
+
+
+def _id_order(gu):
+    """The ids of gu's edge ends on ids 0..n-1, (min, max), and the order
+    that sorts the edges by (u, v): a slice when they already are."""
+    ends = gu._ends
+    if gu.nodes != tuple(range(len(gu.nodes))):  # positions are not the ids
+        ids = np.array(gu.nodes, dtype=np.int32)[ends]
+        ends = np.stack([ids.min(axis=0), ids.max(axis=0)])
+    key = ends[0].astype(np.int64)
+    key *= len(gu.nodes)
+    key += ends[1]
+    return ends, slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)
 
 
 def _sample_tgs(gu, params, horizon, seed):
@@ -305,18 +317,15 @@ def _sample_tgs(gu, params, horizon, seed):
         return GraphletSequence(
             Graphlet._unchecked(t, nodes, frozenset(up)) for t, up in enumerate(slots, start=1)
         )
-    ends = gu._ends
-    if gu.nodes != tuple(range(len(nodes))):  # positions are not the ids
-        ids = np.array(gu.nodes, dtype=np.int32)[ends]
-        ends = np.stack([ids.min(axis=0), ids.max(axis=0)])
-    key = ends[0].astype(np.int64) * len(nodes) + ends[1]
-    order = slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)  # by (u, v)
+    ends, order = _id_order(gu)
     ends = ends[:, order]
     graphlets = []
     for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
         cells = np.flatnonzero(chunk[:, order])
-        for up in np.split(ends[:, cells % ends.shape[1]], _slot_bounds(cells, chunk), axis=1):
-            graphlets.append(Graphlet._from_ends(len(graphlets) + 1, nodes, up))
+        up = ends[:, cells % ends.shape[1]]
+        bounds = _slot_bounds(cells, chunk)
+        for start, stop in zip(bounds, bounds[1:]):
+            graphlets.append(Graphlet._from_ends(len(graphlets) + 1, nodes, up[:, start:stop]))
     return GraphletSequence(graphlets)
 
 

@@ -558,7 +558,8 @@ def _run_ends(runs, run_slots, n):
             raise ValueError(f"self-loop on node {int(u[i])!r}")
         raise ValueError(f"duplicate edge {(int(lo[i]), int(hi[i]))} in slot {run_slots[r]}")
     ends = np.stack([lo, hi])[:, order].astype(np.int32)
-    return np.split(ends, np.cumsum(counts[:-1]), axis=1)
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [ends[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def parse_tgs(text):
