@@ -11,8 +11,10 @@ Every sampler draws edge states through `slot_states`: given per-trial
 streams, it reads each stream's uniforms slot-major over the candidate
 edges and returns the ON states of the next slots.  So trial i's states in
 slot t are the same whether `sample_slots` draws them for one sequence or
-a replay kernel draws them for a block of trials, however the slots are
-chunked.
+the reachable-pairs kernel draws them for a block of trials, however the
+slots are chunked.  The cut-through labelling kernel draws a block of
+trials from one stream instead, and steps those uniforms with
+`edge_update`.
 
 A candidate graph holds its edges as index arrays (`_ends`: positions in
 `nodes` of both ends of each edge).  `complete` and `line` are built from
@@ -158,10 +160,21 @@ class UnderlyingGraph:
     def _adjacency(self):
         """Adjacency over positions in `nodes`, from `_ends`, as two lists:
         position i's neighbors are tails[start[i]:start[i + 1]], in position
-        order."""
+        order.
+
+        The heads are laid out as `_ends[::-1]`, so each edge is listed
+        first from its higher end.  When `_ends` is sorted by (u, v) with
+        u < v, as every builder but the validating constructor makes it, a
+        stable sort of the heads alone then lists each node's lower
+        neighbors in order before its higher ones; any other `_ends` is
+        sorted by (head, tail)."""
         n = len(self.nodes)
-        heads, tails = self._ends.ravel(), self._ends[::-1].ravel()
-        order = np.argsort(heads.astype(np.int64) * n + tails)
+        heads, tails = self._ends[::-1].ravel(), self._ends.ravel()
+        key = self._ends[0].astype(np.int64) * n + self._ends[1]
+        if (self._ends[0] < self._ends[1]).all() and (key[1:] > key[:-1]).all():
+            order = np.argsort(heads, kind="stable")
+        else:
+            order = np.argsort(heads.astype(np.int64) * n + tails)
         start = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
         return tails[order].tolist(), start.tolist()
 

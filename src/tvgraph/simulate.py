@@ -19,25 +19,28 @@ per move: one uniform per trial and move counts the OFF (slot, list entry)
 cells before the first ON one, which gives both the slots the move takes
 and the neighbor it reaches.  The cut-through labelling kernel
 (`_cut_block`) replays every other cut-through as array code over blocks
-of trials: each slot it draws every edge, labels the slot's components
-with `labels` and jumps each message to its component's lowest node in
-(rank, id) order.  A per-trial python walk replays callable policies over
-lazily sampled slots.
+of trials: each slot it draws every edge of dest's component, labels the
+slot's components with `labels` and jumps each message to its component's
+lowest node in (rank, id) order.  A per-trial python walk replays callable
+policies over lazily sampled slots.
 
 Reproducibility: draws come from numpy PCG64 streams.  The path and
 adaptive engines give each fixed block of 8192 trials its own child
-stream, SeedSequence(seed, spawn_key=(1, block)), so results are
-deterministic and independent of how blocks would be scheduled; the
-cut-through labelling kernel and the per-trial walk give each trial
-SeedSequence(seed, spawn_key=(trial,)), a disjoint key space, so no block
-replays a trial's stream.  A replay caps each trial at a horizon of at
-least one slot.  Undelivered trials are reported, never dropped.
+stream, SeedSequence(seed, spawn_key=(1, block)), and the labelling kernel
+does the same for each block of about CUT_CELLS / (component edges)
+trials, so results are deterministic and independent of how blocks would
+be scheduled.  The per-trial walk and the reachable-pairs kernel give each
+trial SeedSequence(seed, spawn_key=(trial,)), a disjoint key space, so no
+block replays a trial's stream.  A replay caps each trial at a horizon of
+at least one slot.  Undelivered trials are reported, never dropped.
 
 Slot states on per-trial streams all come from `models.slot_states`: the
-labelling kernel and the reachable-pairs kernel draw a block of trials'
-slots through it, and the per-trial walk through `sample_slots`, which
-calls it with one stream.  So trial i sees the same edge states in slot t
-in every engine and view that reads its stream.
+reachable-pairs kernel draws a block of trials' slots through it, and the
+per-trial walk through `sample_slots`, which calls it with one stream.  So
+trial i sees the same edge states in slot t in every view that reads its
+stream.  The labelling kernel draws each chunk of slots of a block's live
+trials in one call on the block stream and steps the states with
+`models.edge_update`.
 
 Reachable-pair curves are array code over blocks of trials that keep the
 per-trial streams: each trial's slots are exactly the ones
@@ -57,7 +60,8 @@ import numpy as np
 
 from .analytics import LatencyPmf
 from .models import (
-    ErParams, MarkovParams, UnderlyingGraph, sample_slots, shortest_path, slot_states,
+    ErParams, MarkovParams, UnderlyingGraph, edge_update, sample_slots, shortest_path,
+    slot_states,
 )
 from .temporal import adjacency, bfs, smash
 
@@ -75,8 +79,10 @@ __all__ = [
 
 BLOCK_TRIALS = 8192
 # Candidate-edge cells per block of cut-through trials: uniforms drawn per
-# chunk of slots, and edge states labelled per slot.  The path engine draws
-# the settled hops of store-or-advance in chunks of as many uniforms.
+# chunk of slots, and edge states labelled per slot.  A sweep of 2^14 ..
+# 2^18 put the K20 cut-through of the mesh bench at its fastest here.  The
+# path engine draws the settled hops of store-or-advance in chunks of as
+# many uniforms.
 CUT_CELLS = 1 << 17
 
 
@@ -261,17 +267,18 @@ def replay_cut(tgs, source, dest, rank=None):
 # --- vectorized engines -------------------------------------------------------
 
 
-def _block_streams(seed, trials):
-    """Each block's stream and size; keys (1, block) never meet a trial's (trial,)."""
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        size = min(BLOCK_TRIALS, trials - start)
-        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, block))), size
+def _block_streams(seed, trials, block=BLOCK_TRIALS):
+    """Each block's stream and size, `block` trials a block but the last;
+    keys (1, block) never meet a trial's (trial,)."""
+    for k, start in enumerate(range(0, trials, block)):
+        size = min(block, trials - start)
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k))), size
 
 
-def _run_blocks(seed, trials, replay_block, *args):
+def _run_blocks(seed, trials, replay_block, *args, block=BLOCK_TRIALS):
     """Run `replay_block(*args, rng, size)` on each block stream and pool the
     latencies (-1 undelivered) of all `trials` trials."""
-    parts = [replay_block(*args, rng, size) for rng, size in _block_streams(seed, trials)]
+    parts = [replay_block(*args, rng, size) for rng, size in _block_streams(seed, trials, block)]
     return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
 
 
@@ -448,18 +455,18 @@ def _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed):
     return EmpiricalPmf.from_latencies(latencies, trials)
 
 
-def _cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
-    """Cut-through latencies (-1 undelivered) of the trials drawn by `rngs`,
-    over n nodes indexed in (rank, id) order.
+def _cut_block(model, ends, n, source, dest, horizon, rng, size):
+    """Cut-through latencies (-1 undelivered) of `size` trials drawn by the
+    block stream `rng`, over n nodes indexed in (rank, id) order.
 
-    Each trial draws the states of all n_edges candidate edges per slot
-    from its own stream (`slot_states`), in chunks of at most t+1 slots and
-    about CUT_CELLS cells, and keeps the columns `cols`, whose ends are
-    `ends`.  `labels` gives each node its component's lowest index, which
-    is the node a message there jumps to; it is delivered once that label
-    is dest's.  States drawn past a trial's delivery go unused.
+    Each chunk of at most t+1 slots and about CUT_CELLS cells is one
+    `rng.random((span, live trials, edges))` call over the candidate edges
+    whose ends are `ends`, turned into each slot's states by `edge_update`.
+    `labels` gives each node its component's lowest index, which is the
+    node a message there jumps to; it is delivered once that label is
+    dest's.  States drawn past a trial's delivery go unused.
     """
-    size = len(rngs)
+    n_edges = ends.shape[1]
     offset = np.arange(size, dtype=np.int32)[:, None] * n
     head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
     orig = np.arange(size)
@@ -468,23 +475,20 @@ def _cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
     states, t = None, 0
     while orig.size and t < horizon:
         span = min(t + 1, horizon - t, max(1, CUT_CELLS // (orig.size * n_edges)))
-        slots = slot_states(model, states, rngs, span, n_edges)
-        states = slots[-1]
-        if len(cols) < n_edges:
-            slots = slots[:, :, cols]
+        u = rng.random((span, orig.size, n_edges))
         rows = np.arange(orig.size)
         for k in range(span):
             t += 1
-            lab = _graph_labels(slots[k, rows], n, head, tail)
+            states = edge_update(model, states, u[k, rows])
+            lab = _graph_labels(states, n, head, tail)
             base = offset[:rows.size, 0]
             jump = lab[base + cur]
             done = jump == lab[base + dest]
             latency[orig[done]] = t - 1
             keep = ~done
-            cur, orig, rows = (jump - base)[keep], orig[keep], rows[keep]
+            cur, orig, rows, states = (jump - base)[keep], orig[keep], rows[keep], states[keep]
             if not orig.size:
                 break
-        rngs, states = [rngs[i] for i in rows], states[rows]
     return latency
 
 
@@ -582,9 +586,10 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
     that component.  When the component is a tree and the rank is the
     default, the node jumped to lies on the one source-dest path and the
     trials replay that path with the path engine, on per-block streams.
-    Otherwise blocks of trials replay every edge of the component as array
-    code on per-trial streams: the nodes are indexed in (rank, id) order, so
-    the lowest index `labels` gives a component is the node jumped to.
+    Otherwise blocks of about CUT_CELLS / (component edges) trials replay
+    every edge of the component as array code, each block on its own stream
+    (`_cut_block`): the nodes are indexed in (rank, id) order, so the
+    lowest index `labels` gives a component is the node jumped to.
     """
     horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
@@ -604,24 +609,21 @@ def simulate_cut(model, gu, source, dest, horizon=None, trials=10_000, seed=0, r
             raise ValueError(f"rank has no entry for node {v!r} of {dest!r}'s component")
     index = {v: i for i, v in enumerate(sorted(comp, key=lambda v: (rank[v], v)))}
     ends = np.array([index.get(v, -1) for v in gu.nodes], dtype=np.int32)[gu._ends]
-    cols = np.flatnonzero(ends[0] >= 0)
-    n_edges = ends.shape[1]
-    block = max(1, CUT_CELLS // n_edges)
-    parts = [
-        _cut_block(
-            model, n_edges, cols, ends[:, cols], len(index), index[source], index[dest], horizon,
-            [_trial_stream(seed, trial) for trial in range(start, min(start + block, trials))],
-        )
-        for start in range(0, trials, block)
-    ]
-    return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
+    ends = ends[:, ends[0] >= 0]  # the component's edges
+    return _run_blocks(
+        seed, trials, _cut_block, model, ends, len(index), index[source], index[dest], horizon,
+        block=max(1, CUT_CELLS // ends.shape[1]),
+    )
 
 
 # --- reachable-pairs curves ---------------------------------------------------
 
 # Reachable-pair work per array call: candidate-edge cells drawn and
-# labelled, and bitset words of each view per block of trials.
-PAIR_CELLS = 1 << 14
+# labelled, and bitset words of each view per block of trials.  A sweep of
+# 2^14 .. 2^18 put the mesh compare ops at their fastest from 2^15 to 2^17;
+# 2^16 holds a slot of every trial of a K50 compare in one labelling call,
+# at half the working memory of 2^17.
+PAIR_CELLS = 1 << 16
 _BITS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 

@@ -192,27 +192,27 @@ def test_simulate_repeat_runs_byte_identical(tmp_path):
 GOLDEN_CUT = [
     (
         ("--model", "er", "--gu", "complete", "--n", "8", "--p", "0.2", "--seed", "3"),
-        "latency,count\n0,241\n1,128\n2,61\n3,33\n4,24\n5,5\n6,3\n7,1\n8,1\n9,1\n10,1\n13,1\n",
-        '{\n  "command": "simulate",\n  "dest": 7,\n  "horizon": 700,\n  "mean": 1.07,\n'
+        "latency,count\n0,247\n1,116\n2,65\n3,34\n4,24\n5,5\n6,4\n7,1\n8,1\n9,1\n10,1\n11,1\n",
+        '{\n  "command": "simulate",\n  "dest": 7,\n  "horizon": 700,\n  "mean": 1.076,\n'
         '  "metric": "cut",\n  "model": "er p=0.2 gu=complete n=8",\n  "seed": 3,\n'
         '  "source": 0,\n  "spec_version": "1",\n  "trials": 500,\n'
-        '  "tv_vs_analytic": null,\n  "undelivered": 0,\n  "variance": 2.3531\n}\n',
+        '  "tv_vs_analytic": null,\n  "undelivered": 0,\n  "variance": 2.342224\n}\n',
     ),
     (
         ("--model", "mc", "--gu", "complete", "--n", "6", "--p", "0.3", "--q", "0.2",
          "--p0", "0.05", "--seed", "5"),
-        "latency,count\n0,26\n1,284\n2,147\n3,36\n4,5\n5,2\n",
-        '{\n  "command": "simulate",\n  "dest": 5,\n  "horizon": 334,\n  "mean": 1.432,\n'
+        "latency,count\n0,31\n1,296\n2,136\n3,26\n4,9\n5,1\n6,1\n",
+        '{\n  "command": "simulate",\n  "dest": 5,\n  "horizon": 334,\n  "mean": 1.386,\n'
         '  "metric": "cut",\n  "model": "mc p=0.3 q=0.2 p0=0.05 gu=complete n=6",\n'
         '  "seed": 5,\n  "source": 0,\n  "spec_version": "1",\n  "trials": 500,\n'
-        '  "tv_vs_analytic": null,\n  "undelivered": 0,\n  "variance": 0.6013760000000001\n}\n',
+        '  "tv_vs_analytic": null,\n  "undelivered": 0,\n  "variance": 0.6370039999999999\n}\n',
     ),
 ]
 
 
 @pytest.mark.parametrize("flags, csv, summary", GOLDEN_CUT, ids=["er-K8", "mc-K6-p0"])
 def test_simulate_cut_on_cyclic_graphs_writes_pinned_bytes(tmp_path, flags, csv, summary):
-    # fixed-seed cut-through on complete graphs, as the per-trial replay wrote it
+    # fixed-seed cut-through on complete graphs, as the block-stream labelling kernel writes it
     out = tmp_path / "cut.csv"
     res = run_cli("simulate", *flags, "--metric", "cut", "--trials", "500", "--output", out)
     assert res.returncode == 0, res.stderr

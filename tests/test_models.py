@@ -266,8 +266,12 @@ def test_sampled_sequences_hold_the_slots_sample_slots_draws(gu, params):
             assert ends is None
 
 
-@pytest.mark.parametrize("gu", [UnderlyingGraph.complete(5), UnderlyingGraph.line(4), STRING_IDS,
-                                PERMUTED_IDS, UnderlyingGraph((0, 1, 2), ((1, 2), (0, 2)))])
+@pytest.mark.parametrize("gu", [
+    UnderlyingGraph.complete(5), UnderlyingGraph.line(4), STRING_IDS, PERMUTED_IDS,
+    UnderlyingGraph((0, 1, 2), ((1, 2), (0, 2))),
+    # unsorted and reversed edges: `_ends` out of (u, v) order takes the full sort
+    UnderlyingGraph(tuple(range(6)), ((4, 1), (0, 5), (2, 3), (1, 0), (5, 3), (2, 0), (3, 1))),
+])
 def test_neighbor_map_lists_neighbors_by_id(gu):
     want = {v: [] for v in gu.nodes}
     for u, v in gu.edges:

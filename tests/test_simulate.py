@@ -21,12 +21,15 @@ from tvgraph.models import (
     edge_update,
     sample_er_tgs,
     sample_markov_tgs,
+    slot_states,
 )
 from tvgraph.simulate import (
     BLOCK_TRIALS,
     CUT_CELLS,
     PAIR_CELLS,
     _block_streams,
+    _candidate_hops,
+    _graph_labels,
     _path_block,
     _run_blocks,
     _steady_slot,
@@ -431,8 +434,68 @@ def test_block_streams_are_not_trial_streams():
         assert not np.isin(np.concatenate(blocks), np.concatenate(trials)).any()
 
 
+def per_trial_cut_block(model, n_edges, cols, ends, n, source, dest, horizon, rngs):
+    """The labelling kernel on per-trial streams, kept as the reference for
+    the block-stream kernel: each trial draws all n_edges candidate edges per
+    slot from its own stream (`slot_states`), in chunks of at most t+1 slots
+    and about CUT_CELLS cells, and keeps the columns `cols`, whose ends are
+    `ends`; returns latencies (-1 undelivered)."""
+    size = len(rngs)
+    offset = np.arange(size, dtype=np.int32)[:, None] * n
+    head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
+    orig = np.arange(size)
+    cur = np.full(size, source, dtype=np.int32)
+    latency = np.full(size, -1, dtype=np.int64)
+    states, t = None, 0
+    while orig.size and t < horizon:
+        span = min(t + 1, horizon - t, max(1, CUT_CELLS // (orig.size * n_edges)))
+        slots = slot_states(model, states, rngs, span, n_edges)
+        states = slots[-1]
+        if len(cols) < n_edges:
+            slots = slots[:, :, cols]
+        rows = np.arange(orig.size)
+        for k in range(span):
+            t += 1
+            lab = _graph_labels(slots[k, rows], n, head, tail)
+            base = offset[:rows.size, 0]
+            jump = lab[base + cur]
+            done = jump == lab[base + dest]
+            latency[orig[done]] = t - 1
+            keep = ~done
+            cur, orig, rows = (jump - base)[keep], orig[keep], rows[keep]
+            if not orig.size:
+                break
+        rngs, states = [rngs[i] for i in rows], states[rows]
+    return latency
+
+
+def per_trial_simulate_cut(model, gu, source, dest, horizon, trials, seed, rank=None):
+    """Cut-through by the per-trial reference kernel: trial i replays the
+    sequence sample_*_tgs(gu, model, horizon, SeedSequence(seed,
+    spawn_key=(i,))) draws, with the nodes of dest's component in (rank, id)
+    order (default rank: hop distance to dest)."""
+    hops = _candidate_hops(gu, dest)
+    if rank is None:
+        rank = dict(zip(gu.nodes, hops))
+    comp = [v for v, h in zip(gu.nodes, hops) if h >= 0]
+    index = {v: i for i, v in enumerate(sorted(comp, key=lambda v: (rank[v], v)))}
+    ends = np.array([index.get(v, -1) for v in gu.nodes], dtype=np.int32)[gu._ends]
+    cols = np.flatnonzero(ends[0] >= 0)
+    n_edges = ends.shape[1]
+    block = max(1, CUT_CELLS // n_edges)
+    parts = [
+        per_trial_cut_block(
+            model, n_edges, cols, ends[:, cols], len(index), index[source], index[dest], horizon,
+            [_trial_stream(seed, trial) for trial in range(start, min(start + block, trials))],
+        )
+        for start in range(0, trials, block)
+    ]
+    return EmpiricalPmf.from_latencies(np.concatenate(parts), trials)
+
+
 def test_per_trial_engines_replay_the_per_trial_streams():
-    # trial i replays the sequence sample_*_tgs draws from SeedSequence(seed, spawn_key=(i,))
+    # trial i replays the sequence sample_*_tgs draws from SeedSequence(seed, spawn_key=(i,));
+    # the cut half runs the per-trial reference of the labelling kernel
     gu = UnderlyingGraph(tuple(range(6)), ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)))
     rank = {0: 5, 1: 3, 2: 4, 3: 1, 4: 2, 5: 0}  # not hop distance: 1 outranks 2
 
@@ -445,7 +508,7 @@ def test_per_trial_engines_replay_the_per_trial_streams():
         (ErParams(0.35), sample_er_tgs),
         (MarkovParams(0.3, 0.2, p0=0.1), sample_markov_tgs),
     ):
-        cut = simulate_cut(model, gu, 0, 5, horizon=horizon, trials=trials, seed=seed, rank=rank)
+        cut = per_trial_simulate_cut(model, gu, 0, 5, horizon, trials, seed, rank=rank)
         soa = simulate_soa(
             model, gu, 0, 5, horizon=horizon, trials=trials, seed=seed, next_hop=next_hop
         )
@@ -459,6 +522,42 @@ def test_per_trial_engines_replay_the_per_trial_streams():
             assert 0 < want.undelivered < trials
             assert np.array_equal(emp.counts, want.counts)
             assert emp.undelivered == want.undelivered
+
+
+# two triangles joined by (2, 3), and a triangle dest's component never meets
+TWO_TRIANGLES = UnderlyingGraph(
+    tuple(range(9)),
+    ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8)),
+)
+NOT_HOPS = {0: 5, 1: 3, 2: 4, 3: 1, 4: 2, 5: 0}  # 1 outranks 2
+BLOCK_CUT_CASES = {  # model, gu, source, dest, horizon, rank
+    "er-K6": (ErParams(0.2), UnderlyingGraph.complete(6), 0, 5, None, None),
+    "er-K20": (ErParams(0.05), UnderlyingGraph.complete(20), 0, 19, None, None),
+    "mc-K5-p0": (MarkovParams(0.05, 0.1, p0=0.02), UnderlyingGraph.complete(5), 0, 4, None, None),
+    "er-rank": (ErParams(0.35), TWO_TRIANGLES, 0, 5, None, NOT_HOPS),
+    "mc-rank-capped": (MarkovParams(0.3, 0.2, p0=0.1), TWO_TRIANGLES, 0, 5, 10, NOT_HOPS),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CUT_CASES)
+def test_block_stream_kernel_matches_the_per_trial_kernel(case):
+    # one stream per block of trials, drawing dest's component only, against
+    # one stream per trial drawing every candidate edge; fixed beforehand:
+    # KS and 5-standard-error bounds, each at a false-alarm rate of about
+    # 1e-6, on undelivered counts as well
+    model, gu, source, dest, horizon, rank = BLOCK_CUT_CASES[case]
+    if horizon is None:
+        horizon = default_horizon(len(gu.nodes), model.p)
+    trials = 20_000
+    got = simulate_cut(model, gu, source, dest, horizon=horizon, trials=trials, seed=61,
+                       rank=rank)
+    want = per_trial_simulate_cut(model, gu, source, dest, horizon, trials, 62, rank=rank)
+    assert_same_law(got, want)
+    pooled = (got.undelivered + want.undelivered) / (2 * trials)
+    gap = abs(got.undelivered - want.undelivered) / trials
+    assert gap <= 5 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
+    if case == "mc-rank-capped":
+        assert 0 < got.undelivered < trials
 
 
 def test_simulate_determinism_and_seed_sensitivity():
@@ -601,6 +700,22 @@ def test_simulate_cut_memory_is_bounded_by_the_cell_budget():
     assert peak < 64 * CUT_CELLS
 
 
+def test_reachable_pairs_memory_is_bounded_by_the_cell_budget():
+    # K70 has 2,415 candidate edges: 200 trials' uniforms of one slot alone
+    # would take 3.9 MB, a block of PAIR_CELLS cells takes 0.5 MB
+    gu = UnderlyingGraph.complete(70)
+    trials = 200
+    assert trials > PAIR_CELLS // gu._ends.shape[1]  # more trials than one block holds
+    tracemalloc.start()
+    try:
+        samples = reachable_pairs_samples(ErParams(0.01), gu, [1, 2, 5], trials, 3, ms=(2,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples["stacked"].shape == (trials, 3)
+    assert peak < 64 * PAIR_CELLS
+
+
 def test_simulate_soa_callable_policy():
     gu = UnderlyingGraph.line(4)
 
@@ -672,7 +787,7 @@ def _cycles_and_an_isolated_node():
 def test_reachable_pairs_columns_match_per_trial_sequences():
     # row i is the sequence sample_*_tgs draws from SeedSequence(seed, spawn_key=(i,))
     k70 = UnderlyingGraph.complete(70)  # two 64-bit words per bitset row
-    assert 8 > PAIR_CELLS // len(k70.edges)  # more trials than one block holds
+    assert 30 > PAIR_CELLS // len(k70.edges)  # more trials than one block holds
     cases = (
         (UnderlyingGraph.complete(7), ErParams(0.08), sample_er_tgs, 24, [0, 1, 3, 4, 7], 15, (2,)),
         (UnderlyingGraph.complete(7), MarkovParams(0.3, 0.4, p0=0.1), sample_markov_tgs, 25,
@@ -680,7 +795,7 @@ def test_reachable_pairs_columns_match_per_trial_sequences():
         # a repeated horizon, and a block longer than every horizon
         (_cycles_and_an_isolated_node(), MarkovParams(0.2, 0.3), sample_markov_tgs, 26,
          [0, 2, 5, 5, 9], 20, (2, 3, 12)),
-        (k70, ErParams(0.01), sample_er_tgs, 27, [0, 2, 5], 8, (2,)),
+        (k70, ErParams(0.01), sample_er_tgs, 27, [0, 2, 5], 30, (2,)),
     )
     for gu, model, sampler, seed, grid, trials, ms in cases:
         n = len(gu.nodes)

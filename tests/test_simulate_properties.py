@@ -1,5 +1,8 @@
-"""Property-based check that batched cut-through replays exactly the per-trial
-streams: `simulate_cut` against `replay_cut` on each trial's own sequence."""
+"""Property-based checks of the cut-through labelling kernel against
+`replay_cut`: its per-trial reference replays exactly each trial's own
+sequence, and the block-stream kernel that `simulate_cut` runs replays
+exactly the sequence its stream draws when a block holds one trial.
+`test_simulate` checks the two kernels against each other in law."""
 
 import itertools
 import math
@@ -15,10 +18,13 @@ from tvgraph.models import (  # noqa: E402
     ErParams,
     MarkovParams,
     UnderlyingGraph,
+    edge_update,
     sample_er_tgs,
     sample_markov_tgs,
 )
+from test_simulate import per_trial_simulate_cut  # noqa: E402
 from tvgraph.simulate import EmpiricalPmf, replay_cut, simulate_cut  # noqa: E402
+from tvgraph.temporal import Graphlet, GraphletSequence  # noqa: E402
 
 INF = math.inf
 probs = st.floats(min_value=0.05, max_value=0.95)
@@ -65,22 +71,37 @@ def hop_ranks(gu, dest):
     return {v: dist.get(v, INF) for v in gu.nodes}
 
 
-@settings(deadline=None, max_examples=60)
-@given(cyclic_cases(), models,
-       st.one_of(st.none(), st.lists(st.sampled_from([0, 1, 2, INF]), min_size=10, max_size=10)),
-       st.integers(1, 12), st.integers(0, 2**32 - 1))
-@example(
+def block_stream_sequence(model, gu, dest, horizon, seed):
+    """The slots a one-trial block of the labelling kernel draws: slot t
+    holds the edges of dest's component, in `gu.edges` order, that row t of
+    SeedSequence(seed, spawn_key=(1, 0))'s uniforms turns ON."""
+    comp = {v for v, h in hop_ranks(gu, dest).items() if h < INF}
+    edges = [e for e in gu.edges if e[0] in comp]
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, 0)))
+    states, slots = None, []
+    for t, u in enumerate(rng.random((horizon, len(edges))), start=1):
+        states = edge_update(model, states, u)
+        slots.append(Graphlet(t, gu.nodes, [e for e, on in zip(edges, states) if on]))
+    return GraphletSequence(slots)
+
+
+RANKS = st.one_of(st.none(), st.lists(st.sampled_from([0, 1, 2, INF]), min_size=10, max_size=10))
+STRING_IDS_CASE = (
     (UnderlyingGraph(("a", "b", "c", "d", "x", "y"),
                      (("a", "b"), ("c", "b"), ("a", "c"), ("c", "d"), ("x", "y"))), "a", "d"),
     ErParams(0.3), [1, 1, 0, 2, INF, 0], 8, 5,
 )
+
+
+@settings(deadline=None, max_examples=60)
+@given(cyclic_cases(), models, RANKS, st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(*STRING_IDS_CASE)
 def test_simulate_cut_replays_each_trial_stream(case, model, ranks, horizon, seed):
     # explicit ranks tie, reach inf, and cover nodes outside dest's component
     gu, source, dest = case
     rank = None if ranks is None else dict(zip(gu.nodes, ranks))
     trials = 25
-    emp = simulate_cut(model, gu, source, dest, horizon=horizon, trials=trials, seed=seed,
-                       rank=rank)
+    emp = per_trial_simulate_cut(model, gu, source, dest, horizon, trials, seed, rank=rank)
     sampler = sample_er_tgs if isinstance(model, ErParams) else sample_markov_tgs
     want_rank = hop_ranks(gu, dest) if rank is None else rank
     lats = []
@@ -90,3 +111,18 @@ def test_simulate_cut_replays_each_trial_stream(case, model, ranks, horizon, see
     want = EmpiricalPmf.from_latencies([-1 if x is None else x for x in lats], trials)
     assert np.array_equal(emp.counts, want.counts)
     assert emp.undelivered == want.undelivered
+
+
+@settings(deadline=None, max_examples=60)
+@given(cyclic_cases(), models, RANKS, st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(*STRING_IDS_CASE)
+def test_block_stream_kernel_replays_its_stream_on_one_trial(case, model, ranks, horizon, seed):
+    # one trial is one block: its stream's uniforms, slot-major over the
+    # component's edges, are the sequence it replays, however it is chunked
+    gu, source, dest = case
+    rank = None if ranks is None else dict(zip(gu.nodes, ranks))
+    emp = simulate_cut(model, gu, source, dest, horizon=horizon, trials=1, seed=seed, rank=rank)
+    tgs = block_stream_sequence(model, gu, dest, horizon, seed)
+    want_rank = hop_ranks(gu, dest) if rank is None else rank
+    latency = replay_cut(tgs, source, dest, rank=want_rank).latency
+    assert emp.nonzero_items() == ([] if latency is None else [(latency, 1)])
