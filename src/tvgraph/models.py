@@ -17,12 +17,12 @@ trials from one stream instead, and steps those uniforms with
 `edge_update`.
 
 A candidate graph holds its edges as index arrays (`_ends`: positions in
-`nodes` of both ends of each edge).  `complete` and `line` are built from
-them alone, and their edge tuples are made on the first read of `edges`;
-`neighbor_map` and `from_graphlet` of a slot held as index arrays work
-from the arrays.  Sampling draws every candidate cell of every slot; on
-node ids 0..n-1 each sampled slot holds its up edges as an index array
-gathered from `_ends`, and on other ids as tuples.
+`nodes` of both ends of each edge).  `complete`, `line` and
+`from_graphlet` are built from them alone, and their edge tuples are made
+on the first read of `edges`; `neighbor_map` works from the arrays.
+Sampling draws every candidate cell of every slot, and each sampled slot
+holds its up edges as an index array into its sorted ids (see `Graphlet`),
+gathered from `_ends`.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .temporal import Graphlet, GraphletSequence, bfs, load_tgs
+from .temporal import Graphlet, GraphletSequence, _id_pairs, _sorted_ids, bfs, load_tgs
 
 __all__ = [
     "UnderlyingGraph",
@@ -66,12 +66,14 @@ STATIONARY_TOL = 1e-12
 class UnderlyingGraph:
     """Candidate-edge graph the stochastic processes act on.
 
+    Every graph holds its edges as a private (2, E) int32 index array
+    `_ends` of positions in `nodes`, each edge as (min, max).
     `UnderlyingGraph(nodes, edges, name)` checks every edge: no self-loops,
-    no duplicates in either orientation, both endpoints in `nodes`.  The
-    builders `line`, `complete` and `from_graphlet` skip that check, as
-    their edges are valid by construction.  `line`, `complete` and
-    `from_graphlet` of a slot held as index arrays hold their edges as
-    index arrays and build the `edges` tuple on its first read.
+    no duplicates in either orientation, both endpoints in `nodes`; it then
+    lays out `_ends` in `edges` order.  The builders `line`, `complete` and
+    `from_graphlet` skip that check, as their edges are valid by
+    construction: they hold their nodes sorted and only `_ends`, sorted by
+    (u, v), and build the `edges` tuple on its first read.
     """
 
     nodes: tuple
@@ -79,59 +81,47 @@ class UnderlyingGraph:
     name: str | None = None
 
     def __post_init__(self):
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        pos = {v: i for i, v in enumerate(self.nodes)}
+        if len(pos) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        seen = set()
+        seen = {}  # each edge as (min, max) -> the positions of its ends
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            if u not in node_set or v not in node_set:
+            if u not in pos or v not in pos:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
             key = (u, v) if u <= v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            seen[key] = (pos[key[0]], pos[key[1]])
+        # positions in `nodes` of the (min, max) ends of each edge, as a
+        # (2, edges) int32 array in `edges` order
+        vars(self)["_ends"] = np.array(list(seen.values()), dtype=np.int32).reshape(-1, 2).T
 
     @classmethod
-    def _unchecked(cls, nodes, edges, name=None):
-        """The graph on `nodes` and `edges`, which the caller guarantees valid
-        and already normalized to (min, max)."""
+    def _from_ends(cls, nodes, ends, name):
+        """The graph on the sorted tuple `nodes` whose edge j joins
+        nodes[ends[0][j]] and nodes[ends[1][j]], which the caller guarantees
+        valid with ends[0] < ends[1]."""
         gu = object.__new__(cls)
-        vars(gu).update(nodes=nodes, edges=edges, name=name)
-        return gu
-
-    @classmethod
-    def _from_ends(cls, n, ends, name):
-        """The graph on nodes 0..n-1 whose edge j is (ends[0][j], ends[1][j]),
-        which the caller guarantees valid with ends[0] < ends[1]."""
-        gu = object.__new__(cls)
-        vars(gu).update(nodes=tuple(range(n)), name=name,
+        vars(gu).update(nodes=nodes, name=name,
                         _ends=np.asarray(ends, dtype=np.int32).reshape(2, -1))
         return gu
 
     def __getattr__(self, name):
-        # the edge tuples of a graph built by `_from_ends`, on first read
-        if name != "edges" or "_ends" not in vars(self):
+        # the edge tuples of a graph built by `_from_ends` (every other graph
+        # holds `edges` from construction), on first read
+        if name != "edges":
             raise AttributeError(name)
-        edges = tuple(zip(*self._ends.tolist()))
-        vars(self)["edges"] = edges
+        edges = vars(self)["edges"] = tuple(_id_pairs(self.nodes, self._ends))
         return edges
-
-    @cached_property
-    def _ends(self):
-        """Positions in `nodes` of the (min, max) ends of each edge, as a
-        (2, edges) int32 array in `edges` order."""
-        pos = {v: i for i, v in enumerate(self.nodes)}
-        pairs = [(pos[u], pos[v]) if u <= v else (pos[v], pos[u]) for u, v in self.edges]
-        return np.array(pairs, dtype=np.int32).reshape(-1, 2).T
 
     @classmethod
     def line(cls, n):
         if n < 1:
             raise ValueError("a line needs at least one node")
         heads = np.arange(n - 1)
-        return cls._from_ends(n, (heads, heads + 1), "line")
+        return cls._from_ends(tuple(range(n)), (heads, heads + 1), "line")
 
     @classmethod
     def complete(cls, n):
@@ -146,15 +136,12 @@ class UnderlyingGraph:
         ends[1] = 1
         ends[1, firsts] = np.arange(3 - n, 1)  # from n-1 back to i+1
         np.cumsum(ends, axis=1, out=ends)
-        return cls._from_ends(n, ends, "complete")
+        return cls._from_ends(tuple(range(n)), ends, "complete")
 
     @classmethod
     def from_graphlet(cls, g, name=None):
-        # A graphlet's edges are normalized, unique and inside its node set.
-        ends = getattr(g, "_ends", None)  # a slot's index arrays, on ids 0..n-1
-        if ends is not None:
-            return cls._from_ends(len(g.nodes), ends, name)
-        return cls._unchecked(tuple(sorted(g.nodes)), tuple(sorted(g.edges)), name)
+        # A graphlet's index arrays are sorted, unique and inside its ids.
+        return cls._from_ends(g._ids, g._ends, name)
 
     @cached_property
     def _adjacency(self):
@@ -304,33 +291,24 @@ def sample_slots(gu, params, horizon, rng):
             yield items[start:stop]
 
 
-def _id_order(gu):
-    """The ids of gu's edge ends on ids 0..n-1, (min, max), and the order
-    that sorts the edges by (u, v): a slice when they already are."""
-    ends = gu._ends
-    if gu.nodes != tuple(range(len(gu.nodes))):  # positions are not the ids
-        ids = np.array(gu.nodes, dtype=np.int32)[ends]
-        ends = np.stack([ids.min(axis=0), ids.max(axis=0)])
-    key = ends[0].astype(np.int64)
-    key *= len(gu.nodes)
-    key += ends[1]
-    return ends, slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)
-
-
 def _sample_tgs(gu, params, horizon, seed):
-    """The sequence of `sample_slots`' slots over gu.  On node ids 0..n-1
-    each slot holds its up edges as a sorted index array (see `Graphlet`),
-    gathered from the chunked states without building a tuple."""
+    """The sequence of `sample_slots`' slots over gu.  Each slot holds its
+    up edges as a sorted index array into gu's sorted ids (see `Graphlet`),
+    gathered from the chunked states without building a tuple: the edge
+    ends are taken to positions in the sorted ids as (min, max), and the
+    edges, with their state columns, to (u, v) order."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    nodes = frozenset(gu.nodes)
-    if nodes != frozenset(range(len(nodes))):  # ids an index array cannot stand for
-        slots = sample_slots(gu, params, horizon, rng)
-        return GraphletSequence(
-            Graphlet._unchecked(t, nodes, frozenset(up)) for t, up in enumerate(slots, start=1)
-        )
-    ends, order = _id_order(gu)
+    ids, ends = _sorted_ids(gu.nodes), gu._ends
+    if ids != gu.nodes:  # gu's positions are not in id order
+        pos = {v: i for i, v in enumerate(ids)}
+        ends = np.array([pos[v] for v in gu.nodes], dtype=np.int32)[ends]
+    key = ends[0].astype(np.int64)
+    key *= len(ids)
+    key += ends[1]
+    order = slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)
+    nodes = frozenset(ids)
     ends = ends[:, order]
     graphlets = []
     for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
@@ -338,7 +316,7 @@ def _sample_tgs(gu, params, horizon, seed):
         up = ends[:, cells % ends.shape[1]]
         bounds = _slot_bounds(cells, chunk)
         for start, stop in zip(bounds, bounds[1:]):
-            graphlets.append(Graphlet._from_ends(len(graphlets) + 1, nodes, up[:, start:stop]))
+            graphlets.append(Graphlet._from_ends(len(graphlets) + 1, nodes, ids, up[:, start:stop]))
     return GraphletSequence(graphlets)
 
 

@@ -63,7 +63,7 @@ from .models import (
     ErParams, MarkovParams, UnderlyingGraph, edge_update, sample_slots, shortest_path,
     slot_states,
 )
-from .temporal import adjacency, bfs, smash
+from .temporal import adjacency, bfs, m_smash
 
 __all__ = [
     "TrialResult",
@@ -206,7 +206,7 @@ def replay_soa(tgs, source, dest, next_hop=None):
     if source == dest:
         return TrialResult(0, ((source, 0),))
     if next_hop is None:
-        path = shortest_path(UnderlyingGraph.from_graphlet(smash(tgs)), source, dest)
+        path = shortest_path(UnderlyingGraph.from_graphlet(m_smash(tgs, tgs.horizon)[0]), source, dest)
         if path is None:
             raise ValueError(f"{dest!r} is not connected to {source!r} in the slot union")
         hops = {path[i]: path[i + 1] for i in range(len(path) - 1)}
@@ -250,7 +250,7 @@ def replay_cut(tgs, source, dest, rank=None):
     if source == dest:
         return TrialResult(0, ((source, 0),))
     if rank is None:
-        gu = UnderlyingGraph.from_graphlet(smash(tgs))
+        gu = UnderlyingGraph.from_graphlet(m_smash(tgs, tgs.horizon)[0])
         rank = {v: math.inf if h < 0 else h for v, h in zip(gu.nodes, _candidate_hops(gu, dest))}
     cur = source
     trajectory = [(source, 0)]

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tvgraph.analytics import er_soa_latency_pmf
@@ -556,6 +557,32 @@ def test_gen_then_route_build_no_edge_tuples(tmp_path, monkeypatch):
     assert "edges" not in vars(seen["read"][0])
     assert "edges" not in vars(seen["gu"])
     assert seen["read"] == seen["sampled"]
+
+
+def test_unions_and_replay_searches_build_no_slot_edges():
+    # smash, m_smash and the replays' default path and rank searches read the
+    # slots' index arrays; only a replay's walk reads `edges`, slot by slot,
+    # and a message delivered in slot 1 walks no further
+    from tvgraph.models import ErParams, sample_er_tgs
+    from tvgraph.simulate import replay_cut, replay_soa
+    from tvgraph.temporal import m_smash, parse_tgs, smash
+
+    words = UnderlyingGraph(("d", "b", "a", "c"), (("a", "b"), ("c", "b"), ("c", "d"), ("d", "a")))
+    for tgs in [
+        parse_tgs("tgs 4 20\n" + "".join(f"t {t}\ne 0 1\ne 2 1\ne 3 2\n" for t in range(1, 21))),
+        sample_er_tgs(UnderlyingGraph.complete(5), ErParams(1.0), 20, 3),
+        sample_er_tgs(words, ErParams(1.0), 20, 3),
+    ]:
+        for g in tgs:  # string ids too: sorted ids and an int32 index array into them
+            assert g._ids == tuple(sorted(g.nodes)) and g._ends.dtype == np.int32
+        source, dest = sorted(tgs.node_ids)[:2]
+        smg = smash(tgs)  # every slot holds the same edges
+        assert smg.connected(source, dest)
+        assert [b.edges for b in m_smash(tgs, 3)] == [smg.edges] * 7
+        assert not any("edges" in vars(g) for g in tgs)
+        assert replay_soa(tgs, source, dest).latency == 1
+        assert replay_cut(tgs, source, dest).latency == 0
+        assert not any("edges" in vars(g) for g in tgs[1:])
 
 
 def test_in_process_calls_share_no_state(capsys):

@@ -80,11 +80,8 @@ def _reference_parse_tgs(text):
             edges.add(e)
         else:
             raise ValueError(f"unrecognized line {ln!r}")
-    # Every edge is checked above: in range, no self-loop, normalized, unique.
-    nodes, empty = frozenset(range(n)), frozenset()
     return GraphletSequence(
-        Graphlet._unchecked(t, nodes, frozenset(slot_edges.get(t, empty)))
-        for t in range(1, horizon + 1)
+        Graphlet(t, range(n), slot_edges.get(t, ())) for t in range(1, horizon + 1)
     )
 
 

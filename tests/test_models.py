@@ -255,15 +255,13 @@ PERMUTED_IDS = UnderlyingGraph(
 def test_sampled_sequences_hold_the_slots_sample_slots_draws(gu, params):
     sampler = sample_er_tgs if isinstance(params, ErParams) else sample_markov_tgs
     tgs = sampler(gu, params, 9, 5)
+    for g in tgs:  # whatever the ids: sorted positions into `_ids`, no tuples until read
+        assert "edges" not in vars(g)
+        assert g._ids == tuple(sorted(gu.nodes)) and g._ends.dtype == np.int32
+        pairs = list(zip(*g._ends.tolist()))
+        assert pairs == sorted(set(pairs)) and all(u < v for u, v in pairs)
     slots = sample_slots(gu, params, 9, np.random.default_rng(5))
     assert [g.edges for g in tgs] == [frozenset(up) for up in slots]
-    for g in tgs:
-        ends = vars(g).get("_ends")
-        if gu is not STRING_IDS:  # ids 0..n-1: a sorted index array, no tuples until read
-            assert ends.dtype == np.int32
-            assert sorted(zip(*ends.tolist())) == list(zip(*ends.tolist())) and (ends[0] < ends[1]).all()
-        else:
-            assert ends is None
 
 
 @pytest.mark.parametrize("gu", [

@@ -1,21 +1,27 @@
 """Property-based tests of the lazy stacked view and the journey queries
-against BFS over the materialized time-expanded graph."""
+against BFS over the materialized time-expanded graph, and of the smashed
+views against the set union of the slots."""
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tvgraph.models import ErParams, UnderlyingGraph, sample_er_tgs  # noqa: E402
 from tvgraph.temporal import (  # noqa: E402
     Graphlet,
     GraphletSequence,
     build_stacked,
+    m_smash,
     reachable_pairs_fraction,
+    smash,
     stacked_reachable,
+    t_adjacent,
     t_k_connected,
     t_reachable,
 )
@@ -142,3 +148,105 @@ def test_t_k_connected_matches_the_definition(tgs):
             want = want and all(stacked_pair_reach(stg, u, v)
                                 for u, v in itertools.permutations(rest, 2))
         assert t_k_connected(tgs, k) == want
+
+
+def set_union(graphlets):
+    """Frozen (nodes, edges) of the union of `graphlets` by set union: how
+    smash and m_smash took it before they read index arrays, kept as their
+    reference."""
+    nodes, edges = set(), set()
+    for g in graphlets:
+        nodes |= g.nodes
+        edges |= g.edges
+    return frozenset(nodes), frozenset(edges)
+
+
+@st.composite
+def labelled_sequences(draw, max_nodes=6, max_slots=8):
+    """Sequences over ids drawn as strings, as a permutation of 0..n-1 or as
+    scattered ints, on a constant or a varying node set; slots may be empty,
+    and each lists some of its edges twice and reversed."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    ids = draw(st.one_of(
+        st.lists(st.text(max_size=2), min_size=n, max_size=n, unique=True),
+        st.permutations(range(n)),
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True),
+    ))
+    constant = draw(st.booleans())
+    slots = []
+    for t in range(1, draw(st.integers(min_value=1, max_value=max_slots)) + 1):
+        present = ids if constant or not ids else draw(st.lists(st.sampled_from(ids), unique=True))
+        pairs = list(itertools.combinations(present, 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+        slots.append(Graphlet(t, present, edges + [(v, u) for u, v in edges[::2]]))
+    return GraphletSequence(slots)
+
+
+def assert_one_form(g):
+    """`g` holds its sorted ids and a sorted, repeat-free int32 index array
+    into them, which gives its edges."""
+    assert g._ids == tuple(sorted(g.nodes)) and g._ends.dtype == np.int32
+    pairs = list(zip(*g._ends.tolist()))
+    assert pairs == sorted(set(pairs)) and all(u < v for u, v in pairs)
+    assert {(g._ids[u], g._ids[v]) for u, v in pairs} == g.edges
+
+
+@settings(deadline=None, max_examples=300)
+@given(tgs=labelled_sequences(), data=st.data())
+def test_smash_and_m_smash_match_the_set_union(tgs, data):
+    for g in tgs:
+        assert_one_form(g)
+    nodes, edges = set_union(tgs)
+    smg = smash(tgs)
+    assert (smg.nodes, smg.edges) == (nodes, edges)
+    m = data.draw(st.integers(min_value=1, max_value=tgs.horizon + 2))  # m >= T, and m not dividing T
+    coarse = m_smash(tgs, m)
+    want = [Graphlet(i, *set_union(tgs.graphlets[start:start + m]))
+            for i, start in enumerate(range(0, tgs.horizon, m), start=1)]
+    assert coarse.horizon == len(want)
+    for got, ref in zip(coarse, want):
+        assert_one_form(got)
+        # a slot whose edges come from its index array, beside one built from a frozenset
+        assert got.edges == ref.edges and got.nodes == ref.nodes
+        assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+
+
+def test_public_constructor_checks_and_merges_repeats():
+    with pytest.raises(ValueError, match=r"^self-loop on node 'b'$"):
+        Graphlet(1, "ab", [("a", "c"), ("b", "b")])  # a self-loop is named before an outside endpoint
+    with pytest.raises(ValueError, match=r"^edge \('a', 'c'\) has an endpoint outside the node set$"):
+        Graphlet(1, "ab", [("c", "a")])
+    g = Graphlet(1, "cab", [("b", "a"), ("a", "b"), ("c", "b"), ("b", "a")])
+    assert g.edges == {("a", "b"), ("b", "c")} and g._ends.tolist() == [[0, 1], [1, 2]]
+    assert g.has_edge("b", "a") and g.has_edge("b", "c") and not g.has_edge("a", "c")
+    assert not g.has_edge("a", "a") and not g.has_edge("a", "z")
+    assert g == Graphlet(1, "abc", [("a", "b"), ("b", "c")])
+
+
+def test_ids_that_do_not_compare_are_one_named_error():
+    message = "^node ids must compare with each other"
+    with pytest.raises(TypeError, match=message):
+        Graphlet(1, [0, "a"])
+    with pytest.raises(TypeError, match=message):
+        Graphlet(1, [0, "a"], [(0, "a")])  # the ids, not the edge, are refused
+    # each slot's ids compare, but the union of both does not
+    tgs = GraphletSequence([Graphlet(1, [0, 1], [(0, 1)]), Graphlet(2, ["a", "b"], [("a", "b")])])
+    for query in (smash, lambda s: m_smash(s, 1), reachable_pairs_fraction,
+                  lambda s: t_k_connected(s, 1)):
+        with pytest.raises(TypeError, match=message):
+            query(tgs)
+    with pytest.raises(TypeError, match=message):
+        sample_er_tgs(UnderlyingGraph((0, "a"), ()), ErParams(0.5), 3, 0)
+    # asking about a pair of ids of two kinds is no edge, not an error
+    assert not tgs[0].has_edge(0, "a") and not t_adjacent(tgs, 1, "b")
+
+
+def test_union_keys_past_int64_are_an_error():
+    # a range stands in for a sorted id tuple too long to build: the union
+    # reads only its length, and 2^32 ids make keys past int64
+    no_ends = np.zeros((2, 0), dtype=np.int32)
+    tgs = GraphletSequence(Graphlet._from_ends(t, frozenset(), range(2 ** 32), no_ends) for t in (1, 2))
+    for query in (smash, lambda s: m_smash(s, 1)):
+        with pytest.raises(ValueError, match="node ids overflow the int64 union key"):
+            query(tgs)
