@@ -687,12 +687,19 @@ def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
     Node v of trial i is row i*n + v.  In the bitsets of the stacked and
     m-smashed views bit u of row v is set when u reaches v; the smashed
     view keeps each row's union class as its lowest row.
+
+    A view only gains pairs, so the scan stops after the chunk of slots in
+    which every stacked and every m-smashed bitset row is full, and every
+    later grid row takes n(n-1).  The smashed view needs no check of its
+    own: each stacked pair is a smashed pair of the same sample, so a full
+    stacked view makes each trial one union class.
     """
     size, n_edges = len(rngs), ends.shape[1]
     nodes = np.arange(size * n, dtype=np.int32)
     v = nodes % n
     ident = np.zeros((size * n, (n + 63) // 64), dtype=np.uint64)
     ident[nodes, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+    full = np.bitwise_or.reduce(ident[:n])
     reach = ident.copy()
     union = nodes
     coarse = {m: ident.copy() for m in ms}
@@ -729,6 +736,11 @@ def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
                 pairs["smashed"][row] = (classes * classes).reshape(size, n).sum(axis=1) - n
                 for m in ms:
                     pairs[("msmg", m)][row] = coarse_pairs[m]
+        if (reach == full).all() and all((c == full).all() for c in coarse.values()):
+            done = sum(t <= t0 + span for t in slot_of)  # rows are in horizon order
+            for p in pairs.values():
+                p[done:] = n * (n - 1)
+            break
     return pairs
 
 
@@ -750,8 +762,18 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     ceil(n/64) uint64 words per trial and node), and the smashed union
     classes are relabelled each slot from the old classes and the slot's
     components.
+
+    A block stops drawing slots after the chunk in which every view of
+    every one of its trials holds all n(n-1) pairs; its later grid rows
+    then read 1.0, which is what the remaining slots would give, as a view
+    never loses a pair.  Each block's trial streams are its own and are
+    dropped after it, so the slots left undrawn change no other block's
+    draws and the output keeps its bytes.
     """
     grid = list(horizon_grid)
+    for t in grid:
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+            raise ValueError(f"horizons must be integers, got {t!r}")
     if any(t < 0 for t in grid):
         raise ValueError("horizons must be >= 0")
     if trials < 1:

@@ -12,7 +12,8 @@ format reads and writes those arrays directly, and the smashed views are
 one sort over them.  So the ids of a slot must compare with each
 other, and so must all ids of a sequence that is smashed or whose
 reachable pairs are counted (`reachable_pairs_fraction`,
-`t_k_connected`); ids that do not are a TypeError.
+`t_k_connected`, and `t_clique`, which reads the smashed union); ids
+that do not are a TypeError.
 
 The stacked graph is a lazy view: it keeps the sequence and builds its
 vertex and arc sets only when they are read.  Reachability queries never
@@ -465,8 +466,13 @@ def _journey_masks(tgs, removed=frozenset()):
     and a present id takes its own origin back; the reachable sets are then
     the union of held over the slots.  On a constant node set no slot drops
     a bit, so that union is the last held.
+
+    The scan stops after the first slot at which every mask of `reach` is
+    full: `reach` only gains bits, so the remaining slots would return the
+    same masks, whether node sets vary or not.
     """
     own = {v: 1 << i for i, v in enumerate(_sorted_ids(tgs.node_ids - removed))}
+    full = (1 << len(own)) - 1
     held = reach = dict(own)
     varying = any(not own.keys() <= g.nodes for g in tgs)
     for g in tgs:
@@ -480,25 +486,26 @@ def _journey_masks(tgs, removed=frozenset()):
             held.update(dict.fromkeys(comp, mask))
         if varying:
             reach = {v: r | held[v] for v, r in reach.items()}
+        if all(r == full for r in reach.values()):
+            break
     return reach
 
 
 def t_clique(tgs):
     """A maximum node set of V(1) that is pairwise adjacent somewhere in time.
 
-    Exhaustive search; ties resolved toward the lexicographically smallest
-    clique by sorted node id.  Desk scale only.
+    Adjacency is read from the smashed union.  Exhaustive search; ties
+    resolved toward the lexicographically smallest clique by sorted node
+    id.  Desk scale only.
     """
     v1 = sorted(tgs.graphlets[0].nodes)
     if not v1:
         return ()
     adj = {u: set() for u in v1}
-    v1_set = set(v1)
-    for g in tgs:
-        for u, v in g.edges:
-            if u in v1_set and v in v1_set:
-                adj[u].add(v)
-                adj[v].add(u)
+    for u, v in smash(tgs).edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
     for size in range(len(v1), 0, -1):
         for combo in itertools.combinations(v1, size):
             if all(b in adj[a] for a, b in itertools.combinations(combo, 2)):

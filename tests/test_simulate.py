@@ -23,6 +23,7 @@ from tvgraph.models import (
     sample_markov_tgs,
     slot_states,
 )
+from tvgraph import simulate
 from tvgraph.simulate import (
     BLOCK_TRIALS,
     CUT_CELLS,
@@ -30,6 +31,7 @@ from tvgraph.simulate import (
     _block_streams,
     _candidate_hops,
     _graph_labels,
+    _pairs,
     _path_block,
     _run_blocks,
     _steady_slot,
@@ -818,6 +820,90 @@ def test_reachable_pairs_columns_match_per_trial_sequences():
                     assert samples[("msmg", m)][i, j] == coarse
 
 
+def _unstopped_pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
+    """`_pairs_block` drawing every slot up to t_max, as it did before it
+    learned to stop once every view is full: the reference for that stop."""
+    size, n_edges = len(rngs), ends.shape[1]
+    nodes = np.arange(size * n, dtype=np.int32)
+    v = nodes % n
+    ident = np.zeros((size * n, (n + 63) // 64), dtype=np.uint64)
+    ident[nodes, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+    reach = ident.copy()
+    union = nodes
+    coarse = {m: ident.copy() for m in ms}
+    pending = {m: np.zeros((size, n_edges), dtype=bool) for m in ms}
+    coarse_pairs = {m: np.zeros(size, dtype=np.int64) for m in ms}
+    views = ["stacked", "smashed"] + [("msmg", m) for m in ms]
+    pairs = {view: np.zeros((len(slot_of), size), dtype=np.int64) for view in views}
+    chunk = max(1, min(t_max, PAIR_CELLS // (size * max(n, n_edges))))
+    offset = np.arange(chunk * size, dtype=np.int32)[:, None] * n
+    head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
+    states = None
+    for t0 in range(0, t_max, chunk):
+        span = min(chunk, t_max - t0)
+        slots = simulate.slot_states(model, states, rngs, span, n_edges)
+        states = slots[-1]
+        keys = _graph_labels(slots.reshape(span * size, n_edges), n, head, tail)
+        keys = keys.reshape(span, size * n) - offset[:span] * size
+        for k in range(span):
+            t = t0 + k + 1
+            reach = close(reach, keys[k])
+            moved = keys[k] != nodes
+            union = labels(size * n, union[moved], union[keys[k][moved]])[union]
+            for m in ms:
+                pending[m] |= slots[k]
+                if t % m == 0:
+                    coarse[m] = close(coarse[m], _graph_labels(pending[m], n, head, tail))
+                    coarse_pairs[m] = _pairs(coarse[m], n)
+                    pending[m][:] = False
+            row = slot_of.get(t)
+            if row is not None:
+                classes = np.bincount(union, minlength=size * n)
+                pairs["stacked"][row] = _pairs(reach, n)
+                pairs["smashed"][row] = (classes * classes).reshape(size, n).sum(axis=1) - n
+                for m in ms:
+                    pairs[("msmg", m)][row] = coarse_pairs[m]
+    return pairs
+
+
+@pytest.mark.parametrize("gu, model, grid, trials, ms, unfilled, stops", [
+    # far past saturation, with a t = 0 row, a repeated horizon and an m
+    # that does not divide t_max; 400 trials of K7 label 7 slots a chunk
+    (UnderlyingGraph.complete(7), ErParams(0.6), [0, 1, 3, 3, 10, 40], 400, (2, 3), 0, True),
+    (UnderlyingGraph.complete(7), MarkovParams(0.3, 0.4, p0=0.1), [0, 2, 2, 40], 400, (3,), 0, True),
+    # an m greater than t_max never fills its view
+    (UnderlyingGraph.complete(7), ErParams(0.6), [0, 5, 20], 400, (3, 25), 0, False),
+    # node 14 has no candidate edge, so no trial fills
+    (_cycles_and_an_isolated_node(), MarkovParams(0.2, 0.3), [0, 5, 30], 400, (2,), 400, False),
+    # one block, 3 slots a chunk: one of the 3,000 trials is not full at t = 20
+    (UnderlyingGraph.line(6), ErParams(0.5), [0, 4, 20], 3000, (), 1, False),
+    # the last bitset word is partly used, and 30 trials take two blocks
+    (UnderlyingGraph.complete(70), ErParams(0.05), [0, 1, 5, 30, 60], 30, (2, 7), 0, True),
+])
+def test_reachable_pairs_stop_matches_the_unstopped_kernel(monkeypatch, gu, model, grid, trials,
+                                                           ms, unfilled, stops):
+    # unfilled: trials whose stacked view is not full at t_max
+    drawn = []
+
+    def counting(*args):
+        slots = slot_states(*args)
+        drawn[-1] += len(slots)
+        return slots
+
+    monkeypatch.setattr(simulate, "slot_states", counting)
+    out = []
+    for kernel in (simulate._pairs_block, _unstopped_pairs_block):
+        monkeypatch.setattr(simulate, "_pairs_block", kernel)
+        drawn.append(0)
+        out.append(reachable_pairs_samples(model, gu, grid, trials, seed=5, ms=ms))
+    got, want = out
+    assert got.keys() == want.keys()
+    for view in want:
+        assert np.array_equal(got[view], want[view])
+    assert (want["stacked"][:, -1] < 1.0).sum() == unfilled
+    assert (drawn[0] < drawn[1]) == stops
+
+
 def test_labels_give_each_component_its_lowest_member():
     rng = np.random.default_rng(3)
     graphs = [(30, [(29, v) for v in range(29)]), (4, [])]  # a star hooked at its highest id
@@ -910,6 +996,20 @@ def test_reachable_pairs_validation():
             reachable_pairs_samples(ErParams(0.5), gu, [1], trials=5, seed=0, ms=ms)
     with pytest.raises(ValueError):  # no ordered pairs to count
         reachable_pairs_samples(ErParams(0.5), UnderlyingGraph.complete(1), [1], trials=5, seed=0)
+
+
+@pytest.mark.parametrize("grid", [[1.5, 3], [2.0], [True, 2], [3, "4"]])
+def test_reachable_pairs_rejects_non_integer_horizons(grid):
+    # 1.5 used to give an all-0.0 column, and a float t_max a bare TypeError
+    with pytest.raises(ValueError, match="horizons must be integers, got"):
+        reachable_pairs_samples(ErParams(0.5), UnderlyingGraph.complete(4), grid, trials=5, seed=0)
+
+
+def test_reachable_pairs_takes_numpy_integer_horizons():
+    gu = UnderlyingGraph.complete(4)
+    got = reachable_pairs_samples(ErParams(0.5), gu, np.arange(4), trials=5, seed=0)
+    want = reachable_pairs_samples(ErParams(0.5), gu, [0, 1, 2, 3], trials=5, seed=0)
+    assert all(np.array_equal(got[view], want[view]) for view in want)
 
 
 def test_empirical_reachable_pairs_needs_two_trials():

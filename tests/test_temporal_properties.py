@@ -16,7 +16,11 @@ from tvgraph.models import ErParams, UnderlyingGraph, sample_er_tgs  # noqa: E40
 from tvgraph.temporal import (  # noqa: E402
     Graphlet,
     GraphletSequence,
+    _journey_masks,
+    _sorted_ids,
+    adjacency,
     build_stacked,
+    components,
     m_smash,
     reachable_pairs_fraction,
     smash,
@@ -148,6 +152,35 @@ def test_t_k_connected_matches_the_definition(tgs):
             want = want and all(stacked_pair_reach(stg, u, v)
                                 for u, v in itertools.permutations(rest, 2))
         assert t_k_connected(tgs, k) == want
+
+
+def unstopped_journey_masks(tgs, removed=frozenset()):
+    """`_journey_masks` scanning every slot, as it did before it learned to
+    stop once every mask is full: the reference for that stop."""
+    own = {v: 1 << i for i, v in enumerate(_sorted_ids(tgs.node_ids - removed))}
+    held = reach = dict(own)
+    varying = any(not own.keys() <= g.nodes for g in tgs)
+    for g in tgs:
+        if varying:
+            held = {v: h | own[v] if v in g.nodes else 0 for v, h in held.items()}
+        adj = adjacency((u, v) for u, v in g.edges if u in own and v in own)
+        for comp in components(adj):
+            mask = 0
+            for x in comp:
+                mask |= held[x]
+            held.update(dict.fromkeys(comp, mask))
+        if varying:
+            reach = {v: r | held[v] for v, r in reach.items()}
+    return reach
+
+
+@settings(deadline=None, max_examples=300)
+@given(tgs=sequences(max_nodes=5, max_slots=10), data=st.data())
+def test_journey_masks_stop_matches_the_full_scan(tgs, data):
+    # up to 10 slots of at most 5 nodes: about 6 draws in 10 fill before
+    # their last slot, so the stop fires, on varying node sets too
+    removed = frozenset(data.draw(st.sets(st.integers(0, 4), max_size=2)))
+    assert _journey_masks(tgs, removed) == unstopped_journey_masks(tgs, removed)
 
 
 def set_union(graphlets):
