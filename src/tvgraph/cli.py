@@ -143,7 +143,7 @@ def cmd_simulate(args):
 
     tv = None
     hops = abs(dest - source)
-    if gu.name == "line" and hops >= 1:
+    if args.gu == "line" and hops >= 1:
         try:
             pmf = _analytic_pmf(spec, hops + 1, args.metric, None)
         except ValueError:  # outside the closed form's assumptions, or its tail is too long
@@ -195,7 +195,7 @@ def cmd_compare(args):
     ms = _parse_m_list(args.m)
     grid = list(range(1, args.t_max + 1))
     header = ["t", "stg"] + [f"msmg_{m}" for m in ms] + ["smg"]
-    if gu.name == "line":
+    if args.gu == "line":
         # The coarsened curve at t has taken t // m blocks.
         curves = {m: reach_curve(args.n, spec.params, m, args.t_max // m) for m in {1, *ms}}
         smg = smashed_curve(args.n, spec.params, args.t_max)

@@ -20,9 +20,11 @@ A candidate graph holds its edges as index arrays (`_ends`: positions in
 `nodes` of both ends of each edge).  `complete`, `line` and
 `from_graphlet` are built from them alone, and their edge tuples are made
 on the first read of `edges`; `neighbor_map` works from the arrays.
-Sampling draws every candidate cell of every slot, and each sampled slot
-holds its up edges as an index array into its sorted ids (see `Graphlet`),
-gathered from `_ends`.
+`sample_slots` is the one sampler: it draws every candidate cell of every
+slot and yields each slot as a `Graphlet` holding its up edges as an index
+array into its sorted ids, gathered from `_ends` through a layout each
+graph computes once.  `sample_er_tgs` and `sample_markov_tgs` collect its
+slots into a sequence.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -165,6 +167,21 @@ class UnderlyingGraph:
         start = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
         return tails[order].tolist(), start.tolist()
 
+    @cached_property
+    def _id_layout(self):
+        """How a sampled slot lays out its up edges (see `Graphlet`): the
+        sorted ids, their frozenset, the ends as positions in the sorted ids
+        in (u, v) order, and that order of the columns of `_ends`."""
+        ids, ends = _sorted_ids(self.nodes), self._ends
+        if ids != self.nodes:  # positions in `nodes` are not in id order
+            pos = {v: i for i, v in enumerate(ids)}
+            ends = np.array([pos[v] for v in self.nodes], dtype=np.int32)[ends]
+        key = ends[0].astype(np.int64)
+        key *= len(ids)
+        key += ends[1]
+        order = slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)
+        return ids, frozenset(ids), ends[:, order], order
+
     def neighbor_map(self):
         """{node: its neighbors sorted by id}."""
         tails, start = self._adjacency
@@ -254,70 +271,29 @@ def slot_states(params, states, rngs, span, n_edges):
     return out
 
 
-def _state_chunks(params, horizon, rng, n_edges):
-    """Lazily yield the states of n_edges candidate edges in slots
-    1..horizon, drawn by `slot_states` on the one trial stream `rng` in
-    chunks of 1, 2, 4, ... slots, as (slots, edges) bool arrays: the same
-    stream as one draw per slot, so a caller that stops early leaves at most
-    as many slots drawn and unused as it used."""
+def sample_slots(gu, params, horizon, rng):
+    """Lazily yield the slots 1..horizon of `gu` under `params`, each holding
+    its up edges as a sorted index array into gu's sorted ids (see
+    `Graphlet`).
+
+    States are drawn by `slot_states` on the one trial stream `rng` in
+    chunks of 1, 2, 4, ... slots: the same stream as one draw per slot, so
+    a caller that stops early leaves at most as many slots drawn and unused
+    as it used.  A chunk's up edges are gathered at once through
+    `gu._id_layout`, without building a tuple.
+    """
+    ids, nodes, ends, order = gu._id_layout
+    n_edges = ends.shape[1]
     states, t = None, 0
     while t < horizon:
-        slots = slot_states(params, states, [rng], min(t + 1, horizon - t), n_edges)
-        states = slots[-1]
-        t += len(slots)
-        yield slots[:, 0]
-
-
-def _slot_bounds(cells, chunk):
-    """Where each slot of `chunk` starts in its flat up cells `cells`, and
-    where the last one ends, as a list."""
-    return np.searchsorted(cells, chunk.shape[1] * np.arange(len(chunk) + 1)).tolist()
-
-
-def sample_slots(gu, params, horizon, rng):
-    """Lazily yield the up edges of `gu` in slots 1..horizon, in their order,
-    each as (min, max).
-
-    States come from `_state_chunks`; a chunk's up edges are gathered at
-    once, as tuples of node ids from `gu._ends`.
-    """
-    ends = gu._ends
-    ids = np.fromiter(gu.nodes, dtype=object, count=len(gu.nodes))
-    for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
-        cells = np.flatnonzero(chunk)
-        items = list(zip(*ids[ends[:, cells % ends.shape[1]]].tolist()))
-        bounds = _slot_bounds(cells, chunk)
+        chunk = slot_states(params, states, [rng], min(t + 1, horizon - t), n_edges)
+        states = chunk[-1]
+        cells = np.flatnonzero(chunk[:, 0, order])
+        up = ends[:, cells % n_edges]
+        bounds = np.searchsorted(cells, n_edges * np.arange(len(chunk) + 1)).tolist()
         for start, stop in zip(bounds, bounds[1:]):
-            yield items[start:stop]
-
-
-def _sample_tgs(gu, params, horizon, seed):
-    """The sequence of `sample_slots`' slots over gu.  Each slot holds its
-    up edges as a sorted index array into gu's sorted ids (see `Graphlet`),
-    gathered from the chunked states without building a tuple: the edge
-    ends are taken to positions in the sorted ids as (min, max), and the
-    edges, with their state columns, to (u, v) order."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    ids, ends = _sorted_ids(gu.nodes), gu._ends
-    if ids != gu.nodes:  # gu's positions are not in id order
-        pos = {v: i for i, v in enumerate(ids)}
-        ends = np.array([pos[v] for v in gu.nodes], dtype=np.int32)[ends]
-    key = ends[0].astype(np.int64)
-    key *= len(ids)
-    key += ends[1]
-    order = slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)
-    nodes = frozenset(ids)
-    ends = ends[:, order]
-    graphlets = []
-    for chunk in _state_chunks(params, horizon, rng, ends.shape[1]):
-        cells = np.flatnonzero(chunk[:, order])
-        up = ends[:, cells % ends.shape[1]]
-        bounds = _slot_bounds(cells, chunk)
-        for start, stop in zip(bounds, bounds[1:]):
-            graphlets.append(Graphlet._from_ends(len(graphlets) + 1, nodes, ids, up[:, start:stop]))
-    return GraphletSequence(graphlets)
+            t += 1
+            yield Graphlet._from_ends(t, nodes, ids, up[:, start:stop])
 
 
 def sample_er_tgs(gu, params, horizon, seed):
@@ -325,7 +301,9 @@ def sample_er_tgs(gu, params, horizon, seed):
 
     seed may be an int or a numpy SeedSequence.
     """
-    return _sample_tgs(gu, params, horizon, seed)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return GraphletSequence(sample_slots(gu, params, horizon, np.random.default_rng(seed)))
 
 
 def sample_markov_tgs(gu, params, horizon, seed):
@@ -333,7 +311,9 @@ def sample_markov_tgs(gu, params, horizon, seed):
 
     seed may be an int or a numpy SeedSequence.
     """
-    return _sample_tgs(gu, params, horizon, seed)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return GraphletSequence(sample_slots(gu, params, horizon, np.random.default_rng(seed)))
 
 
 def shortest_path(gu, source, dest):

@@ -36,9 +36,11 @@ at least one slot.  Undelivered trials are reported, never dropped.
 
 Slot states on per-trial streams all come from `models.slot_states`: the
 reachable-pairs kernel draws a block of trials' slots through it, and the
-per-trial walk through `sample_slots`, which calls it with one stream.  So
-trial i sees the same edge states in slot t in every view that reads its
-stream.  The labelling kernel draws each chunk of slots of a block's live
+per-trial walk through `models.sample_slots`, which calls it with one
+stream and yields each slot as a `Graphlet` of index arrays.  So trial i
+sees the same edge states in slot t in every view that reads its stream.
+The replays read each slot's edges from those arrays and build no edge
+set.  The labelling kernel draws each chunk of slots of a block's live
 trials in one call on the block stream and steps the states with
 `models.edge_update`.
 
@@ -63,7 +65,7 @@ from .models import (
     ErParams, MarkovParams, UnderlyingGraph, edge_update, sample_slots, shortest_path,
     slot_states,
 )
-from .temporal import adjacency, bfs, m_smash
+from .temporal import _id_pairs, adjacency, bfs, m_smash
 
 __all__ = [
     "TrialResult",
@@ -215,16 +217,18 @@ def replay_soa(tgs, source, dest, next_hop=None):
             want = hops[u]
             return want if want in on_neighbors else None
 
-    latency, trajectory = _soa_walk((g.edges for g in tgs), source, dest, next_hop)
+    latency, trajectory = _soa_walk(tgs, source, dest, next_hop)
     return TrialResult(latency, tuple(trajectory))
 
 
 def _soa_walk(slots, source, dest, next_hop):
-    """Store-or-advance walk over per-slot edge lists: (latency or None, trajectory)."""
+    """Store-or-advance walk over the slots `slots`, read from their index
+    arrays: (latency or None, trajectory)."""
     cur = source
     trajectory = [(source, 0)]
-    for t, edges in enumerate(slots, start=1):
-        on_neighbors = frozenset(v if u == cur else u for u, v in edges if cur in (u, v))
+    for t, g in enumerate(slots, start=1):
+        pairs = _id_pairs(g._ids, g._ends)
+        on_neighbors = frozenset(v if u == cur else u for u, v in pairs if cur in (u, v))
         move = next_hop(cur, on_neighbors)
         if move is not None:
             if move not in on_neighbors:
@@ -255,7 +259,7 @@ def replay_cut(tgs, source, dest, rank=None):
     cur = source
     trajectory = [(source, 0)]
     for t, g in enumerate(tgs, start=1):
-        comp = bfs(adjacency(g.edges), [cur])
+        comp = bfs(adjacency(_id_pairs(g._ids, g._ends)), [cur])
         if dest in comp:
             trajectory.append((dest, t))
             return TrialResult(t - 1, tuple(trajectory))
@@ -688,11 +692,13 @@ def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
     m-smashed views bit u of row v is set when u reaches v; the smashed
     view keeps each row's union class as its lowest row.
 
-    A view only gains pairs, so the scan stops after the chunk of slots in
-    which every stacked and every m-smashed bitset row is full, and every
-    later grid row takes n(n-1).  The smashed view needs no check of its
-    own: each stacked pair is a smashed pair of the same sample, so a full
-    stacked view makes each trial one union class.
+    Slots are drawn and labelled in chunks of at most t+1 slots (1, 2, 4,
+    ...) and about PAIR_CELLS cells.  A view only gains pairs, so the scan
+    stops after the chunk of slots in which every stacked and every
+    m-smashed bitset row is full, fewer than 2t slots for a block full at
+    slot t, and every later grid row takes n(n-1).  The smashed view needs
+    no check of its own: each stacked pair is a smashed pair of the same
+    sample, so a full stacked view makes each trial one union class.
     """
     size, n_edges = len(rngs), ends.shape[1]
     nodes = np.arange(size * n, dtype=np.int32)
@@ -710,15 +716,15 @@ def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
     chunk = max(1, min(t_max, PAIR_CELLS // (size * max(n, n_edges))))
     offset = np.arange(chunk * size, dtype=np.int32)[:, None] * n
     head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
-    states = None
-    for t0 in range(0, t_max, chunk):
-        span = min(chunk, t_max - t0)
+    states, t = None, 0
+    while t < t_max:
+        span = min(t + 1, chunk, t_max - t)
         slots = slot_states(model, states, rngs, span, n_edges)
         states = slots[-1]
         keys = _graph_labels(slots.reshape(span * size, n_edges), n, head, tail)
         keys = keys.reshape(span, size * n) - offset[:span] * size
         for k in range(span):
-            t = t0 + k + 1
+            t += 1
             reach = close(reach, keys[k])
             # merge the union classes that a slot component joins
             moved = keys[k] != nodes
@@ -737,7 +743,7 @@ def _pairs_block(model, ends, n, t_max, rngs, slot_of, ms):
                 for m in ms:
                     pairs[("msmg", m)][row] = coarse_pairs[m]
         if (reach == full).all() and all((c == full).all() for c in coarse.values()):
-            done = sum(t <= t0 + span for t in slot_of)  # rows are in horizon order
+            done = sum(s <= t for s in slot_of)  # rows are in horizon order
             for p in pairs.values():
                 p[done:] = n * (n - 1)
             break

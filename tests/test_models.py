@@ -22,9 +22,11 @@ from tvgraph.models import (
     sample_markov_tgs,
     sample_slots,
     shortest_path,
+    slot_states,
     stationary_distribution,
 )
-from tvgraph.simulate import replay_cut, replay_soa
+from tvgraph import simulate
+from tvgraph.simulate import EmpiricalPmf, replay_cut, replay_soa, simulate_soa
 from tvgraph.temporal import dump_tgs, GraphletSequence
 
 
@@ -237,7 +239,9 @@ def test_sample_slots_equal_one_draw_per_slot(params, gu, horizon):
     for _ in range(horizon):
         states = edge_update(params, states, rng.random(len(edges)))
         want.append([edges[i] for i in states.nonzero()[0]])
-    assert list(sample_slots(gu, params, horizon, np.random.default_rng(5))) == want
+    slots = list(sample_slots(gu, params, horizon, np.random.default_rng(5)))
+    assert [g.time for g in slots] == list(range(1, horizon + 1))
+    assert [g.edges for g in slots] == [frozenset(up) for up in want]
 
 
 # integer ids 0..n-1 whose positions are not their order, with edges listed
@@ -260,8 +264,89 @@ def test_sampled_sequences_hold_the_slots_sample_slots_draws(gu, params):
         assert g._ids == tuple(sorted(gu.nodes)) and g._ends.dtype == np.int32
         pairs = list(zip(*g._ends.tolist()))
         assert pairs == sorted(set(pairs)) and all(u < v for u, v in pairs)
-    slots = sample_slots(gu, params, 9, np.random.default_rng(5))
-    assert [g.edges for g in tgs] == [frozenset(up) for up in slots]
+    assert list(tgs) == list(sample_slots(gu, params, 9, np.random.default_rng(5)))
+
+
+def tuple_sample_slots(gu, params, horizon, rng):
+    """The tuple-gathering sampler that yielded each slot's up edges as a
+    list of (min, max) id tuples in `gu.edges` order, kept as the reference
+    for the one sampler: states from `slot_states` on the one stream `rng`
+    in chunks of 1, 2, 4, ... slots, and each chunk's up edges gathered at
+    once from an object array of the ids."""
+    ends = gu._ends
+    ids = np.fromiter(gu.nodes, dtype=object, count=len(gu.nodes))
+    states, t = None, 0
+    while t < horizon:
+        chunk = slot_states(params, states, [rng], min(t + 1, horizon - t), ends.shape[1])
+        states = chunk[-1]
+        t += len(chunk)
+        cells = np.flatnonzero(chunk)
+        items = list(zip(*ids[ends[:, cells % ends.shape[1]]].tolist()))
+        bounds = np.searchsorted(cells, ends.shape[1] * np.arange(len(chunk) + 1)).tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            yield items[start:stop]
+
+
+def tuple_walk_latency(slots, source, dest, next_hop):
+    """Store-or-advance latency (-1 undelivered) of a policy over per-slot
+    edge lists, as the walk over the tuple sampler read them."""
+    cur = source
+    for t, edges in enumerate(slots, start=1):
+        move = next_hop(cur, frozenset(v if u == cur else u for u, v in edges if cur in (u, v)))
+        if move is not None:
+            cur = move
+        if cur == dest:
+            return t
+    return -1
+
+
+def climb(u, on_neighbors):
+    # to the largest up neighbor above u, else wait
+    return max((v for v in on_neighbors if v > u), default=None)
+
+
+@pytest.mark.parametrize("gu", [UnderlyingGraph.complete(6), STRING_IDS, PERMUTED_IDS],
+                         ids=["complete", "strings", "permuted"])
+@pytest.mark.parametrize("params", [ErParams(0.3), MarkovParams(0.2, 0.4, p0=0.9)],
+                         ids=["er", "mc"])
+def test_callable_policy_histograms_match_the_tuple_sampler(gu, params):
+    # trial i walks the slots SeedSequence(seed, spawn_key=(i,)) draws
+    source, dest = min(gu.nodes), max(gu.nodes)
+    horizon, trials, seed = 5, 300, 12
+    emp = simulate_soa(params, gu, source, dest, horizon=horizon, trials=trials, seed=seed,
+                       next_hop=climb)
+    lats = [
+        tuple_walk_latency(
+            tuple_sample_slots(gu, params, horizon, np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i,)))),
+            source, dest, climb,
+        )
+        for i in range(trials)
+    ]
+    want = EmpiricalPmf.from_latencies(lats, trials)
+    assert 0 < want.undelivered < trials
+    assert np.array_equal(emp.counts, want.counts) and emp.undelivered == want.undelivered
+
+
+def test_replays_build_no_edge_sets(monkeypatch):
+    # every replay reads a slot's index arrays, never its `edges` set
+    gu = UnderlyingGraph.complete(5)
+    tgs = sample_er_tgs(gu, ErParams(0.3), 12, 4)
+    replay_soa(tgs, 0, 4)
+    replay_soa(tgs, 0, 4, next_hop=climb)
+    replay_cut(tgs, 0, 4)
+    walked = []
+
+    def recording(*args):
+        for g in sample_slots(*args):
+            walked.append(g)
+            yield g
+
+    monkeypatch.setattr(simulate, "sample_slots", recording)
+    simulate_soa(ErParams(0.3), gu, 0, 4, horizon=12, trials=20, seed=3, next_hop=climb)
+    assert walked
+    for g in (*tgs, *walked):
+        assert "edges" not in vars(g)
 
 
 @pytest.mark.parametrize("gu", [

@@ -904,6 +904,26 @@ def test_reachable_pairs_stop_matches_the_unstopped_kernel(monkeypatch, gu, mode
     assert (drawn[0] < drawn[1]) == stops
 
 
+@pytest.mark.parametrize("model, chunks", [
+    (ErParams(1.0), [1]),  # every view full from slot 1
+    (MarkovParams(1.0, 0.0, p0=0.0), [1, 2]),  # no edge in slot 1, every edge from slot 2
+])
+def test_reachable_pairs_chunks_double_from_one_slot(monkeypatch, model, chunks):
+    # chunks of 1, 2, 4, ... slots: a block full at slot t draws fewer than 2t slots
+    drawn = []
+
+    def counting(*args):
+        slots = slot_states(*args)
+        drawn.append(len(slots))
+        return slots
+
+    monkeypatch.setattr(simulate, "slot_states", counting)
+    out = reachable_pairs_samples(model, UnderlyingGraph.complete(6), [1, 10, 40], 20, seed=2,
+                                  ms=(1,))
+    assert drawn == chunks
+    assert all((m[:, -1] == 1.0).all() for m in out.values())
+
+
 def test_labels_give_each_component_its_lowest_member():
     rng = np.random.default_rng(3)
     graphs = [(30, [(29, v) for v in range(29)]), (4, [])]  # a star hooked at its highest id
