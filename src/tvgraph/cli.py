@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytics import (
     er_cut_latency_pmf,
@@ -205,16 +207,15 @@ def cmd_compare(args):
     if args.trials < 2:
         raise ValueError("--trials must be >= 2: standard errors need two trials")
     samples = reachable_pairs_samples(spec.params, gu, grid, args.trials, args.seed, ms=ms)
+    # one reduction per view over its grid rows, each made contiguous: a row
+    # sums in the order a reduction of its column alone would take
+    views = {view: np.ascontiguousarray(samples[view].T) for view in samples}
+    stg, smg = views["stacked"], views["smashed"]
+    columns = [grid, stg.mean(axis=1), stg.std(axis=1, ddof=1) / math.sqrt(args.trials)]
+    columns += [views[("msmg", m)].mean(axis=1) for m in ms]
+    columns += [smg.mean(axis=1), smg.std(axis=1, ddof=1) / math.sqrt(args.trials)]
     header = ["t", "stg", "stg_se"] + [f"msmg_{m}" for m in ms] + ["smg", "smg_se"]
-    rows = []
-    for j, t in enumerate(grid):
-        stg = samples["stacked"][:, j]
-        smg = samples["smashed"][:, j]
-        row = [t, stg.mean(), stg.std(ddof=1) / math.sqrt(args.trials)]
-        row += [float(samples[("msmg", m)][:, j].mean()) for m in ms]
-        row += [smg.mean(), smg.std(ddof=1) / math.sqrt(args.trials)]
-        rows.append(row)
-    _write(args.output, _csv(rows, header))
+    _write(args.output, _csv(zip(*columns), header))
     return 0
 
 
@@ -226,6 +227,9 @@ def cmd_route(args):
         raise ValueError("--horizon must be >= 1")
     if args.trials < 0:
         raise ValueError("--trials must be >= 0")
+    for flag, value in (("--horizon", args.horizon), ("--pmf-output", args.pmf_output)):
+        if value is not None and args.trials == 0:
+            raise ValueError(f"{flag} applies only to the policy replay: give --trials >= 1")
     gu = UnderlyingGraph.from_graphlet(tgs[0])
     if args.source not in gu.nodes:
         raise ValueError(f"source {args.source} not in the graph")

@@ -8,13 +8,14 @@ whichever of its k cheapest neighbors comes up first, with k chosen to
 minimize the expected remaining time.
 
 compute_mett finds every METT in one destination-out label-setting pass in
-the style of Dijkstra.  Neighbors settle in nondecreasing METT order, so
-each settling extends the acceptance prefix of its unsettled neighbors by
-one candidate, an O(1) update of running sums.  A prefix stops growing at
-the first candidate whose METT is not below the current cost: the cost of
-the longer prefix is the mediant of the current cost and that METT, so no
-longer prefix can do better, and ties go to the shorter prefix.  The pass
-costs O(E log V).
+the style of Dijkstra, over the candidate graph's adjacency arrays and
+lists indexed by node position.  Neighbors settle in nondecreasing METT
+order, so each settling extends the acceptance prefix of its unsettled
+neighbors by one candidate, an O(1) update of running sums.  A prefix
+stops growing at the first candidate whose METT is not below the current
+cost: the cost of the longer prefix is the mediant of the current cost and
+that METT, so no longer prefix can do better, and ties go to the shorter
+prefix.  The pass costs O(E log V).
 
 Two oracles, independent of the solver, check it.  Each builds a
 table of weighted node sets for every node u, and one kernel finds the
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ErParams
+from .models import ErParams, UnderlyingGraph
 from .simulate import _candidate_hops, simulate_soa
-from .temporal import adjacency, components
+from .temporal import _sorted_ids, adjacency, components
 
 __all__ = [
     "MettTable",
@@ -128,6 +129,13 @@ def _check_query(gu, p, dest):
 def compute_mett(gu, p, dest):
     """Destination-out extraction of every node's minimum expected traversal time.
 
+    The pass runs over positions in the sorted ids: the cached adjacency
+    `gu._adjacency` when `gu.nodes` is sorted (every builder but the
+    validating constructor makes it so), else the same adjacency laid out
+    from `gu._id_layout`.  METTs, running sums, accepted candidates and
+    settled flags are lists indexed by position, so positions stand for ids
+    and every tie below breaks by id.
+
     Settling order is by (value, node id), so each node's neighbors settle
     in its candidates' sorted order.  When u settles with value d, each
     unsettled neighbor v whose current cost is strictly above d takes u as
@@ -136,37 +144,56 @@ def compute_mett(gu, p, dest):
     neighbor whose METT is not below v's cost is never taken (prefix_cost's
     stopping rule), so ties go to the shorter prefix.  The pass costs
     O(E log V).  policy[v] is the accepted neighbors sorted by (METT, node
-    id).  Unreachable nodes keep METT = inf and an empty policy.
+    id), which is not always their settle order: rounding can bring a cost
+    down to exactly the METT of a node with a larger id settled before it.
+    Unreachable nodes keep METT = inf and an empty policy.  The ids must
+    compare with each other (a TypeError otherwise); `mett` and `policy`
+    list them in sorted order.
     """
     _check_query(gu, p, dest)
-    nbr = gu.neighbor_map()
-    mett = {v: INF for v in gu.nodes}
-    mett[dest] = 0.0
-    sums = {}  # v -> (weight of v's next candidate, prob_sum, weighted), as in prefix_cost
-    accepted = {v: [] for v in gu.nodes}
-    settled = set()
+    ids = _sorted_ids(gu.nodes)
+    if ids == gu.nodes:
+        tails, start = gu._adjacency
+    else:
+        tails, start = UnderlyingGraph._from_ends(ids, gu._id_layout[2], gu.name)._adjacency
+    n = len(ids)
+    mett = [INF] * n
+    weight = [p] * n  # the weight of each node's next candidate, as in prefix_cost
+    prob_sum = [0.0] * n
+    weighted = [0.0] * n
+    accepted = [[] for _ in range(n)]
+    settled = [False] * n
     order = []
-    heap = [(0.0, dest)]
+    stay = 1.0 - p
+    at = ids.index(dest)
+    mett[at] = 0.0
+    heap = [(0.0, at)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in settled:
+        if settled[u]:
             continue
-        settled.add(u)
+        settled[u] = True
         order.append(u)
-        for v in nbr[u]:
-            if v in settled or not d < mett[v]:
+        for v in tails[start[u]:start[u + 1]]:
+            if settled[v] or not d < mett[v]:
                 continue
-            weight, prob_sum, weighted = sums.get(v, (p, 0.0, 0.0))
-            prob_sum += weight
-            weighted += weight * d
-            cost = (1.0 + weighted) / prob_sum
+            w = weight[v]
+            total = prob_sum[v] + w
+            sum_m = weighted[v] + w * d
+            cost = (1.0 + sum_m) / total
             if cost < mett[v]:  # as in prefix_cost, a candidate must move the rounded cost
                 mett[v] = cost
-                sums[v] = (weight * (1.0 - p), prob_sum, weighted)
+                weight[v], prob_sum[v], weighted[v] = w * stay, total, sum_m
                 accepted[v].append(u)
                 heapq.heappush(heap, (cost, v))
-    policy = {u: tuple(sorted(accepted[u], key=lambda v: (mett[v], v))) for u in gu.nodes}
-    return MettTable(dest=dest, p=p, mett=mett, policy=policy, order=tuple(order))
+    for acc in accepted:  # by (METT, id), with C-level keys
+        acc.sort()
+        acc.sort(key=mett.__getitem__)
+    if ids != tuple(range(n)):  # positions are not the ids
+        accepted = [[ids[v] for v in acc] for acc in accepted]
+        order = [ids[u] for u in order]
+    return MettTable(dest=dest, p=p, mett=dict(zip(ids, mett)),
+                     policy=dict(zip(ids, map(tuple, accepted))), order=tuple(order))
 
 
 def adaptive_next_hop(table, u, on_neighbors):

@@ -550,7 +550,8 @@ def reachable_pairs_fraction(tgs):
 #
 # Every slot has node set {0, .., n-1}; slots without a `t` block are empty.
 # Lines are stripped, blank lines and lines starting with '#' are skipped,
-# and fields are split at any whitespace.  Numbers are ASCII decimal digits,
+# and fields are split at any whitespace; a text that needs none of that,
+# as format_tgs writes it, is read as it is.  Numbers are ASCII decimal digits,
 # with an optional '-' that every field's range check then refuses.
 # format_tgs refuses a sequence with any other slot node set.
 
@@ -566,8 +567,26 @@ _SLOT_LINE = re.compile(r"\nt[^\S\n]+(-?[0-9]+)")
 _TO_SPACE = str.maketrans(dict.fromkeys(
     "e\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
     "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000", " "))
+# what a text read as it is lacks (see `_kept_lines`): "#", each ASCII
+# character that str.strip or str.splitlines acts on but " " and "\n", a
+# blank line, and a space next to a line break
+_SCREENED = ("#", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\n\n", "\n ", " \n")
 _NO_ENDS = np.zeros((2, 0), dtype=np.int32)
 _NO_ENDS.flags.writeable = False
+
+
+def _kept_lines(text):
+    """The lines of `text` that hold more than a comment or whitespace,
+    stripped and joined by "\n".
+
+    A text that is ASCII and holds no "#", no whitespace but " " and "\n",
+    no blank line and no space at either end of a line, as `format_tgs`
+    writes it, is that already but for its final "\n"; it is returned as it
+    is, without the per-line strip and filter."""
+    if (text.isascii() and not text.startswith(("\n", " ")) and not text.endswith(" ")
+            and not any(map(text.__contains__, _SCREENED))):
+        return text.removesuffix("\n")
+    return "\n".join(ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#"))
 
 
 def _line_fault(line, declared):
@@ -613,26 +632,28 @@ def parse_tgs(text):
     """The sequence written in the text format; a malformed file raises
     ValueError naming its first bad line in file order.
 
-    One regular-expression search finds the first line that is neither a
-    slot line nor an edge line.  The edge lines of all slots are read as one
+    A text that needs no stripping or filtering is read as it is (see
+    `_kept_lines`).  One regular-expression search finds the first line
+    that is neither a slot line nor an edge line.  The edge lines of all slots are read as one
     integer array and checked for range, self-loops and repeats within a
     slot with array operations.  Each slot holds its edges as a sorted
     index array (see `Graphlet`).
     """
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
+    text = _kept_lines(text)
+    if not text:
         raise ValueError("empty sequence file")
-    head = lines[0].split()
+    first = text.partition("\n")[0]
+    head = first.split()
     if len(head) != 3 or head[0] != "tgs":
-        raise ValueError(f"bad header {lines[0]!r}; expected 'tgs <n> <T>'")
+        raise ValueError(f"bad header {first!r}; expected 'tgs <n> <T>'")
     if not all(map(_INT.fullmatch, head[1:])):
-        raise ValueError(f"bad header {lines[0]!r}; node count and horizon must be integers")
+        raise ValueError(f"bad header {first!r}; node count and horizon must be integers")
     n, horizon = int(head[1]), int(head[2])
     if n < 0 or horizon < 1:
         raise ValueError("node count must be >= 0 and horizon >= 1")
     if n > _MAX_NODES:
         raise ValueError(f"node count {n} is above the format's limit of {_MAX_NODES}")
-    body = "\n".join(lines)[len(lines[0]):]  # each line after the header follows a "\n"
+    body = text[len(first):]  # each line after the header follows a "\n"
     odd = _ODD_LINE.search(body)
     stop = len(body) if odd is None else odd.start()  # well-formed lines end here
     slot_lines = list(_SLOT_LINE.finditer(body, 0, stop))

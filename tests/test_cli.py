@@ -455,6 +455,28 @@ def test_route_negative_trials_errors(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--pmf-output", "route.csv"],
+    ["--horizon", "50"],
+    ["--trials", "0", "--pmf-output", "route.csv"],
+    ["--trials", "0", "--horizon", "50"],
+])
+def test_route_replay_flags_without_trials_are_errors(tmp_path, flags):
+    # a flag of the policy replay was silently ignored when no replay ran
+    graph = tmp_path / "line.tgs"
+    dump_tgs(GraphletSequence.from_slot_edges(range(4), [UnderlyingGraph.line(4).edges]), graph)
+    out = tmp_path / "mett.json"
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    res = run_cli(
+        "route", "--graph", graph, "--p", "0.5", "--source", "0", "--dest", "3",
+        *flags, "--output", out,
+    )
+    flag = next(f for f in flags if f in ("--pmf-output", "--horizon"))
+    assert res.returncode == 1
+    assert res.stderr == f"error: {flag} applies only to the policy replay: give --trials >= 1\n"
+    assert not out.exists() and not (tmp_path / "route.csv").exists()
+
+
 def test_route_disconnected_errors(tmp_path):
     graph = tmp_path / "disc.tgs"
     dump_tgs(GraphletSequence.from_slot_edges(range(3), [[(0, 1)]]), graph)

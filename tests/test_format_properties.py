@@ -18,6 +18,8 @@ from tvgraph.models import (  # noqa: E402
     UnderlyingGraph,
     format_model_spec,
     parse_model_spec,
+    sample_er_tgs,
+    sample_markov_tgs,
 )
 from tvgraph.temporal import Graphlet, GraphletSequence, format_tgs, parse_tgs  # noqa: E402
 
@@ -85,7 +87,28 @@ def _reference_parse_tgs(text):
     )
 
 
+def assert_parses_as_the_reference(text, message=None):
+    """parse_tgs reads `text` as the reference parser does, or raises its
+    error; or raises `message`, when one is given for a number that is not
+    ASCII decimal digits."""
+    if message is None:
+        try:
+            want = _reference_parse_tgs(text)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            got = parse_tgs(text)
+            assert got == want and hash(got) == hash(want)
+            assert list(map(repr, got)) == list(map(repr, want))
+            return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_tgs(text)
+
+
 GAPS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x1f", "\u2009"]
+SKIPPED_LINES = ["", "   ", "# note", "  # e 0 1", "#t 1"]  # lines both parsers skip
+# every line break of str.splitlines, the ASCII ones beside "\n" among them
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # ASCII numbers, which both parsers read alike, and number tokens that are
 # not ASCII decimal digits, which parse_tgs refuses where int() may read them
 NUMBERS = ["-1", "0", "1", "2", "3", "5", "007", "-0", "99", "12345678901234567890"]
@@ -126,6 +149,9 @@ def tgs_texts(draw):
             rows.insert(draw(st.integers(1, len(rows))), row)
         rows[i] = row
     lines, message = [], None
+    # skipped lines, and unless a line holds an odd number, lines with a "#"
+    # after their start, which both parsers refuse alike
+    extra = st.sampled_from(SKIPPED_LINES + (["e 0 1 # note", "t#"] if odd_row is None else []))
     for row in rows:
         gaps = [draw(st.sampled_from(GAPS)) for _ in row[1:]]
         line = row[0] + "".join(g + tok for g, tok in zip(gaps, row[1:]))
@@ -133,11 +159,13 @@ def tgs_texts(draw):
             what = {"tgs": "header", "t": "slot line"}.get(row[0], "edge line")
             message = (f"bad header {line!r}; node count and horizon must be integers"
                        if what == "header" else f"bad {what} {line!r}")
-        pad = st.sampled_from(["", " ", "\t", "\xa0 "])
+        pad = st.sampled_from(["", " ", "\t", "\xa0 ", "\x1f", "\u3000"])
         lines.append(draw(pad) + line + draw(pad))
         if draw(st.integers(0, 4)) == 0:
-            lines.append(draw(st.sampled_from(["", "   ", "# note", "  # e 0 1", "#t 1"])))
-    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+            lines.append(draw(extra))
+    if draw(st.integers(0, 4)) == 0:  # before the header
+        lines.insert(0, draw(extra))
+    text = draw(st.sampled_from(BREAKS)).join(lines) + draw(st.sampled_from(["", "\n", " ", "\n\n"]))
     return text, message
 
 
@@ -172,19 +200,53 @@ def test_model_spec_text_round_trip(spec):
 @example(("tgs 3 1\nt 1\ne 0 1\ne 1 0\ne 0 x\n", None))
 @example(("# c\r\n  tgs\t3  2 \r\n\r\nt 2\r\n e\xa02 1\r\n", None))
 def test_parse_matches_the_reference_parser(case):
-    text, message = case
-    if message is None:  # both read every number alike
-        try:
-            want = _reference_parse_tgs(text)
-        except ValueError as exc:
-            message = str(exc)
-        else:
-            got = parse_tgs(text)
-            assert got == want and hash(got) == hash(want)
-            assert list(map(repr, got)) == list(map(repr, want))
-            return
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        parse_tgs(text)
+    assert_parses_as_the_reference(*case)
+
+
+@pytest.mark.parametrize("model, n, horizon", [
+    (MarkovParams(0.005, 0.5), 30, 600),
+    (ErParams(1.0), 150, 1),
+    (ErParams(0.03), 500, 1),
+])
+def test_sampled_texts_parse_as_the_reference_parser_reads_them(model, n, horizon):
+    sampler = sample_er_tgs if isinstance(model, ErParams) else sample_markov_tgs
+    tgs = sampler(UnderlyingGraph.complete(n), model, horizon, 7)
+    text = format_tgs(tgs)
+    assert parse_tgs(text) == tgs
+    assert_parses_as_the_reference(text)
+    assert_parses_as_the_reference(text.removesuffix("\n"))
+
+
+CLEAN = "tgs 4 3\nt 1\ne 0 1\ne 1 2\nt 3\ne 2 3\n"
+
+
+@pytest.mark.parametrize("char", [
+    "#", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",  # what a text read as it is lacks
+    "\x85", "\u2028", "\u3000",  # not ASCII: a line break, a line break, a space
+    "\n", " ",  # a blank line, or a space at the end of a line
+])
+@pytest.mark.parametrize("where", ["line start", "line end", "gap", "text start", "text end"])
+def test_texts_that_are_not_clean_parse_as_the_reference_parser_reads_them(char, where):
+    text = {
+        "line start": CLEAN.replace("\ne 1 2", "\n" + char + "e 1 2"),
+        "line end": CLEAN.replace("e 1 2\n", "e 1 2" + char + "\n"),
+        "gap": CLEAN.replace("e 1 2", "e" + char + "1 2"),
+        "text start": char + CLEAN,
+        "text end": CLEAN + char,
+    }[where]
+    message = "bad edge line 'e 1 2#'" if (char, where) == ("#", "line end") else None
+    assert_parses_as_the_reference(text, message)
+    assert_parses_as_the_reference(text.removesuffix("\n"), message)
+
+
+@pytest.mark.parametrize("text", [
+    CLEAN, CLEAN[:-1], "\n" + CLEAN, " " + CLEAN, CLEAN + " ", CLEAN[:-1] + " ", CLEAN + "\n",
+    CLEAN.replace("\nt 3", "\n \nt 3"), CLEAN.replace("\nt 3", " \nt 3"),
+    CLEAN.replace("\nt 3", "\n t 3"), "", "\n", " ", "tgs 4 3", "tgs 4 3\ne 0 1\n",
+    "tgs 4 3\nt 1\ne 0 9\n", "tgs 4 3\nt 1\ne 0 1\ne 1 0\n", "tgs 4 3\nt 4\n", "x\n",
+])
+def test_clean_and_nearly_clean_texts_parse_as_the_reference_parser_reads_them(text):
+    assert_parses_as_the_reference(text)
 
 
 @st.composite

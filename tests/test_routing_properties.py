@@ -13,11 +13,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from test_simulate import assert_same_law  # noqa: E402
 from tvgraph.models import ErParams, UnderlyingGraph, edge_update  # noqa: E402
-from tvgraph.routing import compute_mett, mett_value_iteration_oracle, prefix_cost  # noqa: E402
+from tvgraph.routing import (  # noqa: E402
+    MettTable, compute_mett, mett_value_iteration_oracle, prefix_cost,
+)
 from tvgraph.simulate import (  # noqa: E402
     _acceptance_arrays, _adaptive_block, _block_streams, _candidate_hops, _clamped_log,
     _run_blocks, default_horizon, simulate_soa,
 )
+from tvgraph.temporal import Graphlet  # noqa: E402
 
 INF = math.inf
 
@@ -73,6 +76,99 @@ def test_policy_is_sorted_prefix_with_the_node_cost(n, density, seed, p):
         assert keys == sorted(keys)
         cost, _ = prefix_cost(p, [m for m, _ in keys])
         assert cost == pytest.approx(table.mett[u], rel=0, abs=1e-9)
+
+
+def reference_compute_mett(gu, p, dest):
+    """The label-setting pass over id-keyed dicts, a settled set and
+    `neighbor_map`, which compute_mett replaced with lists over positions:
+    the reference for its METT bits, policies and settle order."""
+    nbr = gu.neighbor_map()
+    mett = {v: INF for v in gu.nodes}
+    mett[dest] = 0.0
+    sums = {}  # v -> (weight of v's next candidate, prob_sum, weighted), as in prefix_cost
+    accepted = {v: [] for v in gu.nodes}
+    settled = set()
+    order = []
+    heap = [(0.0, dest)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        order.append(u)
+        for v in nbr[u]:
+            if v in settled or not d < mett[v]:
+                continue
+            weight, prob_sum, weighted = sums.get(v, (p, 0.0, 0.0))
+            prob_sum += weight
+            weighted += weight * d
+            cost = (1.0 + weighted) / prob_sum
+            if cost < mett[v]:
+                mett[v] = cost
+                sums[v] = (weight * (1.0 - p), prob_sum, weighted)
+                accepted[v].append(u)
+                heapq.heappush(heap, (cost, v))
+    policy = {u: tuple(sorted(accepted[u], key=lambda v: (mett[v], v))) for u in gu.nodes}
+    return MettTable(dest=dest, p=p, mett=mett, policy=policy, order=tuple(order))
+
+
+def assert_same_table(got, want):
+    assert got == want  # dest, p, METTs, policy tuples and order
+    assert {v: m.hex() for v, m in got.mett.items()} == {v: m.hex() for v, m in want.mett.items()}
+
+
+@st.composite
+def relabelled_graphs(draw, max_nodes=9):
+    """Graphs whose ids are 0..n-1 in order, a permutation of other ints
+    given to the validating constructor in that order, or strings; some
+    are complete (every METT ties at 1/p), some keep isolated nodes."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = list(itertools.combinations(range(n), 2))
+    complete = draw(st.booleans())
+    keep = [True] * len(pairs) if complete else draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    kind = draw(st.sampled_from(["builder", "sorted", "permuted", "str"]))
+    if kind == "builder":
+        return UnderlyingGraph.complete(n) if complete else UnderlyingGraph.from_graphlet(
+            Graphlet(1, range(n), [e for e, k in zip(pairs, keep) if k]))
+    if kind == "sorted":
+        ids = list(range(n))
+    elif kind == "permuted":
+        ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    else:
+        ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=n, max_size=n,
+                            unique=True))
+    edges = [(ids[u], ids[v]) if draw(st.booleans()) else (ids[v], ids[u])
+             for (u, v), k in zip(pairs, keep) if k]
+    return UnderlyingGraph(tuple(ids), tuple(draw(st.permutations(edges))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(gu=relabelled_graphs(), p=st.sampled_from([1.0, 0.5, 0.3, 0.1, 1e-4]), data=st.data())
+def test_mett_equals_the_reference_solver(gu, p, data):
+    dest = data.draw(st.sampled_from(gu.nodes))
+    assert_same_table(compute_mett(gu, p, dest), reference_compute_mett(gu, p, dest))
+
+
+@pytest.mark.parametrize("n, density, seed, p", [
+    (43, 0.6, 177, 0.5),  # a node settles below the METT of a neighbor settled before it
+    (60, 0.05, 75, 0.5),
+    (200, 0.03, 40, 0.3),
+    (150, 1.0, 1, 0.1),
+    (80, 0.2, 3, 1e-4),
+])
+def test_mett_equals_the_reference_solver_on_seeded_graphs(n, density, seed, p):
+    gu = seeded_graph(n, density, seed)
+    assert_same_table(compute_mett(gu, p, 0), reference_compute_mett(gu, p, 0))
+
+
+def test_mett_reads_no_neighbor_map(monkeypatch):
+    def refuse(self):
+        raise AssertionError("compute_mett read neighbor_map")
+
+    monkeypatch.setattr(UnderlyingGraph, "neighbor_map", refuse)
+    for gu in (UnderlyingGraph.complete(6), UnderlyingGraph((2, 0, 1), ((0, 2), (1, 2)))):
+        compute_mett(gu, 0.5, 0)
 
 
 def from_scratch_mett(gu, p, dest):
