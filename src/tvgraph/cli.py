@@ -18,8 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytics import (
     er_cut_latency_pmf,
@@ -35,12 +33,13 @@ from .models import (
     MarkovParams,
     ModelSpec,
     UnderlyingGraph,
+    _load_underlying,
     format_model_spec,
     sample_er_tgs,
     sample_markov_tgs,
 )
 from .routing import compute_mett, run_adaptive_route
-from .simulate import default_horizon, reachable_pairs_samples, simulate_cut, simulate_soa
+from .simulate import _column_stats, default_horizon, reachable_pairs_samples, simulate_cut, simulate_soa
 from .temporal import dump_tgs, format_tgs, load_tgs
 
 SPEC_VERSION = "1"
@@ -96,14 +95,6 @@ def _build_model(args, gu):
     return ModelSpec("mc", MarkovParams(args.p, args.q, p0), gu)
 
 
-def _build_gu(args):
-    if args.gu == "line":
-        return UnderlyingGraph.line(args.n)
-    if args.gu == "complete":
-        return UnderlyingGraph.complete(args.n)
-    raise ValueError(f"unknown underlying graph {args.gu!r}")
-
-
 def _analytic_pmf(spec, n, metric, max_latency):
     if spec.kind == "er":
         fn = er_soa_latency_pmf if metric == "soa" else er_cut_latency_pmf
@@ -122,6 +113,8 @@ def cmd_pmf(args):
         rows = [(pos, loc.mass(pos)) for pos in range(1, args.n + 1)]
         _write(args.output, _csv(rows, ["node", "probability"]))
         return 0
+    if args.max_latency is not None and args.max_latency < 0:
+        raise ValueError("--max-latency must be >= 0")
     pmf = _analytic_pmf(spec, args.n, args.metric, args.max_latency)
     column = itertools.accumulate(pmf.masses) if args.cdf else pmf.masses
     header = ["t", "cdf" if args.cdf else "probability"]
@@ -130,7 +123,7 @@ def cmd_pmf(args):
 
 
 def cmd_simulate(args):
-    gu = _build_gu(args)
+    gu = _load_underlying(args.gu, args.n)
     spec = _build_model(args, gu)
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -185,12 +178,14 @@ def _parse_m_list(text):
         m = int(tok)
         if m < 1:
             raise ValueError("block sizes must be positive integers")
+        if m in ms:
+            raise ValueError(f"--m repeats block size {m}")
         ms.append(m)
     return ms
 
 
 def cmd_compare(args):
-    gu = _build_gu(args)
+    gu = _load_underlying(args.gu, args.n)
     spec = _build_model(args, gu)
     if args.t_max < 1:
         raise ValueError("--t-max must be >= 1")
@@ -207,13 +202,8 @@ def cmd_compare(args):
     if args.trials < 2:
         raise ValueError("--trials must be >= 2: standard errors need two trials")
     samples = reachable_pairs_samples(spec.params, gu, grid, args.trials, args.seed, ms=ms)
-    # one reduction per view over its grid rows, each made contiguous: a row
-    # sums in the order a reduction of its column alone would take
-    views = {view: np.ascontiguousarray(samples[view].T) for view in samples}
-    stg, smg = views["stacked"], views["smashed"]
-    columns = [grid, stg.mean(axis=1), stg.std(axis=1, ddof=1) / math.sqrt(args.trials)]
-    columns += [views[("msmg", m)].mean(axis=1) for m in ms]
-    columns += [smg.mean(axis=1), smg.std(axis=1, ddof=1) / math.sqrt(args.trials)]
+    stats = {view: _column_stats(samples[view]) for view in samples}
+    columns = [grid, *stats["stacked"], *(stats[("msmg", m)][0] for m in ms), *stats["smashed"]]
     header = ["t", "stg", "stg_se"] + [f"msmg_{m}" for m in ms] + ["smg", "smg_se"]
     _write(args.output, _csv(zip(*columns), header))
     return 0
@@ -256,7 +246,7 @@ def cmd_route(args):
 
 
 def cmd_gen(args):
-    gu = _build_gu(args)
+    gu = _load_underlying(args.gu, args.n)
     spec = _build_model(args, gu)
     if args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
@@ -269,10 +259,9 @@ def cmd_gen(args):
     return 0
 
 
-def _add_model_flags(sub, need_n=True):
+def _add_model_flags(sub):
     sub.add_argument("--model", choices=["er", "mc"], required=True)
-    if need_n:
-        sub.add_argument("--n", type=int, required=True, help="node count")
+    sub.add_argument("--n", type=int, required=True, help="node count")
     sub.add_argument("--p", type=float, required=True,
                      help="edge presence probability (er) or OFF->ON probability (mc)")
     sub.add_argument("--q", type=float, default=None, help="ON->OFF probability (mc only)")

@@ -7,14 +7,14 @@ deterministic given the seed: draws come from numpy's PCG64 seeded with
 SeedSequence(seed), slot-major over the candidate edges in their listed
 order.
 
-Every sampler draws edge states through `slot_states`: given per-trial
-streams, it reads each stream's uniforms slot-major over the candidate
-edges and returns the ON states of the next slots.  So trial i's states in
-slot t are the same whether `sample_slots` draws them for one sequence or
-the reachable-pairs kernel draws them for a block of trials, however the
-slots are chunked.  The cut-through labelling kernel draws a block of
-trials from one stream instead, and steps those uniforms with
-`edge_update`.
+Every edge state, sampled or replayed, comes from `slot_states`: given
+streams, it reads each stream's uniforms slot-major over the cells it is
+asked for and returns the ON states of the next slots, and it is the one
+caller of `edge_update`.  So trial i's states in slot t are the same
+whether `sample_slots` draws them for one sequence or the reachable-pairs
+kernel draws them for a block of trials, however the slots are chunked.
+The cut-through labelling kernel passes it one block stream and the cells
+of all live trials of the block.
 
 A candidate graph holds its edges as index arrays (`_ends`: positions in
 `nodes` of both ends of each edge).  `complete`, `line` and
@@ -252,12 +252,13 @@ def edge_update(params, states, u):
 
 
 def slot_states(params, states, rngs, span, n_edges):
-    """ON states of n_edges candidate edges in the next `span` slots of each
-    trial stream in `rngs`, as a (span, trials, edges) bool array.
+    """ON states of n_edges cells (candidate edges, or a block's trials times
+    them) in the next `span` slots of each stream in `rngs`, as a
+    (span, streams, cells) bool array.
 
-    `states` holds each trial's last slot (None before slot 1); a caller
+    `states` holds each stream's last slot (None before slot 1); a caller
     carries the last row forward.  Each stream gives span * n_edges
-    uniforms, slot-major, so the states of a trial do not depend on how its
+    uniforms, slot-major, so a stream's states do not depend on how its
     slots are chunked or which other streams are drawn with it.
     """
     u = np.empty((len(rngs), span, n_edges))
@@ -479,8 +480,7 @@ def format_model_spec(spec):
     if spec.kind == "er":
         return f"er p={spec.params.p!r} {gu_part}"
     params = spec.params
-    pi_on = params.p / (params.p + params.q) if params.p + params.q > 0 else None
-    if pi_on is not None and params.p0 == pi_on:
+    if params.p + params.q > 0 and params.p0 == stationary_distribution(params)[0]:
         p0_part = "p0=stationary"
     else:
         p0_part = f"p0={params.p0!r}"

@@ -34,15 +34,14 @@ trial SeedSequence(seed, spawn_key=(trial,)), a disjoint key space, so no
 block replays a trial's stream.  A replay caps each trial at a horizon of
 at least one slot.  Undelivered trials are reported, never dropped.
 
-Slot states on per-trial streams all come from `models.slot_states`: the
-reachable-pairs kernel draws a block of trials' slots through it, and the
-per-trial walk through `models.sample_slots`, which calls it with one
-stream and yields each slot as a `Graphlet` of index arrays.  So trial i
-sees the same edge states in slot t in every view that reads its stream.
-The replays read each slot's edges from those arrays and build no edge
-set.  The labelling kernel draws each chunk of slots of a block's live
-trials in one call on the block stream and steps the states with
-`models.edge_update`.
+Every edge state comes from `models.slot_states`: the reachable-pairs
+kernel draws a block of trials' slots through it, one stream per trial;
+the per-trial walk through `models.sample_slots`, which calls it with one
+stream and yields each slot as a `Graphlet` of index arrays; and the
+labelling kernel draws each chunk of slots of a block's live trials with
+one call on the block stream.  So trial i sees the same edge states in
+slot t in every view that reads its stream.  The replays read each slot's
+edges from those arrays and build no edge set.
 
 Reachable-pair curves are array code over blocks of trials that keep the
 per-trial streams: each trial's slots are exactly the ones
@@ -61,10 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import LatencyPmf
-from .models import (
-    ErParams, MarkovParams, UnderlyingGraph, edge_update, sample_slots, shortest_path,
-    slot_states,
-)
+from .models import ErParams, MarkovParams, UnderlyingGraph, sample_slots, shortest_path, slot_states
 from .temporal import _id_pairs, adjacency, bfs, m_smash
 
 __all__ = [
@@ -464,8 +460,9 @@ def _cut_block(model, ends, n, source, dest, horizon, rng, size):
     block stream `rng`, over n nodes indexed in (rank, id) order.
 
     Each chunk of at most t+1 slots and about CUT_CELLS cells is one
-    `rng.random((span, live trials, edges))` call over the candidate edges
-    whose ends are `ends`, turned into each slot's states by `edge_update`.
+    `slot_states` call on `rng` over the live trials' cells of the
+    candidate edges whose ends are `ends`, read as (slots, live trials,
+    edges): the uniforms of `rng.random((span, live trials, edges))`.
     `labels` gives each node its component's lowest index, which is the
     node a message there jumps to; it is delivered once that label is
     dest's.  States drawn past a trial's delivery go unused.
@@ -479,20 +476,21 @@ def _cut_block(model, ends, n, source, dest, horizon, rng, size):
     states, t = None, 0
     while orig.size and t < horizon:
         span = min(t + 1, horizon - t, max(1, CUT_CELLS // (orig.size * n_edges)))
-        u = rng.random((span, orig.size, n_edges))
+        slots = slot_states(model, states, [rng], span, orig.size * n_edges)
+        slots = slots.reshape(span, orig.size, n_edges)
         rows = np.arange(orig.size)
         for k in range(span):
             t += 1
-            states = edge_update(model, states, u[k, rows])
-            lab = _graph_labels(states, n, head, tail)
+            lab = _graph_labels(slots[k, rows], n, head, tail)
             base = offset[:rows.size, 0]
             jump = lab[base + cur]
             done = jump == lab[base + dest]
             latency[orig[done]] = t - 1
             keep = ~done
-            cur, orig, rows, states = (jump - base)[keep], orig[keep], rows[keep], states[keep]
+            cur, orig, rows = (jump - base)[keep], orig[keep], rows[keep]
             if not orig.size:
                 break
+        states = slots[-1, rows].ravel()
     return latency
 
 
@@ -819,10 +817,14 @@ def empirical_reachable_pairs(model, gu, horizon_grid, trials, seed, representat
     if trials < 2:
         raise ValueError("trials must be >= 2: standard errors need two trials")
     samples = reachable_pairs_samples(model, gu, horizon_grid, trials, seed)[representation]
-    rows = []
-    for j, t in enumerate(horizon_grid):
-        col = samples[:, j]
-        mean = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(trials))
-        rows.append((t, mean, se))
-    return rows
+    means, ses = _column_stats(samples)
+    return [(t, float(mean), float(se)) for t, mean, se in zip(horizon_grid, means, ses)]
+
+
+def _column_stats(samples):
+    """Each column's mean and standard error of the mean, over the rows of
+    `samples`: one reduction along the rows of the contiguous transpose,
+    where each row sums in the order a reduction of its column alone would
+    take."""
+    rows = np.ascontiguousarray(samples.T)
+    return rows.mean(axis=1), rows.std(axis=1, ddof=1) / math.sqrt(samples.shape[0])

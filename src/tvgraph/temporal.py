@@ -501,11 +501,7 @@ def t_clique(tgs):
     v1 = sorted(tgs.graphlets[0].nodes)
     if not v1:
         return ()
-    adj = {u: set() for u in v1}
-    for u, v in smash(tgs).edges:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = smash(tgs)._adj
     for size in range(len(v1), 0, -1):
         for combo in itertools.combinations(v1, size):
             if all(b in adj[a] for a, b in itertools.combinations(combo, 2)):

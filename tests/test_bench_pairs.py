@@ -83,3 +83,59 @@ def test_main_prints_the_table_and_the_failed_operations(tmp_path, capsys):
     assert out[2].split() == ["job_p50_probes", "3.545", "3", "-15.4%", "3.518..3.572",
                               "10/10", "gain"]
     assert out[-1] == "failed operations: parent 0 of 1000, change 1 of 1000"
+
+
+BOUNDS = {"job_p50_probes": 0.25, "peak_rss_mb": 0.1, "ops_per_s": 0.25}
+
+
+def test_worse_needs_a_median_past_the_bound():
+    # parent p50 median 3.545: the bound 0.25 allows up to 4.43125
+    for change_p50, flags in ((4.4, []), (4.5, ["worse"])):
+        runs = ten_pairs([change_p50] * 10)
+        assert bench_pairs.regressions(runs, BETTER, BOUNDS)["job_p50_probes"] == flags
+    # higher is better: 7.0 -> 5.0 is 29% worse, past 0.25
+    runs = ten_pairs([3.0] * 10)
+    for r in runs["change"]:
+        r["metrics"]["ops_per_s"]["value"] = 5.0
+    flags = bench_pairs.regressions(runs, BETTER, BOUNDS)
+    assert flags["ops_per_s"] == ["worse"] and flags["job_p50_probes"] == []
+    assert flags["peak_rss_mb"] == []  # 50.0 -> 50.5 is 1%, inside 0.1
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved_unless_every_run_wins():
+    # parent p50 from 2.0 to 6.5: IQR 2.25 against 0.25 x median 4.25
+    runs = ten_pairs([3.0] * 10)
+    for i, r in enumerate(runs["parent"]):
+        r["metrics"]["job_p50_probes"]["value"] = 2.0 + 0.5 * i
+    assert bench_pairs.regressions(runs, BETTER, BOUNDS)["job_p50_probes"] == ["unresolved"]
+    for r in runs["change"]:  # every change run below every parent run
+        r["metrics"]["job_p50_probes"]["value"] = 1.5
+    assert bench_pairs.regressions(runs, BETTER, BOUNDS)["job_p50_probes"] == []
+    for r in runs["change"]:  # a median past the bound, in a wide spread
+        r["metrics"]["job_p50_probes"]["value"] = 6.0
+    assert bench_pairs.regressions(runs, BETTER, BOUNDS)["job_p50_probes"] == ["worse",
+                                                                                "unresolved"]
+
+
+def test_metrics_without_a_bound_get_no_flags():
+    runs = ten_pairs([9.0] * 10)
+    assert bench_pairs.regressions(runs, BETTER, {"peak_rss_mb": 0.1}) == {"peak_rss_mb": []}
+
+
+def test_main_flags_a_regression_from_the_bounds_in_benchmark_json(tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": k, "better": v, "bound": BOUNDS[k]} for k, v in BETTER.items()]}))
+    canned_runs = ten_pairs([4.5] * 10)
+    turn = {"parent": iter(canned_runs["parent"]), "change": iter(canned_runs["change"])}
+
+    def run(checkout, workload, seed, seconds):
+        return next(turn[checkout.name])
+
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "mesh"]
+    assert bench_pairs.main(argv, run) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].split()[-2:] == ["0/10", "worse"]
+    assert out[3].split()[-1] == "0/10"  # peak_rss_mb: 1% worse, no flag
+    assert out[4].split()[-2:] == ["10/10", "gain"]  # ops_per_s

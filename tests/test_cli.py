@@ -102,6 +102,22 @@ def test_pmf_probability_grid_runs_clean(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("metric", ["soa", "cut"])
+def test_pmf_rejects_a_negative_max_latency(capsys, metric):
+    # it used to exit 0 and write only the header
+    from tvgraph import cli
+
+    argv = ["pmf", "--model", "er", "--n", "5", "--p", "0.3", "--metric", metric]
+    assert cli.main([*argv, "--max-latency", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-latency must be >= 0\n"
+    # a horizon before the support starts is valid: no masses
+    assert cli.main([*argv, "--max-latency", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == (["t,probability"] if metric == "soa" else ["t,probability", "0,0.0081"])
+
+
 def test_pmf_rejects_bad_params():
     res = run_cli("pmf", "--model", "er", "--n", "5", "--p", "0", "--metric", "soa")
     assert res.returncode != 0
@@ -323,6 +339,19 @@ def test_compare_m_all_is_accepted_as_no_op():
             got = run_cli("compare", *mode, *with_all)
             assert want.returncode == got.returncode == 0, got.stderr
             assert got.stdout == want.stdout
+
+
+@pytest.mark.parametrize("gu", [(), ("--gu", "complete", "--trials", "5")])
+@pytest.mark.parametrize("m", ["2,2", "2,all,2", "1,3,2,3"])
+def test_compare_rejects_a_repeated_block_size(capsys, gu, m):
+    # a repeated size used to write the same msmg_ column twice and exit 0
+    from tvgraph import cli
+
+    assert cli.main(["compare", "--model", "er", "--n", "6", "--p", "0.2", *gu,
+                     "--t-max", "6", "--m", m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --m repeats block size {m.split(',')[-1]}\n"
 
 
 def test_compare_empirical_complete_graph(tmp_path):

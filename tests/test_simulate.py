@@ -562,6 +562,108 @@ def test_block_stream_kernel_matches_the_per_trial_kernel(case):
         assert 0 < got.undelivered < trials
 
 
+def private_draw_cut_block(model, ends, n, source, dest, horizon, rng, size):
+    """The labelling kernel as it drew its own edge states, kept as the
+    reference for `simulate._cut_block`: each chunk is one
+    `rng.random((span, live trials, edges))` call, and each slot steps the
+    live trials' states with `edge_update`; returns latencies (-1
+    undelivered)."""
+    n_edges = ends.shape[1]
+    offset = np.arange(size, dtype=np.int32)[:, None] * n
+    head, tail = (offset + ends[0]).ravel(), (offset + ends[1]).ravel()
+    orig = np.arange(size)
+    cur = np.full(size, source, dtype=np.int32)
+    latency = np.full(size, -1, dtype=np.int64)
+    states, t = None, 0
+    while orig.size and t < horizon:
+        span = min(t + 1, horizon - t, max(1, CUT_CELLS // (orig.size * n_edges)))
+        u = rng.random((span, orig.size, n_edges))
+        rows = np.arange(orig.size)
+        for k in range(span):
+            t += 1
+            states = edge_update(model, states, u[k, rows])
+            lab = _graph_labels(states, n, head, tail)
+            base = offset[:rows.size, 0]
+            jump = lab[base + cur]
+            done = jump == lab[base + dest]
+            latency[orig[done]] = t - 1
+            keep = ~done
+            cur, orig, rows, states = (jump - base)[keep], orig[keep], rows[keep], states[keep]
+            if not orig.size:
+                break
+    return latency
+
+
+def cut_kernel_args(gu, source, dest, rank=None):
+    """The (ends, n, source, dest) that `simulate_cut` hands its labelling
+    kernel: dest's component in (rank, id) order, default rank hop distance."""
+    hops = _candidate_hops(gu, dest)
+    rank = dict(zip(gu.nodes, hops)) if rank is None else rank
+    comp = [v for v, h in zip(gu.nodes, hops) if h >= 0]
+    index = {v: i for i, v in enumerate(sorted(comp, key=lambda v: (rank[v], v)))}
+    ends = np.array([index.get(v, -1) for v in gu.nodes], dtype=np.int32)[gu._ends]
+    return ends[:, ends[0] >= 0], len(index), index[source], index[dest]
+
+
+# latencies: "all 0" (every trial delivered in slot 1), "all -1" (none
+# delivered) or "spread" (more than two values)
+@pytest.mark.parametrize("model, gu, dest, rank, horizon, size, latencies", [
+    (ErParams(0.3), TWO_TRIANGLES, 5, NOT_HOPS, 100, 500, "spread"),
+    (ErParams(0.05), UnderlyingGraph.complete(20), 19, None, 60, 100, "spread"),
+    (MarkovParams(0.2, 0.3), TWO_TRIANGLES, 5, None, 100, 500, "spread"),  # stationary
+    (MarkovParams(0.005, 0.3), UnderlyingGraph.complete(20), 19, None, 60, 100, "spread"),
+    (MarkovParams(0.2, 0.3, p0=0.0), TWO_TRIANGLES, 5, NOT_HOPS, 100, 500, "spread"),
+    (MarkovParams(0.2, 0.3, p0=0.9), TWO_TRIANGLES, 5, NOT_HOPS, 100, 500, "spread"),
+    (MarkovParams(0.2, 0.3, p0=1.0), TWO_TRIANGLES, 5, None, 100, 500, "all 0"),
+    # horizons that cut the 1, 2, 4, ... chunks short
+    (MarkovParams(0.1, 0.3, p0=0.2), TWO_TRIANGLES, 5, NOT_HOPS, 2, 500, "spread"),
+    (MarkovParams(0.1, 0.3, p0=0.1), UnderlyingGraph.complete(6), 5, None, 7, 500, "spread"),
+    (ErParams(0.1), TWO_TRIANGLES, 5, None, 7, 500, "spread"),
+    (MarkovParams(0.2, 0.3, p0=0.3), TWO_TRIANGLES, 5, NOT_HOPS, 100, 1, None),  # one trial
+    (ErParams(1.0), TWO_TRIANGLES, 5, NOT_HOPS, 10, 300, "all 0"),
+    (ErParams(0.0), TWO_TRIANGLES, 5, None, 10, 300, "all -1"),
+])
+def test_cut_block_draws_as_the_private_draw_reference(model, gu, dest, rank, horizon, size,
+                                                       latencies):
+    # one `slot_states` call per chunk reads the block stream as the kernel's
+    # own `rng.random` call did, so every trial's latency is the same
+    args = (model, *cut_kernel_args(gu, 0, dest, rank), horizon)
+    got = simulate._cut_block(*args, np.random.default_rng(17), size)
+    want = private_draw_cut_block(*args, np.random.default_rng(17), size)
+    assert np.array_equal(got, want)
+    if latencies == "spread":
+        assert len(np.unique(got)) > 2
+    elif latencies is not None:
+        assert (got == int(latencies.split()[1])).all()
+
+
+def test_labelling_kernel_draws_through_slot_states(monkeypatch):
+    # every edge state comes from slot_states; simulate steps no states itself
+    spans = []
+
+    def counting(*args):
+        spans.append(args[3])
+        return slot_states(*args)
+
+    monkeypatch.setattr(simulate, "slot_states", counting)
+    rank = {0: 3, 1: 1, 2: 2, 3: 0}
+    emp = simulate_cut(ErParams(0.3), UnderlyingGraph.complete(4), 0, 3, horizon=20, trials=50,
+                       seed=1, rank=rank)
+    assert emp.trials == 50 and len(spans) > 0
+    assert not hasattr(simulate, "edge_update")
+
+
+@pytest.mark.parametrize("trials, columns", [(2, 1), (3, 5), (17, 40), (100, 7), (9000, 3)])
+def test_column_stats_equal_each_column_alone(trials, columns):
+    # one reduction over the transposed rows gives each column's floats
+    samples = np.random.default_rng(trials).random((trials, columns)) ** 3
+    means, ses = simulate._column_stats(samples)
+    for j in range(columns):
+        col = samples[:, j]
+        assert means[j] == col.mean()
+        assert ses[j] == col.std(ddof=1) / math.sqrt(trials)
+
+
 def test_simulate_determinism_and_seed_sensitivity():
     gu = UnderlyingGraph.line(5)
     a = simulate_soa(ErParams(0.3), gu, 0, 4, trials=5_000, seed=12)
