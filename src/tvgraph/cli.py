@@ -109,6 +109,9 @@ def cmd_pmf(args):
     if args.location is not None:
         if spec.kind != "er" or args.metric != "soa":
             raise ValueError("--location applies to the er model with --metric soa")
+        for flag, given in (("--cdf", args.cdf), ("--max-latency", args.max_latency is not None)):
+            if given:
+                raise ValueError(f"{flag} does not apply with --location")
         loc = er_soa_location_pmf(args.n, args.p, args.location)
         rows = [(pos, loc.mass(pos)) for pos in range(1, args.n + 1)]
         _write(args.output, _csv(rows, ["node", "probability"]))
@@ -175,9 +178,12 @@ def _parse_m_list(text):
         tok = tok.strip()
         if tok == "all":
             continue  # the fully smashed column is always emitted
-        m = int(tok)
+        try:
+            m = int(tok)
+        except ValueError:
+            m = 0
         if m < 1:
-            raise ValueError("block sizes must be positive integers")
+            raise ValueError(f"--m takes positive integers or 'all', got {tok!r}")
         if m in ms:
             raise ValueError(f"--m repeats block size {m}")
         ms.append(m)

@@ -4,7 +4,7 @@ Two edge dynamics are available: independent per-slot presence with
 probability p, and a two-state chain per edge (OFF->ON probability p,
 ON->OFF probability q, initial ON probability p0).  Sampling is
 deterministic given the seed: draws come from numpy's PCG64 seeded with
-SeedSequence(seed), slot-major over the candidate edges in their listed
+SeedSequence(seed), slot-major over the candidate edges in sorted (u, v)
 order.
 
 Every edge state, sampled or replayed, comes from `slot_states`: given
@@ -16,15 +16,14 @@ kernel draws them for a block of trials, however the slots are chunked.
 The cut-through labelling kernel passes it one block stream and the cells
 of all live trials of the block.
 
-A candidate graph holds its edges as index arrays (`_ends`: positions in
-`nodes` of both ends of each edge).  `complete`, `line` and
-`from_graphlet` are built from them alone, and their edge tuples are made
-on the first read of `edges`; `neighbor_map` works from the arrays.
-`sample_slots` is the one sampler: it draws every candidate cell of every
-slot and yields each slot as a `Graphlet` holding its up edges as an index
-array into its sorted ids, gathered from `_ends` through a layout each
-graph computes once.  `sample_er_tgs` and `sample_markov_tgs` collect its
-slots into a sequence.
+A candidate graph, whichever builder made it, holds its nodes as the
+sorted tuple of ids and its edges as an index array (`_ends`: positions
+in `nodes` of both ends of each edge, sorted by (u, v)); its edge tuples
+are made on the first read of `edges`, and `neighbor_map` works from the
+array.  `sample_slots` is the one sampler: it draws every candidate cell
+of every slot and yields each slot as a `Graphlet` holding its up columns
+of `_ends`, which index the same sorted ids.  `sample_er_tgs` and
+`sample_markov_tgs` collect its slots into a sequence.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -38,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .temporal import Graphlet, GraphletSequence, _id_pairs, _sorted_ids, bfs, load_tgs
+from .temporal import Graphlet, GraphletSequence, _id_pairs, _sorted_ends, _sorted_ids, bfs, load_tgs
 
 __all__ = [
     "UnderlyingGraph",
@@ -64,55 +63,54 @@ MAX_ENUM_NODES = 24
 STATIONARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnderlyingGraph:
     """Candidate-edge graph the stochastic processes act on.
 
-    Every graph holds its edges as a private (2, E) int32 index array
-    `_ends` of positions in `nodes`, each edge as (min, max).
-    `UnderlyingGraph(nodes, edges, name)` checks every edge: no self-loops,
-    no duplicates in either orientation, both endpoints in `nodes`; it then
-    lays out `_ends` in `edges` order.  The builders `line`, `complete` and
-    `from_graphlet` skip that check, as their edges are valid by
-    construction: they hold their nodes sorted and only `_ends`, sorted by
-    (u, v), and build the `edges` tuple on its first read.
+    Every graph holds its nodes as the sorted tuple of ids and its edges as
+    a private (2, E) int32 index array `_ends` of positions in `nodes`,
+    sorted by (u, v) with u < v, and builds the `edges` tuple of (min, max)
+    pairs from it on its first read.  `UnderlyingGraph(nodes, edges, name)`
+    checks its input: no duplicate ids, no self-loops, both endpoints in
+    `nodes`, no duplicate edges in either orientation; ids that do not
+    compare with each other are a TypeError.  The builders `line`,
+    `complete` and `from_graphlet` skip that check, as their edges are valid
+    by construction.
     """
 
     nodes: tuple
     edges: tuple
     name: str | None = None
 
-    def __post_init__(self):
-        pos = {v: i for i, v in enumerate(self.nodes)}
-        if len(pos) != len(self.nodes):
+    def __init__(self, nodes, edges, name=None):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids")
-        seen = {}  # each edge as (min, max) -> the positions of its ends
-        for u, v in self.edges:
+        ids = _sorted_ids(nodes)
+        node_set = frozenset(ids)
+        seen = set()  # each edge as (min, max)
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            if u not in pos or v not in pos:
+            if u not in node_set or v not in node_set:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
             key = (u, v) if u <= v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
-            seen[key] = (pos[key[0]], pos[key[1]])
-        # positions in `nodes` of the (min, max) ends of each edge, as a
-        # (2, edges) int32 array in `edges` order
-        vars(self)["_ends"] = np.array(list(seen.values()), dtype=np.int32).reshape(-1, 2).T
+            seen.add(key)
+        vars(self).update(nodes=ids, name=name, _ends=_sorted_ends(ids, seen))
 
     @classmethod
     def _from_ends(cls, nodes, ends, name):
         """The graph on the sorted tuple `nodes` whose edge j joins
         nodes[ends[0][j]] and nodes[ends[1][j]], which the caller guarantees
-        valid with ends[0] < ends[1]."""
+        valid and sorted by (u, v) with ends[0] < ends[1]."""
         gu = object.__new__(cls)
         vars(gu).update(nodes=nodes, name=name,
                         _ends=np.asarray(ends, dtype=np.int32).reshape(2, -1))
         return gu
 
     def __getattr__(self, name):
-        # the edge tuples of a graph built by `_from_ends` (every other graph
-        # holds `edges` from construction), on first read
+        # the edge tuples, on first read
         if name != "edges":
             raise AttributeError(name)
         edges = vars(self)["edges"] = tuple(_id_pairs(self.nodes, self._ends))
@@ -152,43 +150,20 @@ class UnderlyingGraph:
         order.
 
         The heads are laid out as `_ends[::-1]`, so each edge is listed
-        first from its higher end.  When `_ends` is sorted by (u, v) with
-        u < v, as every builder but the validating constructor makes it, a
-        stable sort of the heads alone then lists each node's lower
-        neighbors in order before its higher ones; any other `_ends` is
-        sorted by (head, tail)."""
+        first from its higher end.  As `_ends` is sorted by (u, v) with
+        u < v, a stable sort of the heads alone then lists each node's lower
+        neighbors in order before its higher ones."""
         n = len(self.nodes)
         heads, tails = self._ends[::-1].ravel(), self._ends.ravel()
-        key = self._ends[0].astype(np.int64) * n + self._ends[1]
-        if (self._ends[0] < self._ends[1]).all() and (key[1:] > key[:-1]).all():
-            order = np.argsort(heads, kind="stable")
-        else:
-            order = np.argsort(heads.astype(np.int64) * n + tails)
+        order = np.argsort(heads, kind="stable")
         start = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
         return tails[order].tolist(), start.tolist()
-
-    @cached_property
-    def _id_layout(self):
-        """How a sampled slot lays out its up edges (see `Graphlet`): the
-        sorted ids, their frozenset, the ends as positions in the sorted ids
-        in (u, v) order, and that order of the columns of `_ends`."""
-        ids, ends = _sorted_ids(self.nodes), self._ends
-        if ids != self.nodes:  # positions in `nodes` are not in id order
-            pos = {v: i for i, v in enumerate(ids)}
-            ends = np.array([pos[v] for v in self.nodes], dtype=np.int32)[ends]
-        key = ends[0].astype(np.int64)
-        key *= len(ids)
-        key += ends[1]
-        order = slice(None) if (key[1:] > key[:-1]).all() else np.argsort(key)
-        return ids, frozenset(ids), ends[:, order], order
 
     def neighbor_map(self):
         """{node: its neighbors sorted by id}."""
         tails, start = self._adjacency
         nodes = self.nodes
-        if nodes == tuple(range(len(nodes))):  # positions are the ids
-            return {v: tuple(tails[start[v]:start[v + 1]]) for v in nodes}
-        return {v: tuple(sorted(nodes[w] for w in tails[start[i]:start[i + 1]]))
+        return {v: tuple(map(nodes.__getitem__, tails[start[i]:start[i + 1]]))
                 for i, v in enumerate(nodes)}
 
 
@@ -274,22 +249,23 @@ def slot_states(params, states, rngs, span, n_edges):
 
 def sample_slots(gu, params, horizon, rng):
     """Lazily yield the slots 1..horizon of `gu` under `params`, each holding
-    its up edges as a sorted index array into gu's sorted ids (see
-    `Graphlet`).
+    its up edges as the up columns of `gu._ends`: a sorted index array into
+    gu's sorted ids `gu.nodes` (see `Graphlet`).
 
     States are drawn by `slot_states` on the one trial stream `rng` in
-    chunks of 1, 2, 4, ... slots: the same stream as one draw per slot, so
-    a caller that stops early leaves at most as many slots drawn and unused
-    as it used.  A chunk's up edges are gathered at once through
-    `gu._id_layout`, without building a tuple.
+    chunks of 1, 2, 4, ... slots, one cell per column of `gu._ends`: the
+    same stream as one draw per slot, so a caller that stops early leaves
+    at most as many slots drawn and unused as it used.  A chunk's up edges
+    are gathered at once, without building a tuple.
     """
-    ids, nodes, ends, order = gu._id_layout
+    ids, ends = gu.nodes, gu._ends
+    nodes = frozenset(ids)
     n_edges = ends.shape[1]
     states, t = None, 0
     while t < horizon:
         chunk = slot_states(params, states, [rng], min(t + 1, horizon - t), n_edges)
         states = chunk[-1]
-        cells = np.flatnonzero(chunk[:, 0, order])
+        cells = np.flatnonzero(chunk)
         up = ends[:, cells % n_edges]
         bounds = np.searchsorted(cells, n_edges * np.arange(len(chunk) + 1)).tolist()
         for start, stop in zip(bounds, bounds[1:]):

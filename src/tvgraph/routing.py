@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ErParams, UnderlyingGraph
+from .models import ErParams
 from .simulate import _candidate_hops, simulate_soa
-from .temporal import _sorted_ids, adjacency, components
+from .temporal import adjacency, components
 
 __all__ = [
     "MettTable",
@@ -129,12 +129,10 @@ def _check_query(gu, p, dest):
 def compute_mett(gu, p, dest):
     """Destination-out extraction of every node's minimum expected traversal time.
 
-    The pass runs over positions in the sorted ids: the cached adjacency
-    `gu._adjacency` when `gu.nodes` is sorted (every builder but the
-    validating constructor makes it so), else the same adjacency laid out
-    from `gu._id_layout`.  METTs, running sums, accepted candidates and
-    settled flags are lists indexed by position, so positions stand for ids
-    and every tie below breaks by id.
+    The pass runs over the cached adjacency `gu._adjacency`, whose
+    positions are those of the sorted ids `gu.nodes`.  METTs, running sums,
+    accepted candidates and settled flags are lists indexed by position, so
+    positions stand for ids and every tie below breaks by id.
 
     Settling order is by (value, node id), so each node's neighbors settle
     in its candidates' sorted order.  When u settles with value d, each
@@ -146,16 +144,12 @@ def compute_mett(gu, p, dest):
     O(E log V).  policy[v] is the accepted neighbors sorted by (METT, node
     id), which is not always their settle order: rounding can bring a cost
     down to exactly the METT of a node with a larger id settled before it.
-    Unreachable nodes keep METT = inf and an empty policy.  The ids must
-    compare with each other (a TypeError otherwise); `mett` and `policy`
-    list them in sorted order.
+    Unreachable nodes keep METT = inf and an empty policy.  `mett` and
+    `policy` list the ids in sorted order.
     """
     _check_query(gu, p, dest)
-    ids = _sorted_ids(gu.nodes)
-    if ids == gu.nodes:
-        tails, start = gu._adjacency
-    else:
-        tails, start = UnderlyingGraph._from_ends(ids, gu._id_layout[2], gu.name)._adjacency
+    ids = gu.nodes
+    tails, start = gu._adjacency
     n = len(ids)
     mett = [INF] * n
     weight = [p] * n  # the weight of each node's next candidate, as in prefix_cost

@@ -495,8 +495,9 @@ def _cut_block(model, ends, n, source, dest, horizon, rng, size):
 
 
 def _acceptance_arrays(gu, index, next_hop):
-    """The acceptance lists {node: ordered neighbors} as CSR arrays over the
-    node indices `index`: node i's list is flat[start[i]:start[i + 1]].
+    """The acceptance lists {node: ordered neighbors} as CSR arrays over
+    `index`, each node's position in `gu.nodes`: node i's list is
+    flat[start[i]:start[i + 1]].
     Raises ValueError naming the node or pair when a key or entry is not a
     node, an entry is not a candidate neighbor of its key, or repeats; each
     (key, entry) pair is looked up among the sorted keys of `gu._ends`."""
@@ -507,7 +508,7 @@ def _acceptance_arrays(gu, index, next_hop):
     flat = np.array([index.get(v, -1) for cand in lists for v in cand], dtype=np.int64)
     row = np.repeat(owner, lengths)
     pair = np.minimum(row, flat) * n + np.maximum(row, flat)
-    edges = np.sort(gu._ends[0].astype(np.int64) * n + gu._ends[1])
+    edges = gu._ends[0].astype(np.int64) * n + gu._ends[1]
     found = np.append(edges, -1)[np.searchsorted(edges, pair)] == pair
     ok = (row >= 0) & (flat >= 0) & found
     key_of = np.repeat(np.arange(len(lists)), lengths)
@@ -783,7 +784,7 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = len(gu.nodes)
-    if set(gu.nodes) != set(range(n)):
+    if gu.nodes != tuple(range(n)):
         raise ValueError("reachable-pairs sampling expects node ids 0..n-1")
     if n < 2:
         raise ValueError("reachable-pair fractions need at least two nodes")
@@ -793,7 +794,7 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     slot_of = {t: row for row, t in enumerate(sorted(set(grid)))}
     column = [slot_of[t] for t in grid]
     t_max = max(grid, default=0)
-    ends = np.array(gu.nodes, dtype=np.int32)[gu._ends]
+    ends = gu._ends  # positions in gu.nodes, which are 0..n-1, are the ids
     # a block draws at most PAIR_CELLS cells per slot (unless one trial's
     # slot is larger) and holds about PAIR_CELLS bitset words per view
     block = max(1, PAIR_CELLS // max(ends.shape[1], n * ((n + 63) // 64)))

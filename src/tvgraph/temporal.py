@@ -74,6 +74,14 @@ def _id_pairs(ids, ends):
     return zip(map(ids.__getitem__, u), map(ids.__getitem__, v))
 
 
+def _sorted_ends(ids, edges):
+    """The (2, E) int32 index array of the (min, max) pairs `edges`: the
+    positions in the sorted tuple `ids` of both ends of each, sorted by
+    (u, v)."""
+    pos = {v: i for i, v in enumerate(ids)}
+    return np.array(sorted((pos[u], pos[v]) for u, v in edges), dtype=np.int32).reshape(-1, 2).T
+
+
 def _normalize_edge(u, v):
     if u == v:
         raise ValueError(f"self-loop on node {u!r}")
@@ -147,8 +155,7 @@ class Graphlet:
             if u not in node_set or v not in node_set:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
         self.time, self.nodes, self.edges = time, node_set, edge_set
-        pos = {v: i for i, v in enumerate(self._ids)}
-        self._ends = np.array(sorted((pos[u], pos[v]) for u, v in edge_set), dtype=np.int32).reshape(-1, 2).T
+        self._ends = _sorted_ends(self._ids, edge_set)
 
     @classmethod
     def _from_ends(cls, time, nodes, ids, ends):

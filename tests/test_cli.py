@@ -118,6 +118,22 @@ def test_pmf_rejects_a_negative_max_latency(capsys, metric):
     assert rows == (["t,probability"] if metric == "soa" else ["t,probability", "0,0.0081"])
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--cdf",), "--cdf"),
+    (("--max-latency", "5"), "--max-latency"),
+    (("--cdf", "--max-latency", "-5"), "--cdf"),
+])
+def test_pmf_location_rejects_the_latency_flags(capsys, flags, named):
+    # --location used to return before reading either flag and exit 0
+    from tvgraph import cli
+
+    argv = ["pmf", "--model", "er", "--n", "4", "--p", "0.3", "--metric", "soa", "--location", "3"]
+    assert cli.main([*argv, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named} does not apply with --location\n"
+
+
 def test_pmf_rejects_bad_params():
     res = run_cli("pmf", "--model", "er", "--n", "5", "--p", "0", "--metric", "soa")
     assert res.returncode != 0
@@ -352,6 +368,19 @@ def test_compare_rejects_a_repeated_block_size(capsys, gu, m):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --m repeats block size {m.split(',')[-1]}\n"
+
+
+@pytest.mark.parametrize("gu", [(), ("--gu", "complete", "--trials", "5")])
+@pytest.mark.parametrize("m, token", [(",2", ""), ("2.5", "2.5"), ("x", "x"), ("1,0", "0")])
+def test_compare_names_the_flag_and_token_of_a_bad_block_size(capsys, gu, m, token):
+    # a token int() refuses used to print only int()'s message
+    from tvgraph import cli
+
+    assert cli.main(["compare", "--model", "er", "--n", "6", "--p", "0.2", *gu,
+                     "--t-max", "6", "--m", m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --m takes positive integers or 'all', got {token!r}\n"
 
 
 def test_compare_empirical_complete_graph(tmp_path):

@@ -27,7 +27,7 @@ from tvgraph.models import (
 )
 from tvgraph import simulate
 from tvgraph.simulate import EmpiricalPmf, replay_cut, replay_soa, simulate_soa
-from tvgraph.temporal import dump_tgs, GraphletSequence
+from tvgraph.temporal import dump_tgs, Graphlet, GraphletSequence
 
 
 # --- underlying graphs ---------------------------------------------------------
@@ -65,10 +65,30 @@ def test_builders_make_edge_tuples_once_on_first_read(build, edges_first):
 
 
 def test_explicit_edges_give_positions_of_their_normalized_ends():
-    gu = UnderlyingGraph(("c", "a", "b"), (("b", "a"), ("c", "b")))
-    assert gu._ends.tolist() == [[1, 2], [2, 0]]
+    # the constructor sorts its ids and edges, so positions index the sorted ids
+    gu = UnderlyingGraph(("c", "a", "b"), (("c", "b"), ("b", "a")))
+    assert gu.nodes == ("a", "b", "c")
+    assert gu._ends.tolist() == [[0, 1], [1, 2]]
     assert [(gu.nodes[i], gu.nodes[j]) for i, j in gu._ends.T.tolist()] == [("a", "b"), ("b", "c")]
+    assert "edges" not in vars(gu) and gu.edges == (("a", "b"), ("b", "c"))
     assert UnderlyingGraph((0,), ())._ends.shape == (2, 0)
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ((3, 0, 4, 1, 2), ((4, 1), (2, 0), (3, 1), (1, 0), (4, 2), (3, 2))),
+    (("d", "b", "a", "c"), (("d", "c"), ("c", "a"), ("b", "a"), ("d", "b"))),
+])
+def test_hand_built_graph_has_the_one_form(nodes, edges):
+    # shuffled ids and reversed, unsorted edges give the graph from_graphlet
+    # builds from the same edges, and the same draws at one seed
+    gu = UnderlyingGraph(nodes, edges, "g")
+    built = UnderlyingGraph.from_graphlet(Graphlet(1, nodes, edges), "g")
+    assert gu == built and hash(gu) == hash(built)
+    assert gu.nodes == built.nodes == tuple(sorted(nodes))
+    assert np.array_equal(gu._ends, built._ends) and gu._ends.dtype == built._ends.dtype
+    for params in (ErParams(0.4), MarkovParams(0.3, 0.5, p0=0.6)):
+        slots = list(sample_slots(gu, params, 9, np.random.default_rng(7)))
+        assert slots == list(sample_slots(built, params, 9, np.random.default_rng(7)))
 
 
 def test_complete_graph_fills_its_int32_ends_in_place():
@@ -216,8 +236,8 @@ def test_sample_markov_determinism():
     assert a == b
 
 
-# node ids whose positions in `nodes` are not their order, so sampling
-# must gather ids from positions
+# string ids listed out of order, so sampling gathers ids from positions
+# in the sorted ids the constructor holds
 STRING_IDS = UnderlyingGraph(
     ("d", "b", "a", "c", "e"),
     (("a", "b"), ("b", "d"), ("a", "c"), ("c", "d"), ("a", "d"), ("b", "e"), ("c", "e")),
@@ -244,8 +264,9 @@ def test_sample_slots_equal_one_draw_per_slot(params, gu, horizon):
     assert [g.edges for g in slots] == [frozenset(up) for up in want]
 
 
-# integer ids 0..n-1 whose positions are not their order, with edges listed
-# out of (u, v) order: sampled slots must sort the ids of their index arrays
+# integer ids 0..n-1 listed out of order, with edges listed out of (u, v)
+# order and reversed: the constructor sorts both, so sampled slots hold
+# sorted index arrays whatever order the graph was listed in
 PERMUTED_IDS = UnderlyingGraph(
     (3, 1, 0, 2, 4),
     ((1, 0), (1, 3), (0, 2), (2, 3), (0, 3), (1, 4), (2, 4)),
@@ -352,7 +373,7 @@ def test_replays_build_no_edge_sets(monkeypatch):
 @pytest.mark.parametrize("gu", [
     UnderlyingGraph.complete(5), UnderlyingGraph.line(4), STRING_IDS, PERMUTED_IDS,
     UnderlyingGraph((0, 1, 2), ((1, 2), (0, 2))),
-    # unsorted and reversed edges: `_ends` out of (u, v) order takes the full sort
+    # unsorted and reversed edges, which the constructor sorts into `_ends`
     UnderlyingGraph(tuple(range(6)), ((4, 1), (0, 5), (2, 3), (1, 0), (5, 3), (2, 0), (3, 1))),
 ])
 def test_neighbor_map_lists_neighbors_by_id(gu):

@@ -270,7 +270,7 @@ def test_ids_that_do_not_compare_are_one_named_error():
         with pytest.raises(TypeError, match=message):
             query(tgs)
     with pytest.raises(TypeError, match=message):
-        sample_er_tgs(UnderlyingGraph((0, "a"), ()), ErParams(0.5), 3, 0)
+        UnderlyingGraph((0, "a"), ())  # a candidate graph refuses them at construction
     # asking about a pair of ids of two kinds is no edge, not an error
     assert not tgs[0].has_edge(0, "a") and not t_adjacent(tgs, 1, "b")
 
