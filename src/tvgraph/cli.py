@@ -40,7 +40,7 @@ from .models import (
 )
 from .routing import compute_mett, run_adaptive_route
 from .simulate import _column_stats, default_horizon, reachable_pairs_samples, simulate_cut, simulate_soa
-from .temporal import dump_tgs, format_tgs, load_tgs
+from .temporal import dump_tgs, format_tgs
 
 SPEC_VERSION = "1"
 
@@ -216,9 +216,7 @@ def cmd_compare(args):
 
 
 def cmd_route(args):
-    tgs = load_tgs(args.graph)
-    if tgs.horizon != 1:
-        raise ValueError("the routing graph file must hold exactly one slot")
+    gu = _load_underlying(f"file:{args.graph}", None)
     if args.horizon is not None and args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
     if args.trials < 0:
@@ -226,7 +224,6 @@ def cmd_route(args):
     for flag, value in (("--horizon", args.horizon), ("--pmf-output", args.pmf_output)):
         if value is not None and args.trials == 0:
             raise ValueError(f"{flag} applies only to the policy replay: give --trials >= 1")
-    gu = UnderlyingGraph.from_graphlet(tgs[0])
     if args.source not in gu.nodes:
         raise ValueError(f"source {args.source} not in the graph")
     table = compute_mett(gu, args.p, args.dest)

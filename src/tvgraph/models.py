@@ -19,11 +19,16 @@ of all live trials of the block.
 A candidate graph, whichever builder made it, holds its nodes as the
 sorted tuple of ids and its edges as an index array (`_ends`: positions
 in `nodes` of both ends of each edge, sorted by (u, v)); its edge tuples
-are made on the first read of `edges`, and `neighbor_map` works from the
-array.  `sample_slots` is the one sampler: it draws every candidate cell
-of every slot and yields each slot as a `Graphlet` holding its up columns
-of `_ends`, which index the same sorted ids.  `sample_er_tgs` and
-`sample_markov_tgs` collect its slots into a sequence.
+are made on the first read of `edges`, and `neighbor_map`, equality and
+hashing work from the array.  The validating constructor checks its edges
+through the edge check every static graph of `temporal` shares.  One BFS
+walks a candidate graph, `_candidate_hops` over the cached adjacency
+`_adjacency`; `shortest_path` and every replay and routing search that
+needs hop distances read it.  `sample_slots` is the one sampler: it draws
+every candidate cell of every slot and yields each slot as a `Graphlet`
+holding its up columns of `_ends`, which index the same sorted ids.
+`sample_er_tgs` and `sample_markov_tgs` collect its slots into a
+sequence.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -37,7 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .temporal import Graphlet, GraphletSequence, _id_pairs, _sorted_ends, _sorted_ids, bfs, load_tgs
+from .temporal import (Graphlet, GraphletSequence, _checked_edges, _id_pairs, _sorted_ends, _sorted_ids,
+                       load_tgs)
 
 __all__ = [
     "UnderlyingGraph",
@@ -71,11 +77,13 @@ class UnderlyingGraph:
     a private (2, E) int32 index array `_ends` of positions in `nodes`,
     sorted by (u, v) with u < v, and builds the `edges` tuple of (min, max)
     pairs from it on its first read.  `UnderlyingGraph(nodes, edges, name)`
-    checks its input: no duplicate ids, no self-loops, both endpoints in
-    `nodes`, no duplicate edges in either orientation; ids that do not
-    compare with each other are a TypeError.  The builders `line`,
-    `complete` and `from_graphlet` skip that check, as their edges are valid
-    by construction.
+    checks its input: no duplicate ids, then the edge check every static
+    graph shares (`temporal._checked_edges`: no self-loops, then both
+    endpoints in `nodes`), then no duplicate edges in either orientation;
+    ids that do not compare with each other are a TypeError.  The builders
+    `line`, `complete` and `from_graphlet` skip that check, as their edges
+    are valid by construction.  Equality and hashing read the ids, the name
+    and the index array, so neither builds the edge tuples.
     """
 
     nodes: tuple
@@ -86,14 +94,8 @@ class UnderlyingGraph:
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids")
         ids = _sorted_ids(nodes)
-        node_set = frozenset(ids)
-        seen = set()  # each edge as (min, max)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on {u!r}")
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
-            key = (u, v) if u <= v else (v, u)
+        seen = set()
+        for key in _checked_edges(frozenset(ids), edges):
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
@@ -108,6 +110,15 @@ class UnderlyingGraph:
         vars(gu).update(nodes=nodes, name=name,
                         _ends=np.asarray(ends, dtype=np.int32).reshape(2, -1))
         return gu
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nodes, self.name) == (other.nodes, other.name)
+                and np.array_equal(self._ends, other._ends))
+
+    def __hash__(self):
+        return hash((self.nodes, self.name, self._ends.tobytes()))
 
     def __getattr__(self, name):
         # the edge tuples, on first read
@@ -165,6 +176,24 @@ class UnderlyingGraph:
         nodes = self.nodes
         return {v: tuple(map(nodes.__getitem__, tails[start[i]:start[i + 1]]))
                 for i, v in enumerate(nodes)}
+
+
+def _candidate_hops(gu, dest):
+    """Hop distance to dest over gu's candidate edges, as a list in `gu.nodes`
+    order (-1 when cut off): one BFS over `gu._adjacency`, built from
+    `gu._ends`, so a graph held as index arrays never builds its edge tuples.
+    Every search of a candidate graph (`shortest_path`, the replays' default
+    rank and path, the routing oracles' first policy) walks these lists."""
+    tails, start = gu._adjacency
+    dist = [-1] * len(gu.nodes)
+    queue = [gu.nodes.index(dest)]
+    dist[queue[0]] = 0
+    for v in queue:  # the loop reads what it appends
+        for w in tails[start[v]:start[v + 1]]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -294,16 +323,20 @@ def sample_markov_tgs(gu, params, horizon, seed):
 
 
 def shortest_path(gu, source, dest):
-    """Deterministic BFS path (list of nodes) from source to dest, or None."""
+    """The lexicographically smallest shortest path (list of nodes, by id)
+    from source to dest over gu's candidate edges, or None when dest is cut
+    off: from source, each step goes to the lowest neighbor one hop closer
+    to dest by `_candidate_hops`, which is the path a BFS from source with
+    neighbors in id order returns."""
     if source not in gu.nodes or dest not in gu.nodes:
         raise ValueError(f"unknown node {source!r} or {dest!r}")
-    parent = bfs(gu.neighbor_map(), [source])
-    if dest not in parent:
-        return None
-    path = [dest]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
+    hops = _candidate_hops(gu, dest)
+    tails, start = gu._adjacency
+    path = [gu.nodes.index(source)]
+    while hops[path[-1]] > 0:
+        v = path[-1]
+        path.append(next(w for w in tails[start[v]:start[v + 1]] if hops[w] < hops[v]))
+    return None if hops[path[0]] < 0 else [gu.nodes[v] for v in path]
 
 
 # --- the alternating (p = q = 1) special case on a line ---------------------

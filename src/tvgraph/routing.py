@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ErParams
-from .simulate import _candidate_hops, simulate_soa
+from .models import ErParams, _candidate_hops
+from .simulate import simulate_soa
 from .temporal import adjacency, components
 
 __all__ = [
@@ -270,15 +270,15 @@ def mett_value_iteration_oracle(gu, p, dest):
     settling order and prefix rule.  Exponential in degree; desk scale only.
     """
     _check_query(gu, p, dest)
-    nodes = gu.nodes
-    nbr = gu.neighbor_map()
+    n = len(gu.nodes)
+    tails, start = gu._adjacency
     owner, weight, member = [], [], []
-    for i, u in enumerate(nodes):
-        degree = len(nbr[u])
+    for i in range(n):
+        degree = start[i + 1] - start[i]
         up = np.arange(1 << degree)[:, None] >> np.arange(degree) & 1
         bits = up.sum(axis=1)
-        sets = np.zeros((1 << degree, len(nodes)), dtype=bool)
-        sets[:, [nodes.index(w) for w in nbr[u]]] = up
+        sets = np.zeros((1 << degree, n), dtype=bool)
+        sets[:, tails[start[i]:start[i + 1]]] = up
         sets[:, i] = True
         owner.append(np.full(1 << degree, i))
         weight.append(p ** bits * (1.0 - p) ** (degree - bits))

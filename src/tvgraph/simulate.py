@@ -60,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import LatencyPmf
-from .models import ErParams, MarkovParams, UnderlyingGraph, sample_slots, shortest_path, slot_states
+from .models import (ErParams, MarkovParams, UnderlyingGraph, _candidate_hops, sample_slots, shortest_path,
+                     slot_states)
 from .temporal import _id_pairs, adjacency, bfs, m_smash
 
 __all__ = [
@@ -163,32 +164,16 @@ class EmpiricalPmf:
 
 
 def default_horizon(n, p):
-    """Default trial cap: 20 (n-1) / p slots."""
+    """Default trial cap: 20 (n-1) / p slots, and at least one."""
     if p <= 0.0:
         raise ValueError("p must be positive")
     horizon = 20 * (n - 1) / p
     if math.isinf(horizon):
         raise ValueError(f"p = {p!r} gives no finite default horizon; pass a horizon")
-    return math.ceil(horizon)
+    return max(1, math.ceil(horizon))
 
 
 # --- single-trial replays on a materialized sequence -------------------------
-
-
-def _candidate_hops(gu, dest):
-    """Hop distance to dest over gu's candidate edges, as a list in `gu.nodes`
-    order (-1 when cut off): one BFS over `gu._adjacency`, built from
-    `gu._ends`, so a graph held as index arrays never builds its edge tuples."""
-    tails, start = gu._adjacency
-    dist = [-1] * len(gu.nodes)
-    queue = [gu.nodes.index(dest)]
-    dist[queue[0]] = 0
-    for v in queue:  # the loop reads what it appends
-        for w in tails[start[v]:start[v + 1]]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 def replay_soa(tgs, source, dest, next_hop=None):
@@ -756,7 +741,8 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     (trials x grid) array; row i of every matrix is computed from the same
     sampled sequence, the one sample_*_tgs(gu, model, T,
     SeedSequence(seed, spawn_key=(i,))) draws, so stacked <= coarsened <=
-    smashed holds per sample.  Node ids must be 0..n-1, n >= 2.  Grid
+    smashed holds per sample.  The graph needs n >= 2 nodes, of any ids
+    that compare: pair counts read positions in the sorted ids.  Grid
     entries are horizons; a coarsened column reflects floor(T/m) complete
     blocks.
 
@@ -784,8 +770,6 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = len(gu.nodes)
-    if gu.nodes != tuple(range(n)):
-        raise ValueError("reachable-pairs sampling expects node ids 0..n-1")
     if n < 2:
         raise ValueError("reachable-pair fractions need at least two nodes")
     for m in ms:
@@ -794,7 +778,7 @@ def reachable_pairs_samples(model, gu, horizon_grid, trials, seed, ms=()):
     slot_of = {t: row for row, t in enumerate(sorted(set(grid)))}
     column = [slot_of[t] for t in grid]
     t_max = max(grid, default=0)
-    ends = gu._ends  # positions in gu.nodes, which are 0..n-1, are the ids
+    ends = gu._ends  # positions in the sorted ids gu.nodes
     # a block draws at most PAIR_CELLS cells per slot (unless one trial's
     # slot is larger) and holds about PAIR_CELLS bitset words per view
     block = max(1, PAIR_CELLS // max(ends.shape[1], n * ((n + 63) // 64)))

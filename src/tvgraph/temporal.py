@@ -13,7 +13,10 @@ one sort over them.  So the ids of a slot must compare with each
 other, and so must all ids of a sequence that is smashed or whose
 reachable pairs are counted (`reachable_pairs_fraction`,
 `t_k_connected`, and `t_clique`, which reads the smashed union); ids
-that do not are a TypeError.
+that do not are a TypeError.  Every static graph -- a slot, the smashed
+union and the candidate graph of `models` -- checks its listed edges
+through one helper, `_checked_edges`: a self-loop anywhere is named
+first, then the first listed edge with an endpoint outside the node set.
 
 The stacked graph is a lazy view: it keeps the sequence and builds its
 vertex and arc sets only when they are read.  Reachability queries never
@@ -82,11 +85,20 @@ def _sorted_ends(ids, edges):
     return np.array(sorted((pos[u], pos[v]) for u, v in edges), dtype=np.int32).reshape(-1, 2).T
 
 
-def _normalize_edge(u, v):
-    if u == v:
-        raise ValueError(f"self-loop on node {u!r}")
-    a, b = (u, v) if u <= v else (v, u)
-    return (a, b)
+def _checked_edges(nodes, edges):
+    """The edges `edges` as (min, max) pairs, in listed order, checked against
+    the set `nodes`: a ValueError names the first self-loop, or else the
+    first edge with an endpoint outside `nodes`.  Every constructor of a
+    static graph (`Graphlet`, `SmashedGraph`, `models.UnderlyingGraph`)
+    checks its edges here."""
+    edges = [(u, v) if u <= v else (v, u) for u, v in edges]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop on node {u!r}")
+    for u, v in edges:
+        if u not in nodes or v not in nodes:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
+    return edges
 
 
 def adjacency(edges):
@@ -131,10 +143,10 @@ class Graphlet:
     """One slot of a dynamic network: an undirected snapshot with a slot index.
 
     `Graphlet(time, nodes, edges)` normalizes every edge to (min, max) and
-    checks it: no self-loops, both endpoints in `nodes`; a repeated edge is
-    kept once.  A slot's node ids must compare with each other (all int, or
-    all str, ...), as the slot keeps them sorted; mixed ids that do not are
-    a TypeError.
+    checks it (`_checked_edges`): no self-loops, then both endpoints in
+    `nodes`; a repeated edge is kept once.  A slot's node ids must compare
+    with each other (all int, or all str, ...), as the slot keeps them
+    sorted; mixed ids that do not are a TypeError.
 
     Every slot holds its ids as the sorted tuple `_ids` and its edges as a
     private (2, E) int32 index array `_ends` of positions in `_ids`, sorted
@@ -148,14 +160,10 @@ class Graphlet:
     def __init__(self, time, nodes, edges=()):
         if time < 1:
             raise ValueError("slot index must be >= 1")
-        node_set = frozenset(nodes)
-        self._ids = _sorted_ids(node_set)
-        edge_set = frozenset(_normalize_edge(u, v) for u, v in edges)
-        for u, v in edge_set:
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
-        self.time, self.nodes, self.edges = time, node_set, edge_set
-        self._ends = _sorted_ends(self._ids, edge_set)
+        self.time, self.nodes = time, frozenset(nodes)
+        self._ids = _sorted_ids(self.nodes)
+        self.edges = frozenset(_checked_edges(self.nodes, edges))
+        self._ends = _sorted_ends(self._ids, self.edges)
 
     @classmethod
     def _from_ends(cls, time, nodes, ids, ends):
@@ -298,13 +306,17 @@ class StackedGraph:
 
 
 class SmashedGraph:
-    """Union of all graphlets into one static undirected graph."""
+    """Union of all graphlets into one static undirected graph.
+
+    The constructor checks its edges as `Graphlet` does and keeps a
+    repeated edge once; a query about an id outside `nodes` is a
+    ValueError."""
 
     __slots__ = ("nodes", "edges", "_adj")
 
     def __init__(self, nodes, edges):
         self.nodes = frozenset(nodes)
-        self.edges = frozenset(_normalize_edge(u, v) for u, v in edges)
+        self.edges = frozenset(_checked_edges(self.nodes, edges))
         adj = {v: set() for v in self.nodes}
         for u, v in self.edges:
             adj[u].add(v)
@@ -312,6 +324,8 @@ class SmashedGraph:
         self._adj = adj
 
     def neighbors(self, u):
+        if u not in self.nodes:
+            raise ValueError(f"unknown node {u!r}")
         return frozenset(self._adj[u])
 
     def connected(self, u, v):

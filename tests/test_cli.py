@@ -210,6 +210,19 @@ def test_simulate_zero_horizon_errors():
     assert "--horizon must be >= 1" in res.stderr
 
 
+def test_simulate_on_one_node_delivers_at_once(tmp_path, capsys):
+    # the default horizon 20 (n-1) / p was 0 here, which the replay refused
+    from tvgraph import cli
+
+    out = tmp_path / "one.csv"
+    for metric in ("soa", "cut"):
+        assert cli.main(["simulate", "--model", "er", "--n", "1", "--p", "0.5", "--metric", metric,
+                         "--trials", "10", "--output", str(out)]) == 0
+        assert out.read_text() == "latency,count\n0,10\n"
+        assert json.loads((tmp_path / "one.csv.json").read_text())["horizon"] == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_repeat_runs_byte_identical(tmp_path):
     args = (
         "simulate", "--model", "mc", "--n", "5", "--p", "0.5", "--q", "0.25",
@@ -620,12 +633,12 @@ def test_gen_writes_pinned_bytes(capsys, flags, digest):
 def test_gen_then_route_build_no_edge_tuples(tmp_path, monkeypatch):
     # the sampled slots, the slot read back and the routing graph all hold
     # index arrays from sampler to file to replay: none builds its edge set
-    from tvgraph import cli
+    from tvgraph import cli, models
 
     seen = {}
-    sample, load, compute = cli.sample_er_tgs, cli.load_tgs, cli.compute_mett
+    sample, load, compute = cli.sample_er_tgs, models.load_tgs, cli.compute_mett
     monkeypatch.setattr(cli, "sample_er_tgs", lambda *a: seen.setdefault("sampled", sample(*a)))
-    monkeypatch.setattr(cli, "load_tgs", lambda path: seen.setdefault("read", load(path)))
+    monkeypatch.setattr(models, "load_tgs", lambda path: seen.setdefault("read", load(path)))
     monkeypatch.setattr(cli, "compute_mett", lambda gu, *a: compute(seen.setdefault("gu", gu), *a))
     graph, out = tmp_path / "g.tgs", tmp_path / "route.json"
     assert cli.main(["gen", "--model", "er", "--gu", "complete", "--n", "60", "--p", "0.2",

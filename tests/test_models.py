@@ -27,7 +27,7 @@ from tvgraph.models import (
 )
 from tvgraph import simulate
 from tvgraph.simulate import EmpiricalPmf, replay_cut, replay_soa, simulate_soa
-from tvgraph.temporal import dump_tgs, Graphlet, GraphletSequence
+from tvgraph.temporal import SmashedGraph, bfs, dump_tgs, Graphlet, GraphletSequence
 
 
 # --- underlying graphs ---------------------------------------------------------
@@ -127,10 +127,101 @@ def test_underlying_graph_validation():
         UnderlyingGraph((0, 1), ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda nodes, edges: Graphlet(1, nodes, edges),
+    SmashedGraph,
+    UnderlyingGraph,
+], ids=["graphlet", "smashed", "underlying"])
+def test_every_static_graph_checks_its_edges_in_one_order(build):
+    # a self-loop anywhere is named first, then the first listed edge with an
+    # end outside the node set, in (min, max) form
+    with pytest.raises(ValueError, match=r"^self-loop on node 'b'$"):
+        build("abc", [("a", "d"), ("c", "a"), ("a", "c"), ("b", "b")])
+    with pytest.raises(ValueError, match=r"^edge \('a', 'e'\) has an endpoint outside the node set$"):
+        build("abc", [("a", "b"), ("e", "a"), ("d", "a")])
+    g = build("cab", [("b", "a"), ("c", "b")])
+    assert sorted(g.nodes) == ["a", "b", "c"]
+    assert set(g.edges) == {("a", "b"), ("b", "c")}
+
+
+def test_underlying_graph_names_its_own_faults_after_the_shared_check():
+    with pytest.raises(ValueError, match=r"^duplicate node ids$"):
+        UnderlyingGraph((0, 1, 0), ((0, 0),))
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        UnderlyingGraph((0, 1, 2), ((1, 2), (0, 1), (1, 0), (2, 1)))
+    with pytest.raises(ValueError, match=r"^self-loop on node 2$"):
+        UnderlyingGraph((0, 1, 2), ((0, 1), (1, 0), (2, 2)))
+
+
+def test_equality_and_hashing_build_no_edge_tuples():
+    # K2000's 1,999,000 edge tuples took seconds and 260 MiB to hash: the
+    # graphs compare on their ids, name and index arrays
+    a, b = UnderlyingGraph.complete(2000), UnderlyingGraph.complete(2000)
+    fewer = UnderlyingGraph._from_ends(a.nodes, a._ends[:, 1:], "complete")
+    tracemalloc.start()
+    try:
+        assert a == b and hash(a) == hash(b)
+        assert a != fewer and a != UnderlyingGraph._from_ends(a.nodes, a._ends, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert not any("edges" in vars(g) for g in (a, b, fewer))
+    assert a != a.nodes and UnderlyingGraph.line(1) == UnderlyingGraph((0,), (), "line")
+
+
 def test_shortest_path_deterministic():
     gu = UnderlyingGraph((0, 1, 2, 3), ((0, 1), (0, 2), (1, 3), (2, 3)))
     assert shortest_path(gu, 0, 3) == [0, 1, 3]
     assert shortest_path(UnderlyingGraph((0, 1), ()), 0, 1) is None
+
+
+def bfs_shortest_path(gu, source, dest):
+    """The BFS from source over `neighbor_map` that shortest_path ran before it
+    walked the hop distances to dest: the reference for its paths."""
+    if source not in gu.nodes or dest not in gu.nodes:
+        raise ValueError(f"unknown node {source!r} or {dest!r}")
+    parent = bfs(gu.neighbor_map(), [source])
+    if dest not in parent:
+        return None
+    path = [dest]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+@pytest.mark.parametrize("kind", ["int", "shuffled", "str"])
+def test_shortest_path_equals_the_bfs_reference(kind):
+    rng = np.random.default_rng(["int", "shuffled", "str"].index(kind))
+    for _ in range(80):
+        n = int(rng.integers(1, 13))
+        if kind == "int":
+            ids = list(range(n))
+        elif kind == "shuffled":  # other ints, listed out of order
+            ids = rng.choice(np.arange(-40, 40), n, replace=False).tolist()
+        else:
+            ids = ["".join(w) for w in rng.choice(list("xyz"), (n, 3))]
+            ids = list(dict.fromkeys(ids))
+        keep = rng.random() * 0.6
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(ids, 2) if rng.random() < keep]
+        gu = UnderlyingGraph(tuple(ids), tuple(edges))
+        for source in gu.nodes:
+            for dest in gu.nodes:
+                assert shortest_path(gu, source, dest) == bfs_shortest_path(gu, source, dest)
+
+
+def test_shortest_path_reads_no_neighbor_map(monkeypatch):
+    def refuse(self):
+        raise AssertionError("shortest_path read neighbor_map")
+
+    monkeypatch.setattr(UnderlyingGraph, "neighbor_map", refuse)
+    gu = UnderlyingGraph((2, 0, 1, 3), ((0, 2), (1, 2), (1, 3), (0, 3)))
+    assert shortest_path(gu, 2, 3) == [2, 0, 3]  # 0 before 1, both one hop closer
+    assert shortest_path(UnderlyingGraph.complete(6), 5, 0) == [5, 0]
+    assert "edges" not in vars(gu)
+    with pytest.raises(ValueError, match="unknown node"):
+        shortest_path(gu, 0, 9)
 
 
 # --- parameter objects ----------------------------------------------------------

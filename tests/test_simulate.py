@@ -149,6 +149,7 @@ def test_empirical_pmf_accounting():
 
 def test_default_horizon():
     assert default_horizon(10, 0.25) == 720
+    assert default_horizon(1, 0.5) == 1  # a one-node graph still gets one slot
     with pytest.raises(ValueError):
         default_horizon(10, 0.0)
     # 20 (n-1) / p overflows: a ValueError that asks for a horizon, not an OverflowError
@@ -1118,6 +1119,21 @@ def test_reachable_pairs_validation():
             reachable_pairs_samples(ErParams(0.5), gu, [1], trials=5, seed=0, ms=ms)
     with pytest.raises(ValueError):  # no ordered pairs to count
         reachable_pairs_samples(ErParams(0.5), UnderlyingGraph.complete(1), [1], trials=5, seed=0)
+
+
+@pytest.mark.parametrize("model", [ErParams(0.1), MarkovParams(0.1, 0.3, p0=0.05)], ids=["er", "mc"])
+def test_reachable_pairs_read_positions_not_ids(model):
+    # complete(7) relabelled 'a'..'g', or by other ints listed out of order:
+    # the relabelling keeps the sorted order, so every view's pair arrays
+    # equal the int-id graph's at one seed
+    ints = UnderlyingGraph.complete(7)
+    for relabel in ("abcdefg", [-30, -4, 0, 8, 15, 16, 99]):
+        gu = UnderlyingGraph(tuple(relabel)[::-1], [(relabel[v], relabel[u]) for u, v in ints.edges])
+        want = reachable_pairs_samples(model, ints, [0, 1, 3, 8], trials=25, seed=9, ms=(2, 3))
+        got = reachable_pairs_samples(model, gu, [0, 1, 3, 8], trials=25, seed=9, ms=(2, 3))
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[view], want[view]) for view in want)
+        assert 0.0 < want["stacked"][:, 1:].mean() < 1.0
 
 
 @pytest.mark.parametrize("grid", [[1.5, 3], [2.0], [True, 2], [3, "4"]])

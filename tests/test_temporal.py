@@ -11,6 +11,7 @@ from tvgraph import temporal
 from tvgraph.temporal import (
     Graphlet,
     GraphletSequence,
+    SmashedGraph,
     build_stacked,
     dump_tgs,
     format_tgs,
@@ -486,6 +487,19 @@ def test_full_smash_reachability_equals_union_connectivity():
         smg = smash(tgs)
         for u, v in itertools.permutations(range(n), 2):
             assert t_reachable(coarse, u, v)[0] == smg.connected(u, v)
+
+
+def test_smashed_graph_refuses_unknown_ids():
+    # an edge end outside the node set was a bare KeyError, and so was a
+    # neighbor query for an unknown id; both are the named ValueError
+    # that `connected` raises
+    with pytest.raises(ValueError, match=r"^edge \(1, 3\) has an endpoint outside the node set$"):
+        SmashedGraph({1, 2}, [(1, 3)])
+    smg = SmashedGraph({1, 2, 4}, [(2, 1)])
+    assert smg.neighbors(1) == {2} and smg.neighbors(4) == frozenset()
+    for query in (lambda: smg.neighbors(3), lambda: smg.connected(3, 1)):
+        with pytest.raises(ValueError, match=r"^unknown node 3"):
+            query()
 
 
 def test_smashed_components_partition_nodes():
