@@ -130,9 +130,9 @@ def compute_mett(gu, p, dest):
     """Destination-out extraction of every node's minimum expected traversal time.
 
     The pass runs over the cached adjacency `gu._adjacency`, whose
-    positions are those of the sorted ids `gu.nodes`.  METTs, running sums,
-    accepted candidates and settled flags are lists indexed by position, so
-    positions stand for ids and every tie below breaks by id.
+    positions are those of the sorted ids `gu.nodes`.  METTs, running sums
+    and accepted candidates are lists indexed by position, so positions
+    stand for ids and every tie below breaks by id.
 
     Settling order is by (value, node id), so each node's neighbors settle
     in its candidates' sorted order.  When u settles with value d, each
@@ -140,7 +140,9 @@ def compute_mett(gu, p, dest):
     the next candidate of its acceptance prefix: running sums of the
     candidates' weights and weighted METTs give v's new cost in O(1).  A
     neighbor whose METT is not below v's cost is never taken (prefix_cost's
-    stopping rule), so ties go to the shorter prefix.  The pass costs
+    stopping rule), so ties go to the shorter prefix; this test also skips
+    every settled neighbor, whose METT is at most d.  A heap entry whose key
+    is no longer its node's METT is stale and is skipped.  The pass costs
     O(E log V).  policy[v] is the accepted neighbors sorted by (METT, node
     id), which is not always their settle order: rounding can bring a cost
     down to exactly the METT of a node with a larger id settled before it.
@@ -156,7 +158,6 @@ def compute_mett(gu, p, dest):
     prob_sum = [0.0] * n
     weighted = [0.0] * n
     accepted = [[] for _ in range(n)]
-    settled = [False] * n
     order = []
     stay = 1.0 - p
     at = ids.index(dest)
@@ -164,12 +165,11 @@ def compute_mett(gu, p, dest):
     heap = [(0.0, at)]
     while heap:
         d, u = heapq.heappop(heap)
-        if settled[u]:
+        if d != mett[u]:
             continue
-        settled[u] = True
         order.append(u)
         for v in tails[start[u]:start[u + 1]]:
-            if settled[v] or not d < mett[v]:
+            if not d < mett[v]:
                 continue
             w = weight[v]
             total = prob_sum[v] + w

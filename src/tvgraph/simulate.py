@@ -619,10 +619,14 @@ def labels(size, a, b):
     """Connected components of the graph on nodes 0..size-1 with edges (a, b).
 
     Returns each node's lowest-index component member, in the dtype of `a`.
-    Each round every edge between two trees hooks the larger root to the
-    smaller one by plain fancy assignment (when several edges write one
-    root, any write may win: each is smaller), then pointers jump until
-    every node points at its root.  Edges inside one tree drop out for good.
+    Each round every edge between two trees offers the smaller root to the
+    larger, and each root hooks to the smallest root offered
+    (`np.minimum.at`), then pointers jump until every node points at its
+    root.  Edges inside one tree drop out for good.  Taking the minimum
+    makes the round count independent of which write lands last: a star
+    whose hub has the highest index closes in two rounds (the hub hooks to
+    leaf 0, then every other leaf does), where a last-write-wins hook can
+    take one leaf per round.
     """
     lab = np.arange(size, dtype=a.dtype)
     la, lb = a, b
@@ -631,7 +635,7 @@ def labels(size, a, b):
         if not live.any():
             return lab
         a, b, la, lb = a[live], b[live], la[live], lb[live]
-        lab[np.maximum(la, lb)] = np.minimum(la, lb)
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
         while True:
             up = lab[lab]
             if (up == lab).all():
@@ -643,14 +647,12 @@ def labels(size, a, b):
 def close(reach, key):
     """One closure step on bitset rows: every row takes the OR of the rows
     that share its key, and the new rows are returned.  Each key is the
-    lowest row index of its group (as `labels` gives), so the merged groups
-    are written to those rows of `reach` and gathered from there."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    starts = np.ones(key.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    reach[ordered[first]] = np.bitwise_or.reduceat(reach[order], first, axis=0)
+    lowest row index of its group (as `labels` gives), so each group is
+    ORed into its key row in place (`np.bitwise_or.at`) and gathered from
+    there.  A key row ORs in only itself and rows that are not keys,
+    which are never written, so the order of the scattered writes does
+    not matter."""
+    np.bitwise_or.at(reach, key, reach)
     return reach[key]
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -1029,25 +1030,48 @@ def test_reachable_pairs_chunks_double_from_one_slot(monkeypatch, model, chunks)
 
 def test_labels_give_each_component_its_lowest_member():
     rng = np.random.default_rng(3)
-    graphs = [(30, [(29, v) for v in range(29)]), (4, [])]  # a star hooked at its highest id
+    path = [(v, v + 1) for v in range(49)]
+    perm = rng.permutation(50)
+    graphs = [
+        (4, []),
+        (50, path),  # sorted
+        (50, path[::-1]),  # reversed
+        (50, [(int(perm[u]), int(perm[v])) for u, v in path]),  # shuffled
+        (30, [(29, v) for v in range(29)]),  # a star hubbed at its highest id
+        (30, [(0, v) for v in range(1, 30)]),  # a star hubbed at its lowest id
+    ]
     for _ in range(40):
         size = int(rng.integers(1, 40))
         graphs.append((size, rng.integers(0, size, (int(rng.integers(0, 2 * size)), 2)).tolist()))
     for size, edges in graphs:
-        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
         want = np.arange(size)
         for comp in SmashedGraph(range(size), [(u, v) for u, v in edges if u != v]).components():
             want[list(comp)] = min(comp)
-        assert np.array_equal(labels(size, ends[:, 0], ends[:, 1]), want)
+        for dtype in (np.int32, np.int64):
+            ends = np.array(edges, dtype=dtype).reshape(-1, 2)
+            got = labels(size, ends[:, 0], ends[:, 1])
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+
+def test_labels_a_large_star_hubbed_at_its_highest_id_quickly():
+    size = 20_000
+    leaves = np.arange(size - 1, dtype=np.int64)
+    start = time.perf_counter()
+    got = labels(size, np.full(size - 1, size - 1), leaves)
+    assert time.perf_counter() - start < 1.0
+    assert not got.any()
 
 
 def test_close_ors_the_rows_of_each_group():
     rng = np.random.default_rng(4)
-    size = 50
-    key = labels(size, rng.integers(0, size, 30), rng.integers(0, size, 30))
-    reach = rng.integers(0, 2**63, (size, 2), dtype=np.uint64)
-    want = np.array([np.bitwise_or.reduce(reach[key == k], axis=0) for k in key])
-    assert np.array_equal(close(reach.copy(), key), want)
+    for size, words in ((50, 2), (150, 3), (300, 5)):
+        a, b = rng.integers(0, size - 2, 30), rng.integers(0, size - 2, 30)
+        key = labels(size, np.append(a, size - 2), np.append(b, size - 1))
+        assert key[-1] == key.max() == size - 2  # rows size-2, size-1: the highest key
+        reach = rng.integers(0, 2**63, (size, words), dtype=np.uint64)
+        want = np.array([np.bitwise_or.reduce(reach[key == k], axis=0) for k in key])
+        assert np.array_equal(close(reach.copy(), key), want)
 
 
 def test_reachable_pairs_separate_calls_share_samples():

@@ -6,7 +6,9 @@ imports tvgraph from SRC, runs each command of COMMANDS in process through
 `tvgraph.cli.main`, inside a temporary directory, and prints one
 "sha256  file" line per output file, in command order.  The commands cover
 every subcommand; line, complete and file graphs; the er and mc models;
-and the route replay with --pmf-output.  It exits 1 if any command fails.
+bitset rows of one and of two words; cut-through replays of one and of
+several trial blocks; and the route replay with --pmf-output.  It exits 1
+if any command fails.
 
 Run it on two source trees, say a checkout of a parent commit and the
 working tree, and compare the lines: equal lines show that a change kept
@@ -42,6 +44,12 @@ COMMANDS = [
      " --output compare_mc.csv", ["compare_mc.csv"]),
     ("compare --model er --gu complete --n 9 --p 0.05 --t-max 8 --trials 20 --seed 7"
      " --output compare_er.csv", ["compare_er.csv"]),
+    # n = 70 puts two 64-bit words in every bitset row of the closure
+    ("compare --model er --gu complete --n 70 --p 0.01 --t-max 10 --m 2,3 --trials 10 --seed 8"
+     " --output compare_er70.csv", ["compare_er70.csv"]),
+    # 435 candidate edges make CUT_CELLS // 435 = 301 trials a block, so 700 trials span 3
+    ("simulate --model er --gu complete --n 30 --p 0.01 --metric cut --trials 700 --seed 9"
+     " --output sim_er_cut_blocks.csv", ["sim_er_cut_blocks.csv", "sim_er_cut_blocks.csv.json"]),
     ("gen --model er --n 12 --p 0.4 --horizon 50 --seed 2 --output gen_line.tgs", ["gen_line.tgs"]),
     ("gen --model mc --gu complete --n 12 --p 0.3 --q 0.2 --p0 0.05 --horizon 30 --seed 2"
      " --output gen_mc.tgs", ["gen_mc.tgs"]),
