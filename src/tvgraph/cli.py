@@ -91,7 +91,10 @@ def _build_model(args, gu):
         return ModelSpec("er", ErParams(args.p), gu)
     if args.q is None:
         raise ValueError("--q is required with --model mc")
-    p0 = None if args.p0 in (None, "stationary") else float(args.p0)
+    try:
+        p0 = None if args.p0 in (None, "stationary") else float(args.p0)
+    except ValueError:
+        raise ValueError(f"--p0 takes a probability or 'stationary', got {args.p0!r}") from None
     return ModelSpec("mc", MarkovParams(args.p, args.q, p0), gu)
 
 
@@ -350,6 +353,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every subcommand with --seed, before any work
+            raise ValueError("--seed must be >= 0")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

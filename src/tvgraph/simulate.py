@@ -531,6 +531,25 @@ def _check_replay(model, gu, source, dest, horizon, trials):
     return horizon
 
 
+def _adaptive_replay(model, gu, source, dest, horizon, trials, seed, acceptance):
+    """The adaptive replay's one entry: `_adaptive_block` on block streams,
+    over the CSR acceptance arrays `acceptance(index)` returns, where index
+    maps each node to its position in `gu.nodes` (see `_acceptance_arrays`).
+    The endpoints, trials and horizon are checked (`_check_replay`) before
+    `acceptance` is called, and a message already at dest needs no lists."""
+    horizon = _check_replay(model, gu, source, dest, horizon, trials)
+    if source == dest:
+        return EmpiricalPmf(np.array([trials]), trials, 0)
+    if not isinstance(model, ErParams):
+        raise ValueError("adaptive acceptance lists assume the independent-churn model")
+    index = {v: i for i, v in enumerate(gu.nodes)}
+    flat, start = acceptance(index)
+    return _run_blocks(
+        seed, trials, _adaptive_block,
+        flat, start, index[source], index[dest], _clamped_log(1.0 - model.p), horizon,
+    )
+
+
 def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, next_hop=None):
     """Empirical store-or-advance latency distribution.
 
@@ -543,6 +562,9 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
     distinct candidate neighbors of its key, else ValueError.  A
     callable(node, on_neighbors) is replayed per trial.
     """
+    if isinstance(next_hop, dict):
+        return _adaptive_replay(model, gu, source, dest, horizon, trials, seed,
+                                lambda index: _acceptance_arrays(gu, index, next_hop))
     horizon = _check_replay(model, gu, source, dest, horizon, trials)
     if source == dest:
         return EmpiricalPmf(np.array([trials]), trials, 0)
@@ -551,15 +573,6 @@ def simulate_soa(model, gu, source, dest, horizon=None, trials=10_000, seed=0, n
         if hops < 0:
             raise ValueError(f"{dest!r} is unreachable from {source!r} in the candidate graph")
         return _run_blocks(seed, trials, _path_block, model, hops, "soa", horizon)
-    if isinstance(next_hop, dict):
-        if not isinstance(model, ErParams):
-            raise ValueError("adaptive acceptance lists assume the independent-churn model")
-        index = {v: i for i, v in enumerate(gu.nodes)}
-        flat, start = _acceptance_arrays(gu, index, next_hop)
-        return _run_blocks(
-            seed, trials, _adaptive_block,
-            flat, start, index[source], index[dest], _clamped_log(1.0 - model.p), horizon,
-        )
     if callable(next_hop):
         return _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed)
     raise TypeError("next_hop must be None, a dict of acceptance tuples, or a callable")

@@ -567,13 +567,23 @@ def reachable_pairs_fraction(tgs):
 #
 # Every slot has node set {0, .., n-1}; slots without a `t` block are empty.
 # Lines are stripped, blank lines and lines starting with '#' are skipped,
-# and fields are split at any whitespace; a text that needs none of that,
-# as format_tgs writes it, is read as it is.  Numbers are ASCII decimal digits,
+# and fields are split at any whitespace.  Numbers are ASCII decimal digits,
 # with an optional '-' that every field's range check then refuses.
-# format_tgs refuses a sequence with any other slot node set.
+# format_tgs refuses a sequence with any other slot node set.  A text in the
+# form format_tgs writes (`_WRITTEN_HEAD`, `_UNWRITTEN`) has no line to
+# strip or skip and none that is neither a slot line nor an edge line, so
+# parse_tgs reads it without the strip and without the `_ODD_LINE` search.
 
 _MAX_NODES = 2 ** 31  # slots hold int32 ids
 _INT = re.compile(r"-?[0-9]+")
+# the form format_tgs writes: the header, then slot and edge lines, each of
+# ASCII digits with one space between fields and ended by "\n".  After the
+# header matches, the first "\n" not followed by a written slot or edge line
+# is the text's last character exactly when the text is in that form.  The
+# search fails at the first line not in the form, and it backtracks into no
+# earlier line and holds no state per line, as a repeated group would.
+_WRITTEN_HEAD = re.compile(r"tgs [0-9]+ [0-9]+\n")
+_UNWRITTEN = re.compile(r"\n(?!t [0-9]+\n|e [0-9]+ [0-9]+\n)")
 # on stripped lines that each follow a "\n" ([^\S\n] is whitespace inside a
 # line): the first line that is neither a slot line nor an edge line, and
 # each slot line
@@ -584,25 +594,13 @@ _SLOT_LINE = re.compile(r"\nt[^\S\n]+(-?[0-9]+)")
 _TO_SPACE = str.maketrans(dict.fromkeys(
     "e\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
     "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000", " "))
-# what a text read as it is lacks (see `_kept_lines`): "#", each ASCII
-# character that str.strip or str.splitlines acts on but " " and "\n", a
-# blank line, and a space next to a line break
-_SCREENED = ("#", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\n\n", "\n ", " \n")
 _NO_ENDS = np.zeros((2, 0), dtype=np.int32)
 _NO_ENDS.flags.writeable = False
 
 
 def _kept_lines(text):
     """The lines of `text` that hold more than a comment or whitespace,
-    stripped and joined by "\n".
-
-    A text that is ASCII and holds no "#", no whitespace but " " and "\n",
-    no blank line and no space at either end of a line, as `format_tgs`
-    writes it, is that already but for its final "\n"; it is returned as it
-    is, without the per-line strip and filter."""
-    if (text.isascii() and not text.startswith(("\n", " ")) and not text.endswith(" ")
-            and not any(map(text.__contains__, _SCREENED))):
-        return text.removesuffix("\n")
+    stripped and joined by "\n"."""
     return "\n".join(ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#"))
 
 
@@ -649,14 +647,18 @@ def parse_tgs(text):
     """The sequence written in the text format; a malformed file raises
     ValueError naming its first bad line in file order.
 
-    A text that needs no stripping or filtering is read as it is (see
-    `_kept_lines`).  One regular-expression search finds the first line
-    that is neither a slot line nor an edge line.  The edge lines of all slots are read as one
-    integer array and checked for range, self-loops and repeats within a
-    slot with array operations.  Each slot holds its edges as a sorted
-    index array (see `Graphlet`).
+    A text in the form `format_tgs` writes, which one header match and one
+    line search recognise, is read as it is.  Any other text is first cut
+    to its kept lines (`_kept_lines`), and one regular-expression search
+    finds the first line that is neither a slot line nor an edge line.  The edge
+    lines of all slots are read as one integer array and checked for range,
+    self-loops and repeats within a slot with array operations, on both
+    paths.  Each slot holds its edges as a sorted index array (see
+    `Graphlet`).
     """
-    text = _kept_lines(text)
+    head = _WRITTEN_HEAD.match(text)
+    written = head is not None and _UNWRITTEN.search(text, head.end() - 1).start() == len(text) - 1
+    text = text[:-1] if written else _kept_lines(text)
     if not text:
         raise ValueError("empty sequence file")
     first = text.partition("\n")[0]
@@ -671,7 +673,7 @@ def parse_tgs(text):
     if n > _MAX_NODES:
         raise ValueError(f"node count {n} is above the format's limit of {_MAX_NODES}")
     body = text[len(first):]  # each line after the header follows a "\n"
-    odd = _ODD_LINE.search(body)
+    odd = None if written else _ODD_LINE.search(body)
     stop = len(body) if odd is None else odd.start()  # well-formed lines end here
     slot_lines = list(_SLOT_LINE.finditer(body, 0, stop))
     if stop and (not slot_lines or slot_lines[0].start()):

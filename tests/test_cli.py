@@ -356,6 +356,43 @@ def test_er_rejects_chain_flags(capsys, command, flag):
     assert captured.err == f"error: {flag[0]} applies only to --model mc\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "er", "--n", "5", "--p", "0.3", "--metric", "soa", "--trials", "5"],
+    ["compare", "--model", "er", "--n", "5", "--p", "0.3", "--t-max", "3"],
+    ["compare", "--model", "er", "--gu", "complete", "--n", "5", "--p", "0.3", "--t-max", "3"],
+    ["route", "--p", "0.5", "--source", "0", "--dest", "3", "--trials", "5"],
+    ["route", "--p", "0.5", "--source", "0", "--dest", "3"],
+    ["gen", "--model", "er", "--n", "5", "--p", "0.3", "--horizon", "3"],
+], ids=["simulate", "compare-line", "compare-complete", "route-trials", "route-table", "gen"])
+def test_a_negative_seed_is_named_before_any_work(tmp_path, capsys, argv):
+    # numpy's "expected non-negative integer" used to name no flag, and
+    # compare on the line and route without --trials took the seed silently
+    from tvgraph import cli
+
+    if argv[0] == "route":
+        argv = [*argv, "--graph", str(tmp_path / "line.tgs")]
+        dump_tgs(GraphletSequence.from_slot_edges(range(4), [UnderlyingGraph.line(4).edges]), argv[-1])
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--seed", "-1", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --seed must be >= 0\n"
+    assert not out.exists()
+    assert cli.main([*argv, "--seed", "0", "--output", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("p0", ["abc", "", "0.5x"])
+def test_a_p0_that_is_not_a_number_names_the_flag(capsys, p0):
+    # it used to print float()'s "could not convert string to float"
+    from tvgraph import cli
+
+    argv = ["pmf", "--model", "mc", "--n", "5", "--p", "0.3", "--q", "0.2", "--metric", "soa"]
+    assert cli.main([*argv, "--p0", p0]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --p0 takes a probability or 'stationary', got {p0!r}\n"
+
+
 def test_compare_m_all_is_accepted_as_no_op():
     # the fully smashed column is always emitted, so 'all' adds nothing
     for mode in (

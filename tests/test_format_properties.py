@@ -217,6 +217,61 @@ def test_sampled_texts_parse_as_the_reference_parser_reads_them(model, n, horizo
     assert_parses_as_the_reference(text.removesuffix("\n"))
 
 
+@st.composite
+def written_texts(draw):
+    """Texts in the form format_tgs writes: a written sequence, perhaps with
+    one line after the header replaced by another slot or edge line of ASCII
+    digits, repeated or moved, so that the form holds texts parse_tgs must
+    still refuse."""
+    lines = format_tgs(draw(integer_sequences())).splitlines(keepends=True)
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 1
+        number = st.sampled_from([n for n in NUMBERS if not n.startswith("-")])
+        kind = draw(st.sampled_from(["slot", "edge", "repeat", "move"]))
+        if kind == "slot":
+            lines.insert(i, f"t {draw(number)}\n")
+        elif kind == "edge":
+            lines.insert(i, f"e {draw(number)} {draw(number)}\n")
+        elif len(lines) > 1:
+            line = lines[i] if kind == "repeat" else lines.pop(i)
+            lines.insert(draw(st.integers(1, len(lines))), line)
+    return "".join(lines)
+
+
+def parse_outcome(text):
+    """parse_tgs(text) as (the sequence and its slots' reprs, None), or
+    (None, the message) when it raises."""
+    try:
+        tgs = parse_tgs(text)
+    except ValueError as exc:
+        return None, str(exc)
+    return (tgs, list(map(repr, tgs))), None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(tgs_texts().map(lambda case: case[0]), written_texts()))
+@example("tgs 3 2\nt 1\ne 0 1\ne 1 0\n")
+@example("tgs 3 2\nt 3\n")
+@example("tgs 3 2\ne 0 1\nt 1\n")
+def test_a_written_text_parses_as_the_general_path_reads_it(text):
+    # a comment line takes any text off the written form, onto the strip and
+    # the line search; the lines and so the sequence or the message stay
+    general = text + ("" if text.endswith("\n") else "\n") + "# end\n"
+    assert parse_outcome(text) == parse_outcome(general)
+
+
+@pytest.mark.parametrize("model, n, horizon", [
+    (MarkovParams(0.005, 0.5), 30, 600),
+    (ErParams(1.0), 150, 1),
+    (ErParams(0.03), 500, 1),
+    (ErParams(0.4), 12, 50),
+])
+def test_sampled_written_texts_parse_as_the_general_path_reads_them(model, n, horizon):
+    sampler = sample_er_tgs if isinstance(model, ErParams) else sample_markov_tgs
+    text = format_tgs(sampler(UnderlyingGraph.complete(n), model, horizon, 7))
+    assert parse_outcome(text) == parse_outcome(text + "# end\n")
+
+
 CLEAN = "tgs 4 3\nt 1\ne 0 1\ne 1 2\nt 3\ne 2 3\n"
 
 

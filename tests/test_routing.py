@@ -14,7 +14,7 @@ from tvgraph.routing import (
     prefix_cost,
     run_adaptive_route,
 )
-from tvgraph.simulate import replay_soa, simulate_cut
+from tvgraph.simulate import replay_soa, simulate_cut, simulate_soa
 
 INF = math.inf
 
@@ -306,6 +306,47 @@ def test_adaptive_route_unreachable_raises():
 def test_adaptive_route_rejects_unknown_source():
     with pytest.raises(ValueError, match="42"):
         run_adaptive_route(UnderlyingGraph.line(10), 0.3, 42, 9)
+
+
+def _string_ids():
+    gu = UnderlyingGraph.line(6)
+    names = "abcdef"
+    return UnderlyingGraph(tuple(names), [(names[u], names[v]) for u, v in gu.edges])
+
+
+@pytest.mark.parametrize("make, p, source, dest, flags", [
+    (lambda: UnderlyingGraph.line(8), 0.3, 0, 7, {}),
+    (lambda: UnderlyingGraph.line(8), 0.3, 0, 7, {"horizon": 9}),  # most trials undelivered
+    (lambda: UnderlyingGraph.complete(12), 0.4, 3, 11, {"trials": 9000}),  # tied METTs, two blocks
+    (lambda: random_connected(60, 0.15, np.random.default_rng(31)), 0.25, 59, 0, {}),
+    (_string_ids, 0.5, "f", "a", {}),
+    (lambda: UnderlyingGraph((3, 10, 42, 7, 99), ((3, 42), (42, 99), (3, 7), (7, 10), (10, 99))),
+     0.35, 3, 99, {}),
+    (lambda: UnderlyingGraph.line(5), 0.5, 2, 2, {}),
+], ids=["line", "line-horizon", "K12", "G60", "string-ids", "sparse-ids", "source-is-dest"])
+def test_adaptive_route_counts_equal_the_checked_replay(make, p, source, dest, flags):
+    # run_adaptive_route hands the engine the table's lists unchecked; the
+    # checked dict replay of the same lists draws and counts the same
+    gu = make()
+    flags = {"trials": 3000, "seed": 5, **flags}
+    got = run_adaptive_route(gu, p, source, dest, **flags)
+    policy = dict(compute_mett(gu, p, dest).policy)
+    want = simulate_soa(ErParams(p), gu, source, dest, next_hop=policy, **flags)
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.trials, got.undelivered) == (want.trials, want.undelivered)
+    if "horizon" in flags:
+        assert got.undelivered > 0
+
+
+def test_adaptive_route_errors_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^source 42 not in the graph$"):
+        run_adaptive_route(UnderlyingGraph.line(10), 0.3, 42, 9)
+    with pytest.raises(ValueError, match=r"^0 is unreachable from 2$"):
+        run_adaptive_route(UnderlyingGraph((0, 1, 2), ((0, 1),)), 0.5, 2, 0, trials=10)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        run_adaptive_route(UnderlyingGraph.line(4), 0.5, 0, 3, trials=0)
+    with pytest.raises(ValueError, match=r"^horizon must be >= 1$"):
+        run_adaptive_route(UnderlyingGraph.line(4), 0.5, 0, 3, horizon=0)
 
 
 def test_adaptive_trajectories_never_backtrack():

@@ -589,6 +589,28 @@ def test_parse_rejects_malformed(text):
         parse_tgs(text)
 
 
+def test_a_written_text_skips_the_strip_and_the_line_search(monkeypatch):
+    # a text in the form format_tgs writes is read as it is; a text with a
+    # comment, a blank line, a tab, a doubled space or no final newline is not
+    calls = []
+    kept_lines, odd_line = temporal._kept_lines, temporal._ODD_LINE
+
+    class Spy:
+        def search(self, *args):
+            calls.append("search")
+            return odd_line.search(*args)
+
+    monkeypatch.setattr(temporal, "_kept_lines", lambda text: calls.append("strip") or kept_lines(text))
+    monkeypatch.setattr(temporal, "_ODD_LINE", Spy())
+    tgs = GraphletSequence.from_slot_edges(range(12), [[(0, 1), (3, 11)], [], [(2, 10)]])
+    text = format_tgs(tgs)
+    assert parse_tgs(text) == tgs and calls == []
+    for other in [text + "# end\n", "# head\n" + text, text.replace("\ne 3", "\n\ne 3"),
+                  text.replace("e 3", "e\t3"), text.replace("e 3", "e  3"), text[:-1]]:
+        calls.clear()
+        assert parse_tgs(other) == tgs and calls == ["strip", "search"]
+
+
 def test_parse_reads_any_whitespace_and_leading_zeros():
     tgs = parse_tgs("tgs 003 1\nt\u30001\ne\xa00\u2003\u2003002\x1f\ne\t1 2\n")
     assert tgs == GraphletSequence.from_slot_edges(range(3), [[(0, 2), (1, 2)]])

@@ -2,13 +2,14 @@
 
     python tools/output_digests.py [SRC]    # SRC defaults to src/
 
-imports tvgraph from SRC, runs each command of COMMANDS in process through
-`tvgraph.cli.main`, inside a temporary directory, and prints one
-"sha256  file" line per output file, in command order.  The commands cover
-every subcommand; line, complete and file graphs; the er and mc models;
-bitset rows of one and of two words; cut-through replays of one and of
-several trial blocks; and the route replay with --pmf-output.  It exits 1
-if any command fails.
+imports tvgraph from SRC, writes HAND_WRITTEN into a temporary directory,
+runs each command of COMMANDS in process through `tvgraph.cli.main` inside
+it, and prints one "sha256  file" line per output file, in command order.
+The commands cover every subcommand; line, complete and file graphs; the er
+and mc models; bitset rows of one and of two words; cut-through replays of
+one and of several trial blocks; and the route replay with --pmf-output,
+over a graph file as `gen` writes it and over one written by hand, so both
+of the parser's paths are read.  It exits 1 if any command fails.
 
 Run it on two source trees, say a checkout of a parent commit and the
 working tree, and compare the lines: equal lines show that a change kept
@@ -22,6 +23,11 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+# a graph file that is not in the form `gen` writes: a comment line, a blank
+# line, a tab, a doubled space and a reversed edge line
+HAND_WRITTEN = ("hand.tgs", "# a candidate graph written by hand\ntgs 8 1\n\nt 1\ne 0 1\ne\t0 2\n"
+                "e 1  3\ne 3 2\ne 2 4\ne 5 3\ne 4 5\ne 5 6\ne 6 7\ne 4 7\n")
 
 # (argv, the files it writes); every command is seeded, so its bytes are fixed
 COMMANDS = [
@@ -57,6 +63,8 @@ COMMANDS = [
     ("route --graph graph.tgs --p 0.5 --source 3 --dest 7 --output route_table.json", ["route_table.json"]),
     ("route --graph graph.tgs --p 0.3 --source 0 --dest 39 --trials 400 --seed 1 --output route.json"
      " --pmf-output route_pmf.csv", ["route.json", "route_pmf.csv"]),
+    ("route --graph hand.tgs --p 0.4 --source 0 --dest 7 --trials 500 --seed 3 --output route_hand.json"
+     " --pmf-output route_hand_pmf.csv", ["route_hand.json", "route_hand_pmf.csv"]),
 ]
 
 
@@ -72,6 +80,7 @@ def digests(src):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            Path(HAND_WRITTEN[0]).write_text(HAND_WRITTEN[1])
             for argv, outputs in COMMANDS:
                 if cli.main(argv.split()) != 0:
                     raise RuntimeError(f"command failed: {argv}")
