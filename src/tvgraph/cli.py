@@ -5,7 +5,8 @@ compare (stacked vs. coarsened vs. smashed reachability), route (expected
 traversal times plus optional policy replay), gen (sample a sequence to a
 file).  Every command is deterministic given its full flag set including
 the seed; diagnostics go to stderr, data to the output file or stdout.
-Probabilities are printed with 12 significant digits.
+Probabilities are printed with 12 significant digits; integers and
+strings (latencies, counts, positions, the time grid) print as `str`.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from .temporal import dump_tgs, format_tgs
 SPEC_VERSION = "1"
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
 def _write(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -56,11 +53,30 @@ def _write(path, text):
         Path(path).write_text(text)
 
 
-def _csv(rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _csv(columns, header):
+    """The CSV text of `header` over `columns`, a list of sequences of one
+    length.
+
+    A cell that is an `int` (a `bool` among them) or a `str` prints as
+    `str`, any other with 12 significant digits (`%.12g`).  A column picks
+    its conversion once from the types it holds; one that mixes the two
+    kinds is converted cell by cell.  The cells are interleaved into one
+    flat list, and the body is one `%` format of one line per row."""
+    width, rows = len(columns), len(columns[0])
+    codes, flat = [], [None] * (width * rows)
+    for i, column in enumerate(columns):
+        kinds = {issubclass(kind, (int, str)) for kind in set(map(type, column))}
+        if len(kinds) > 1:
+            column = [str(c) if isinstance(c, (int, str)) else "%.12g" % c for c in column]
+        codes.append("%s" if True in kinds else "%.12g")
+        flat[i::width] = column
+    return ",".join(header) + "\n" + ((",".join(codes) + "\n") * rows) % tuple(flat)
+
+
+def _latency_csv(emp):
+    """The table of `emp`'s nonzero latencies and their counts."""
+    latencies = emp.counts.nonzero()[0]
+    return _csv([latencies.tolist(), emp.counts[latencies].tolist()], ["latency", "count"])
 
 
 def _json_text(payload):
@@ -116,15 +132,14 @@ def cmd_pmf(args):
             if given:
                 raise ValueError(f"{flag} does not apply with --location")
         loc = er_soa_location_pmf(args.n, args.p, args.location)
-        rows = [(pos, loc.mass(pos)) for pos in range(1, args.n + 1)]
-        _write(args.output, _csv(rows, ["node", "probability"]))
+        _write(args.output, _csv([range(1, args.n + 1), loc.masses], ["node", "probability"]))
         return 0
     if args.max_latency is not None and args.max_latency < 0:
         raise ValueError("--max-latency must be >= 0")
     pmf = _analytic_pmf(spec, args.n, args.metric, args.max_latency)
-    column = itertools.accumulate(pmf.masses) if args.cdf else pmf.masses
+    column = list(itertools.accumulate(pmf.masses)) if args.cdf else pmf.masses
     header = ["t", "cdf" if args.cdf else "probability"]
-    _write(args.output, _csv(zip(pmf.support(), column), header))
+    _write(args.output, _csv([pmf.support(), column], header))
     return 0
 
 
@@ -140,7 +155,7 @@ def cmd_simulate(args):
     horizon = default_horizon(len(gu.nodes), args.p) if args.horizon is None else args.horizon
     run = simulate_soa if args.metric == "soa" else simulate_cut
     emp = run(spec.params, gu, source, dest, horizon=horizon, trials=args.trials, seed=args.seed)
-    _write(args.output, _csv(emp.nonzero_items(), ["latency", "count"]))
+    _write(args.output, _latency_csv(emp))
 
     tv = None
     hops = abs(dest - source)
@@ -205,8 +220,8 @@ def cmd_compare(args):
         # The coarsened curve at t has taken t // m blocks.
         curves = {m: reach_curve(args.n, spec.params, m, args.t_max // m) for m in {1, *ms}}
         smg = smashed_curve(args.n, spec.params, args.t_max)
-        rows = [[t, curves[1][t], *(curves[m][t // m] for m in ms), smg[t]] for t in grid]
-        _write(args.output, _csv(rows, header))
+        coarsened = [[curves[m][t // m] for t in grid] for m in ms]
+        _write(args.output, _csv([grid, curves[1][1:], *coarsened, smg[1:]], header))
         return 0
     if args.trials < 2:
         raise ValueError("--trials must be >= 2: standard errors need two trials")
@@ -214,7 +229,7 @@ def cmd_compare(args):
     stats = {view: _column_stats(samples[view]) for view in samples}
     columns = [grid, *stats["stacked"], *(stats[("msmg", m)][0] for m in ms), *stats["smashed"]]
     header = ["t", "stg", "stg_se"] + [f"msmg_{m}" for m in ms] + ["smg", "smg_se"]
-    _write(args.output, _csv(zip(*columns), header))
+    _write(args.output, _csv(columns, header))
     return 0
 
 
@@ -246,7 +261,7 @@ def cmd_route(args):
         payload["empirical_stderr"] = emp.stderr_mean() if emp.delivered() >= 2 else None
         payload["mett_source"] = table.mett[args.source]
         if args.pmf_output is not None:
-            _write(args.pmf_output, _csv(emp.nonzero_items(), ["latency", "count"]))
+            _write(args.pmf_output, _latency_csv(emp))
     _write(args.output, _route_json_text(payload))
     return 0
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
@@ -672,6 +673,8 @@ def parse_tgs(text):
         raise ValueError("node count must be >= 0 and horizon >= 1")
     if n > _MAX_NODES:
         raise ValueError(f"node count {n} is above the format's limit of {_MAX_NODES}")
+    if horizon > sys.maxsize:  # len() of the sequence could not return it
+        raise ValueError(f"horizon {horizon} is above the format's limit of {sys.maxsize}")
     body = text[len(first):]  # each line after the header follows a "\n"
     odd = None if written else _ODD_LINE.search(body)
     stop = len(body) if odd is None else odd.start()  # well-formed lines end here

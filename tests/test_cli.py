@@ -223,6 +223,18 @@ def test_simulate_on_one_node_delivers_at_once(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_simulate_with_every_trial_undelivered_writes_the_header_alone(tmp_path, capsys):
+    from tvgraph import cli
+
+    out = tmp_path / "none.csv"
+    assert cli.main(["simulate", "--model", "er", "--n", "10", "--p", "0.1", "--metric", "soa",
+                     "--trials", "50", "--horizon", "5", "--seed", "1", "--output", str(out)]) == 0
+    assert out.read_bytes() == b"latency,count\n"
+    summary = json.loads((tmp_path / "none.csv.json").read_text())
+    assert summary["undelivered"] == 50 and summary["mean"] is None
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_repeat_runs_byte_identical(tmp_path):
     args = (
         "simulate", "--model", "mc", "--n", "5", "--p", "0.5", "--q", "0.25",

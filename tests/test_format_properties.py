@@ -1,16 +1,18 @@
 """Property-based checks of the text formats: sequence and model-spec round
-trips, and the route JSON layout."""
+trips, the CSV tables and the route JSON layout."""
 
 import itertools
 import re
+import sys
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tvgraph.cli import _json_text, _route_json_text  # noqa: E402
+from tvgraph.cli import _csv, _json_text, _route_json_text  # noqa: E402
 from tvgraph.models import (  # noqa: E402
     ErParams,
     MarkovParams,
@@ -52,6 +54,10 @@ def _reference_parse_tgs(text):
         raise ValueError(f"bad header {lines[0]!r}; node count and horizon must be integers") from None
     if n < 0 or horizon < 1:
         raise ValueError("node count must be >= 0 and horizon >= 1")
+    if n > 2 ** 31:
+        raise ValueError(f"node count {n} is above the format's limit of {2 ** 31}")
+    if horizon > sys.maxsize:
+        raise ValueError(f"horizon {horizon} is above the format's limit of {sys.maxsize}")
     slot_edges = {}  # declared slot -> its edge set; undeclared slots stay empty
     current = edges = None  # the open slot and its edge set
     for ln in lines[1:]:
@@ -199,6 +205,8 @@ def test_model_spec_text_round_trip(spec):
 @example(("tgs 3 1\nt 1\ne 0 1\ne 1 +2\n", "bad edge line 'e 1 +2'"))
 @example(("tgs 3 1\nt 1\ne 0 1\ne 1 0\ne 0 x\n", None))
 @example(("# c\r\n  tgs\t3  2 \r\n\r\nt 2\r\n e\xa02 1\r\n", None))
+@example(("tgs 2 12345678901234567890\nt 1\n", None))
+@example(("tgs 12345678901234567890 1\nt 1\n", None))
 def test_parse_matches_the_reference_parser(case):
     assert_parses_as_the_reference(*case)
 
@@ -357,3 +365,48 @@ def route_payloads(draw):
     "11": {"mett": 2.0000000000000004, "policy": [10, 9]}}})
 def test_route_json_is_the_indented_json_layout(payload):
     assert _route_json_text(payload) == _json_text(payload)
+
+
+def _reference_csv(rows, header):
+    """The cell-by-cell writer that _csv replaced, kept as its reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (int, str)) else f"{c:.12g}" for c in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e300, float("inf"), float("-inf"), float("nan")]
+INTS = st.integers() | st.sampled_from([10**12, 10**18 + 1, -(10**19), 2**64, 10**30])
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+# each kind of cell the writer takes, and a column that mixes ints and floats
+CELLS = [
+    INTS,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.booleans(),
+    st.text(max_size=3),
+    INTS | FLOATS,
+    st.one_of(INTS, FLOATS.map(np.float64), st.booleans(), st.text(max_size=3)),
+]
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, header): one to four columns of one length, zero rows
+    among them, each drawn from one entry of CELLS."""
+    rows = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 4))
+    columns = [draw(st.lists(draw(st.sampled_from(CELLS)), min_size=rows, max_size=rows))
+               for _ in range(width)]
+    return columns, draw(st.lists(st.text(max_size=4), min_size=width, max_size=width))
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_tables())
+@example(([[1, 2.5, 10**13, float("nan"), np.int64(7), True, -0.0]], ["mixed"]))
+@example(([[], []], ["latency", "count"]))
+def test_csv_matches_the_cell_by_cell_writer(table):
+    columns, header = table
+    assert _csv(columns, header) == _reference_csv(zip(*columns), header)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -542,6 +543,11 @@ MALFORMED = {
     "tgs x 1\n": "bad header 'tgs x 1'; node count and horizon must be integers",
     "tgs -1 1\n": "node count must be >= 0 and horizon >= 1",
     "tgs 2 0\n": "node count must be >= 0 and horizon >= 1",
+    # header numbers past the format's limits are refused before any slot is built
+    "tgs 12345678901234567890 1\n":
+        f"node count 12345678901234567890 is above the format's limit of {2 ** 31}",
+    "tgs 2 12345678901234567890\nt 1\n":
+        f"horizon 12345678901234567890 is above the format's limit of {sys.maxsize}",
     "tgs 2 1\nt 2\n": "slot 2 out of range 1..1",
     "tgs 2 1\nt 0\n": "slot 0 out of range 1..1",
     "tgs 2 1\nt -1\n": "slot -1 out of range 1..1",

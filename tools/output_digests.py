@@ -7,9 +7,10 @@ runs each command of COMMANDS in process through `tvgraph.cli.main` inside
 it, and prints one "sha256  file" line per output file, in command order.
 The commands cover every subcommand; line, complete and file graphs; the er
 and mc models; bitset rows of one and of two words; cut-through replays of
-one and of several trial blocks; and the route replay with --pmf-output,
-over a graph file as `gen` writes it and over one written by hand, so both
-of the parser's paths are read.  It exits 1 if any command fails.
+one and of several trial blocks; CSV tables of no rows and of over a
+thousand; and the route replay with --pmf-output, over a graph file as
+`gen` writes it and over one written by hand, so both of the parser's paths
+are read.  It exits 1 if any command fails.
 
 Run it on two source trees, say a checkout of a parent commit and the
 working tree, and compare the lines: equal lines show that a change kept
@@ -56,6 +57,10 @@ COMMANDS = [
     # 435 candidate edges make CUT_CELLS // 435 = 301 trials a block, so 700 trials span 3
     ("simulate --model er --gu complete --n 30 --p 0.01 --metric cut --trials 700 --seed 9"
      " --output sim_er_cut_blocks.csv", ["sim_er_cut_blocks.csv", "sim_er_cut_blocks.csv.json"]),
+    # every trial is undelivered within the horizon: a header-only table
+    ("simulate --model er --n 10 --p 0.1 --metric soa --trials 50 --horizon 5 --seed 1"
+     " --output sim_undelivered.csv", ["sim_undelivered.csv", "sim_undelivered.csv.json"]),
+    ("pmf --model mc --n 30 --p 0.05 --q 0.05 --metric soa --cdf --output pmf_mc_cdf.csv", ["pmf_mc_cdf.csv"]),
     ("gen --model er --n 12 --p 0.4 --horizon 50 --seed 2 --output gen_line.tgs", ["gen_line.tgs"]),
     ("gen --model mc --gu complete --n 12 --p 0.3 --q 0.2 --p0 0.05 --horizon 30 --seed 2"
      " --output gen_mc.tgs", ["gen_mc.tgs"]),
