@@ -483,37 +483,26 @@ def _acceptance_arrays(gu, index, next_hop):
     """The acceptance lists {node: ordered neighbors} as CSR arrays over
     `index`, each node's position in `gu.nodes`: node i's list is
     flat[start[i]:start[i + 1]].
-    Raises ValueError naming the node or pair when a key or entry is not a
-    node, an entry is not a candidate neighbor of its key, or repeats; each
-    (key, entry) pair is looked up among the sorted keys of `gu._ends`."""
-    n = len(index)
-    lists = [tuple(cand) for cand in next_hop.values()]
-    lengths = np.array([len(cand) for cand in lists], dtype=np.int64)
-    owner = np.array([index.get(u, -1) for u in next_hop], dtype=np.int64)
-    flat = np.array([index.get(v, -1) for cand in lists for v in cand], dtype=np.int64)
-    row = np.repeat(owner, lengths)
-    pair = np.minimum(row, flat) * n + np.maximum(row, flat)
-    edges = gu._ends[0].astype(np.int64) * n + gu._ends[1]
-    found = np.append(edges, -1)[np.searchsorted(edges, pair)] == pair
-    ok = (row >= 0) & (flat >= 0) & found
-    key_of = np.repeat(np.arange(len(lists)), lengths)
-    bad = (owner < 0) | (np.bincount(key_of[~ok], minlength=len(lists)) > 0)
-    bad |= np.array([len(set(cand)) < len(cand) for cand in lists], dtype=bool)
-    if bad.any():
-        k = int(bad.argmax())
-        u, cand = list(next_hop)[k], lists[k]
-        if owner[k] < 0:
+    Raises ValueError at the first list, in key order, whose key is not a
+    node, naming the key; else its first entry, in list order, that is not
+    a node or not a candidate neighbor of the key (`gu._adjacency`); else
+    its repeats."""
+    tails, start = gu._adjacency
+    lists = [()] * len(index)
+    for u, cand in next_hop.items():
+        if u not in index:
             raise ValueError(f"acceptance list key {u!r} is not a node")
-        for v, good in zip(cand, ok[key_of == k].tolist()):
+        i, cand = index[u], tuple(cand)
+        near = set(tails[start[i]:start[i + 1]])
+        for v in cand:
             if v not in index:
                 raise ValueError(f"acceptance list of {u!r} names unknown node {v!r}")
-            if not good:
+            if index[v] not in near:
                 raise ValueError(f"acceptance list of {u!r} names {v!r}, which is not its neighbor")
-        raise ValueError(f"acceptance list of {u!r} repeats an entry: {cand!r}")
-    order = np.argsort(row, kind="stable")
-    sizes = np.zeros(n, dtype=np.int64)
-    sizes[owner] = lengths
-    return flat[order], np.concatenate([[0], np.cumsum(sizes)])
+        if len(set(cand)) < len(cand):
+            raise ValueError(f"acceptance list of {u!r} repeats an entry: {cand!r}")
+        lists[i] = [index[v] for v in cand]
+    return np.array([j for row in lists for j in row], dtype=np.int64), np.cumsum([0, *map(len, lists)])
 
 
 def _check_replay(model, gu, source, dest, horizon, trials):

@@ -7,11 +7,15 @@ collapsed smashed graph -- together with slot-aware reachability,
 connectivity, and clique queries.
 
 Every slot holds its sorted node ids and its edges as a sorted int32
-index array into them, and builds its edge set only when read.  The text
-format reads and writes those arrays directly, and the smashed views are
-one sort over them.  So the ids of a slot must compare with each
-other, and so must all ids of a sequence that is smashed or whose
-reachable pairs are counted (`reachable_pairs_fraction`,
+index array into them, and builds its edge set only when read.  A
+sequence's edge readers take its slot table: each edge's slot number and
+its ends, one array for the whole sequence (the contact-sequence form of
+Holme and Saramäki, "Temporal networks", 2012).  A parsed or smashed
+sequence holds only that table and builds its slots on first read, so
+its cost follows its edges, not its horizon; a sequence made from slots
+builds the table when first smashed or written.  So the ids of a slot
+must compare with each other, and so must all ids of a sequence that is
+smashed or whose reachable pairs are counted (`reachable_pairs_fraction`,
 `t_k_connected`, and `t_clique`, which reads the smashed union); ids
 that do not are a TypeError.  Every static graph -- a slot, the smashed
 union and the candidate graph of `models` -- checks its listed edges
@@ -26,8 +30,9 @@ of edges inside a single slot and may wait at a node present in the
 slots it waits through, but it never moves to an earlier slot.  The
 clique and k-connectivity queries search over node subsets.  Every
 operation is a pure function and the containers are never changed after
-construction (a view only caches what it builds), so everything here is
-safe to use concurrently.
+construction (a view only caches what it builds, and a race on first
+read builds equal values twice), so everything here is safe to use
+concurrently.
 """
 
 from __future__ import annotations
@@ -152,10 +157,11 @@ class Graphlet:
     Every slot holds its ids as the sorted tuple `_ids` and its edges as a
     private (2, E) int32 index array `_ends` of positions in `_ids`, sorted
     by (u, v) with u < v and no repeats.  Builders whose slots are valid by
-    construction (`parse_tgs`, `m_smash`, the samplers in `models`) make
-    those arrays directly, and such a slot builds the `edges` frozenset
-    from them on its first read; the constructor keeps the frozenset it
-    checked.  Equality, hashing and `repr` go through `edges`.
+    construction (the slot view of a `GraphletSequence` held as a table,
+    the samplers in `models`) make those arrays directly, and such a slot
+    builds the `edges` frozenset from them on its first read; the
+    constructor keeps the frozenset it checked.  Equality, hashing and
+    `repr` go through `edges`.
     """
 
     def __init__(self, time, nodes, edges=()):
@@ -196,9 +202,21 @@ class Graphlet:
 
 
 class GraphletSequence:
-    """Ordered sequence of graphlets on contiguous slots 1..T."""
+    """Ordered sequence of graphlets on contiguous slots 1..T.
 
-    __slots__ = ("graphlets", "_node_ids")
+    Its edge readers (`format_tgs`, `smash`, `m_smash`) take its slot table
+    `(ids, time, ends)`: the sorted tuple of its ids, each edge's slot
+    number as a sorted int64 array, and each edge's ends as a (2, E) int32
+    array of positions in `ids`, sorted by (slot, u, v).  How a sequence is
+    made picks what it holds.  `parse_tgs`, and `m_smash` when every slot
+    holds every id, make it from its table alone (`_from_table`): every
+    slot holds all of `ids`, and `graphlets` is a view built in full on
+    first read.  A sequence made from graphlets keeps them and builds its
+    table on first need (`_slot_table`).  Iteration, indexing, equality
+    and hashing go through `graphlets`.
+    """
+
+    __slots__ = ("_graphlets", "_table", "_horizon", "_node_ids")
 
     def __init__(self, graphlets):
         gs = tuple(graphlets)
@@ -207,8 +225,17 @@ class GraphletSequence:
         for i, g in enumerate(gs, start=1):
             if g.time != i:
                 raise ValueError(f"slot {i} carries time index {g.time}; slots must be contiguous from 1")
-        self.graphlets = gs
-        self._node_ids = None
+        self._graphlets, self._table, self._horizon, self._node_ids = gs, None, len(gs), None
+
+    @classmethod
+    def _from_table(cls, horizon, ids, time, ends):
+        """The sequence of `horizon` slots, each holding all of the sorted
+        tuple `ids`, whose slot table is (ids, time, ends); the caller
+        guarantees time sorted inside 1..horizon and, within each slot, ends
+        sorted by (u, v), u < v < len(ids), and no repeats."""
+        tgs = object.__new__(cls)
+        tgs._graphlets, tgs._table, tgs._horizon, tgs._node_ids = None, (ids, time, ends), horizon, None
+        return tgs
 
     @classmethod
     def from_slot_edges(cls, nodes, slot_edges):
@@ -217,18 +244,57 @@ class GraphletSequence:
         return cls(Graphlet(t, nodes, edges) for t, edges in enumerate(slot_edges, start=1))
 
     @property
+    def graphlets(self):
+        """The tuple of slots, which a sequence made from its table builds on
+        first read: slot t holds the edges of the table's run of slot t.  A
+        horizon no memory holds fails at once in np.bincount (np.arange
+        would return no values for a stop near 2**63)."""
+        if self._graphlets is None:
+            ids, time, ends = self._table
+            nodes = self.node_ids
+            bounds = np.cumsum(np.bincount(time, minlength=self._horizon + 1)).tolist()
+            self._graphlets = tuple(Graphlet._from_ends(t, nodes, ids, ends[:, a:b])
+                                    for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1))
+        return self._graphlets
+
+    def _slot_table(self):
+        """The slot table (ids, time, ends), built from the slots on first
+        call.  A slot's own `_ends` are positions in the table when it holds
+        all of the table's ids; otherwise (node sets that vary) they are
+        remapped, and ids that do not compare with each other are a
+        TypeError."""
+        if self._table is None:
+            gs = self._graphlets
+            ids = gs[0]._ids
+            ends = [g._ends for g in gs]
+            if any(g._ids is not ids and g._ids != ids for g in gs):
+                ids = _sorted_ids(self.node_ids)
+                pos = {v: i for i, v in enumerate(ids)}
+                ends = [g._ends if g._ids == ids else np.array([pos[v] for v in g._ids], dtype=np.int32)[g._ends]
+                        for g in gs]
+            time = np.repeat(np.arange(1, len(gs) + 1, dtype=np.int64), [e.shape[1] for e in ends])
+            self._table = ids, time, np.concatenate(ends, axis=1)
+        return self._table
+
+    def _holds_every_id(self):
+        """True when every slot holds every id of the sequence."""
+        n = len(self.node_ids)
+        return self._graphlets is None or all(len(g.nodes) == n for g in self._graphlets)
+
+    @property
     def horizon(self):
-        return len(self.graphlets)
+        return self._horizon
 
     @property
     def node_ids(self):
         """Every node id present in some slot, computed on first read."""
         if self._node_ids is None:
-            self._node_ids = frozenset().union(*(g.nodes for g in self.graphlets))
+            self._node_ids = (frozenset(self._table[0]) if self._graphlets is None
+                              else frozenset().union(*(g.nodes for g in self._graphlets)))
         return self._node_ids
 
     def __len__(self):
-        return len(self.graphlets)
+        return self._horizon
 
     def __iter__(self):
         return iter(self.graphlets)
@@ -350,44 +416,34 @@ def stacked_reachable(stg, src, dst):
     return _journey(stg.tgs, src[0], dst[0], src[1], dst[1]) is not None
 
 
-def _block_unions(graphlets, m):
-    """The sorted id table of `graphlets` and the union of each block of m
-    consecutive slots, as sorted (2, E) int32 positions in that table.
-
-    One sort of (block, u, v) keys takes every union.  A slot's own
-    `_ends` are positions in the table when it holds all of the table's ids;
-    otherwise (node sets that vary) they are remapped.
-    """
-    ids = graphlets[0]._ids
-    ends = [g._ends for g in graphlets]
-    if any(g._ids is not ids and g._ids != ids for g in graphlets):
-        ids = _sorted_ids(frozenset().union(*(g.nodes for g in graphlets)))
-        pos = {v: i for i, v in enumerate(ids)}
-        ends = [g._ends if g._ids == ids else np.array([pos[v] for v in g._ids], dtype=np.int32)[g._ends]
-                for g in graphlets]
-    blocks = -(-len(graphlets) // m)
+def _block_unions(tgs, m):
+    """(ids, block, pairs): the sorted ids of `tgs` and the union of each
+    block of m consecutive slots, as each union edge's 0-based block number
+    (int64, sorted) and its ends, (2, E) int32 positions in ids sorted by
+    (block, u, v).  One sort of (block, u, v) keys over the slot table
+    takes every union."""
+    ids, time, ends = tgs._slot_table()
+    blocks = -(-tgs.horizon // m)
     n = max(len(ids), 1)
     if blocks * n * n > 2 ** 63:  # keys run up to blocks * n * n - 1
         raise ValueError(f"{blocks} blocks over {n} node ids overflow the int64 union key")
-    u, v = np.concatenate(ends, axis=1, dtype=np.int64)
+    u, v = ends.astype(np.int64)
     key = u * n + v
     if blocks > 1:  # the block index goes above u and v
-        key += np.repeat(np.arange(len(graphlets)) // m * (n * n), [e.shape[1] for e in ends])
+        key += (time - 1) // m * (n * n)
     # a sort, not np.unique: numpy 2.4's np.unique hashes int64 keys, which
     # took 0.40 ms on 2,400 keys where the sort took 0.03 ms (2-core host)
     key = np.sort(key)
     first = np.ones(key.size, dtype=bool)  # each key once
     np.not_equal(key[1:], key[:-1], out=first[1:])
     block, key = np.divmod(key[first], n * n)
-    pairs = np.array(np.divmod(key, n), dtype=np.int32)
-    bounds = np.searchsorted(block, np.arange(blocks + 1)).tolist()
-    return ids, [pairs[:, a:b] for a, b in zip(bounds, bounds[1:])]
+    return ids, block, np.array(np.divmod(key, n), dtype=np.int32)
 
 
 def smash(tgs):
     """Collapse a sequence into the union of its slots."""
-    g = m_smash(tgs, tgs.horizon)[0]
-    return SmashedGraph(g.nodes, _id_pairs(g._ids, g._ends))
+    ids, _, pairs = _block_unions(tgs, tgs.horizon)
+    return SmashedGraph(tgs.node_ids, _id_pairs(ids, pairs))
 
 
 def m_smash(tgs, m):
@@ -395,21 +451,20 @@ def m_smash(tgs, m):
 
     m=1 returns an equivalent copy; m >= T collapses the whole sequence
     into a single graphlet equal to smash(tgs).  Each block's slot holds
-    the ids present in some slot of the block.
+    the ids present in some slot of the block.  When every slot holds
+    every id the result is made from its slot table alone.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("block size m must be a positive integer")
+    ids, block, pairs = _block_unions(tgs, m)
+    blocks = -(-tgs.horizon // m)
+    if tgs._holds_every_id():
+        return GraphletSequence._from_table(blocks, ids, block + 1, pairs)
     gs = tgs.graphlets
-    ids, unions = _block_unions(gs, m)
-    table = frozenset(ids)
-    out = []
-    for t, ends in enumerate(unions, start=1):
-        members = gs[(t - 1) * m:t * m]
-        if all(len(g.nodes) < len(ids) for g in members):  # the block may lack some ids
-            out.append(Graphlet(t, frozenset().union(*(g.nodes for g in members)), _id_pairs(ids, ends)))
-        else:
-            out.append(Graphlet._from_ends(t, table, ids, ends))
-    return GraphletSequence(out)
+    bounds = np.searchsorted(block, np.arange(blocks + 1)).tolist()
+    return GraphletSequence(Graphlet(t, frozenset().union(*(g.nodes for g in gs[(t - 1) * m:t * m])),
+                                     _id_pairs(ids, pairs[:, a:b]))
+                            for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1))
 
 
 def _require_known(tgs, *ids):
@@ -595,8 +650,6 @@ _SLOT_LINE = re.compile(r"\nt[^\S\n]+(-?[0-9]+)")
 _TO_SPACE = str.maketrans(dict.fromkeys(
     "e\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
     "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000", " "))
-_NO_ENDS = np.zeros((2, 0), dtype=np.int32)
-_NO_ENDS.flags.writeable = False
 
 
 def _kept_lines(text):
@@ -616,19 +669,21 @@ def _line_fault(line, declared):
 
 
 def _run_ends(runs, run_slots, n):
-    """Per run of edge-line text, its edges as a sorted (2, E) int32 array;
+    """The edge-line text `runs` of the slots `run_slots` as the (time, ends)
+    of a slot table (see `GraphletSequence`), sorted by (slot, u, v);
     raises ValueError for the first edge line with an id out of 0..n-1, a
     self-loop, or an edge already in its slot."""
     counts = [run.count("\n") for run in runs]
     text = "".join(runs).translate(_TO_SPACE)
     u, v = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2).T
     run_of = np.repeat(np.arange(len(runs)), counts)
+    time = np.array(run_slots, dtype=np.int64)[run_of]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     outside = (lo < 0) | (hi >= n)
     key = np.where(outside, -1, lo * n + hi)  # an outside line is refused before a repeat
-    order = np.lexsort((key, run_of))
+    order = np.lexsort((key, time))
     repeat = np.zeros(key.size, dtype=bool)
-    repeat[order[1:]] = (key[order[1:]] == key[order[:-1]]) & (run_of[order[1:]] == run_of[order[:-1]])
+    repeat[order[1:]] = (key[order[1:]] == key[order[:-1]]) & (time[order[1:]] == time[order[:-1]])
     bad = outside | (u == v) | repeat
     if bad.any():
         i = int(bad.argmax())
@@ -639,9 +694,7 @@ def _run_ends(runs, run_slots, n):
         if u[i] == v[i]:
             raise ValueError(f"self-loop on node {int(u[i])!r}")
         raise ValueError(f"duplicate edge {(int(lo[i]), int(hi[i]))} in slot {run_slots[r]}")
-    ends = np.stack([lo, hi])[:, order].astype(np.int32)
-    bounds = np.cumsum([0, *counts]).tolist()
-    return [ends[:, a:b] for a, b in zip(bounds, bounds[1:])]
+    return time[order], np.stack([lo, hi])[:, order].astype(np.int32)
 
 
 def parse_tgs(text):
@@ -654,8 +707,10 @@ def parse_tgs(text):
     finds the first line that is neither a slot line nor an edge line.  The edge
     lines of all slots are read as one integer array and checked for range,
     self-loops and repeats within a slot with array operations, on both
-    paths.  Each slot holds its edges as a sorted index array (see
-    `Graphlet`).
+    paths, and sorted by (slot, u, v) into the sequence's slot table (see
+    `GraphletSequence`), whatever the order of the slot blocks.  The
+    sequence holds only that table and builds its slots on first read, so
+    the work follows the file, not the horizon the header declares.
     """
     head = _WRITTEN_HEAD.match(text)
     written = head is not None and _UNWRITTEN.search(text, head.end() - 1).start() == len(text) - 1
@@ -699,39 +754,33 @@ def parse_tgs(text):
     else:
         if odd is not None:
             fault = _line_fault(body[stop + 1:].partition("\n")[0], declared)
-    slot_ends = dict(zip(run_slots, _run_ends(runs, run_slots, n))) if runs else {}
+    time, ends = _run_ends(runs, run_slots, n)
     if fault is not None:
         raise ValueError(fault)
-    ids = tuple(range(n))
-    nodes = frozenset(ids)
-    return GraphletSequence(
-        Graphlet._from_ends(t, nodes, ids, slot_ends.get(t, _NO_ENDS)) for t in range(1, horizon + 1)
-    )
+    return GraphletSequence._from_table(horizon, tuple(range(n)), time, ends)
 
 
 def format_tgs(tgs):
     """The text of `tgs`; raises ValueError unless every slot's node set is
-    exactly 0..n-1, as the format cannot hold any other.  Every slot's edges
-    are written from its index array, through one string per node id."""
+    exactly 0..n-1, as the format cannot hold any other.  The edges are
+    written from the slot table, through one string per node id; edge j
+    goes on line j + time[j], after the lines of slots 1..time[j]."""
     ids = tgs.node_ids
     for v in ids:
         if not isinstance(v, int) or v < 0:
             raise ValueError("the text format requires non-negative integer node ids")
     n = max(ids) + 1 if ids else 0
-    if any(len(g.nodes) != n for g in tgs):
+    if len(ids) != n or not tgs._holds_every_id():
         raise ValueError(f"the text format requires node set 0..{n - 1} in every slot")
-    ends = [g._ends for g in tgs]  # positions in 0..n-1 are the ids
-    sizes = np.array([e.shape[1] for e in ends])
-    lines = np.empty(tgs.horizon + sizes.sum(), dtype=object)
-    slot_lines = np.arange(tgs.horizon) + np.concatenate([[0], np.cumsum(sizes[:-1])])
-    lines[slot_lines] = [f"t {t}\n" for t in range(1, tgs.horizon + 1)]
+    _, time, ends = tgs._slot_table()  # positions in 0..n-1 are the ids
+    horizon = tgs.horizon
+    lines = np.empty(horizon + time.size, dtype=object)
+    slots = np.arange(1, horizon + 1)
+    lines[slots - 1 + np.searchsorted(time, slots)] = [f"t {t}\n" for t in slots.tolist()]
     heads = np.array([f"e {v} " for v in range(n)], dtype=object)
     tails = np.array([f"{v}\n" for v in range(n)], dtype=object)
-    u, v = np.concatenate(ends, axis=1)
-    edge_lines = np.ones(lines.size, dtype=bool)
-    edge_lines[slot_lines] = False
-    lines[edge_lines] = heads[u] + tails[v]
-    return f"tgs {n} {tgs.horizon}\n" + "".join(lines.tolist())
+    lines[np.arange(time.size) + time] = heads[ends[0]] + tails[ends[1]]
+    return f"tgs {n} {horizon}\n" + "".join(lines.tolist())
 
 
 def load_tgs(path):

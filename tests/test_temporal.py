@@ -695,3 +695,24 @@ def test_parse_memory_follows_the_file_not_the_horizon():
         tracemalloc.stop()
     assert tgs.horizon == 100_000 and all(not g.edges for g in tgs)
     assert peak < 30_000_000
+
+
+def test_parse_of_the_largest_horizon_returns():
+    # a parsed sequence holds its slot table only: no slot object is built
+    # for a slot the file does not name
+    tgs = parse_tgs("tgs 2 9223372036854775807\nt 1\n")
+    assert tgs.horizon == len(tgs) == sys.maxsize and tgs.node_ids == {0, 1}
+    with pytest.raises((MemoryError, OverflowError, ValueError)):  # its slots, not an empty tuple
+        tgs[0]
+
+
+def test_parse_and_smash_memory_follow_the_file_not_the_horizon():
+    tracemalloc.start()
+    try:
+        tgs = parse_tgs("tgs 2 1000000000000\nt 7\ne 0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert smash(tgs).edges == {(0, 1)}
+    assert m_smash(tgs, 1).horizon == 10 ** 12

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tvgraph.models import ErParams, UnderlyingGraph, sample_er_tgs  # noqa: E402
@@ -21,7 +21,9 @@ from tvgraph.temporal import (  # noqa: E402
     adjacency,
     build_stacked,
     components,
+    format_tgs,
     m_smash,
+    parse_tgs,
     reachable_pairs_fraction,
     smash,
     stacked_reachable,
@@ -283,3 +285,38 @@ def test_union_keys_past_int64_are_an_error():
     for query in (smash, lambda s: m_smash(s, 1)):
         with pytest.raises(ValueError, match="node ids overflow the int64 union key"):
             query(tgs)
+
+
+@st.composite
+def full_sequences(draw, max_nodes=6, max_slots=8):
+    """Sequences whose every slot holds ids 0..n-1, as the text format does."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    pairs = list(itertools.combinations(range(n), 2))
+    slots = draw(st.lists(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]),
+                          min_size=1, max_size=max_slots))
+    return GraphletSequence.from_slot_edges(range(n), slots)
+
+
+@settings(deadline=None, max_examples=200)
+@example(tgs=GraphletSequence.from_slot_edges(range(3), [[(0, 1)], [], []]))
+@example(tgs=GraphletSequence.from_slot_edges(range(4), [[], [(1, 3), (0, 2)], [], [(2, 3)], [], []]))
+@given(tgs=full_sequences())
+def test_the_slot_table_gives_what_the_slots_give(tgs):
+    # parse_tgs makes a sequence from its slot table alone; every reader must
+    # give on it what it gives on the same sequence made from its slots
+    text = format_tgs(tgs)
+    table = parse_tgs(text)
+    for m in {1, 2, 3, tgs.horizon}:
+        assert m_smash(table, m) == m_smash(tgs, m)
+    assert smash(table).edges == smash(tgs).edges
+    assert format_tgs(table) == text
+    assert reachable_pairs_fraction(table) == reachable_pairs_fraction(tgs)
+    assert table == tgs and hash(table) == hash(tgs)
+
+
+def test_slot_blocks_out_of_order_parse_as_in_order():
+    # the text format_tgs writes for this sequence
+    in_order = "tgs 4 4\nt 1\ne 0 1\ne 2 3\nt 2\nt 3\ne 1 2\nt 4\n"
+    for text in ("tgs 4 4\nt 3\ne 1 2\nt 1\ne 2 3\ne 0 1\n", "tgs 4 4\nt 3\ne 2 1\nt 1\ne 3 2\ne 1 0\n"):
+        assert parse_tgs(text) == parse_tgs(in_order)
+        assert format_tgs(parse_tgs(text)) == in_order

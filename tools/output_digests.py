@@ -8,9 +8,9 @@ it, and prints one "sha256  file" line per output file, in command order.
 The commands cover every subcommand; line, complete and file graphs; the er
 and mc models; bitset rows of one and of two words; cut-through replays of
 one and of several trial blocks; CSV tables of no rows and of over a
-thousand; and the route replay with --pmf-output, over a graph file as
-`gen` writes it and over one written by hand, so both of the parser's paths
-are read.  It exits 1 if any command fails.
+thousand; sequence files with few and with long runs of empty slots; and
+the route replay with --pmf-output, over a graph file as `gen` writes it
+and over one written by hand, so both of the parser's paths are read.  It exits 1 if any command fails.
 
 Run it on two source trees, say a checkout of a parent commit and the
 working tree, and compare the lines: equal lines show that a change kept
@@ -64,6 +64,8 @@ COMMANDS = [
     ("gen --model er --n 12 --p 0.4 --horizon 50 --seed 2 --output gen_line.tgs", ["gen_line.tgs"]),
     ("gen --model mc --gu complete --n 12 --p 0.3 --q 0.2 --p0 0.05 --horizon 30 --seed 2"
      " --output gen_mc.tgs", ["gen_mc.tgs"]),
+    # 20 of 200 slots hold an edge: slot lines placed across long runs of empty slots
+    ("gen --model er --n 6 --p 0.02 --horizon 200 --seed 3 --output gen_sparse.tgs", ["gen_sparse.tgs"]),
     ("gen --model er --gu complete --n 40 --p 0.15 --horizon 1 --seed 5 --output graph.tgs", ["graph.tgs"]),
     ("route --graph graph.tgs --p 0.5 --source 3 --dest 7 --output route_table.json", ["route_table.json"]),
     ("route --graph graph.tgs --p 0.3 --source 0 --dest 39 --trials 400 --seed 1 --output route.json"
