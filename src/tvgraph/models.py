@@ -11,8 +11,9 @@ Every edge state, sampled or replayed, comes from `slot_states`: given
 streams, it reads each stream's uniforms slot-major over the cells it is
 asked for and returns the ON states of the next slots, and it is the one
 caller of `edge_update`.  So trial i's states in slot t are the same
-whether `sample_slots` draws them for one sequence or the reachable-pairs
-kernel draws them for a block of trials, however the slots are chunked.
+whether a sampler draws them for one sequence (`sample_*_tgs` in one
+call, `sample_slots` in chunks) or the reachable-pairs kernel draws them
+for a block of trials, however the slots are chunked.
 The cut-through labelling kernel passes it one block stream and the cells
 of all live trials of the block.
 
@@ -24,11 +25,14 @@ hashing work from the array.  The validating constructor checks its edges
 through the edge check every static graph of `temporal` shares.  One BFS
 walks a candidate graph, `_candidate_hops` over the cached adjacency
 `_adjacency`; `shortest_path` and every replay and routing search that
-needs hop distances read it.  `sample_slots` is the one sampler: it draws
-every candidate cell of every slot and yields each slot as a `Graphlet`
-holding its up columns of `_ends`, which index the same sorted ids.
-`sample_er_tgs` and `sample_markov_tgs` collect its slots into a
-sequence.
+needs hop distances read it.  `sample_er_tgs` and `sample_markov_tgs`
+draw every slot with one `slot_states` call and write the up cells
+straight into a sequence's slot table (see `temporal.GraphletSequence`):
+each up cell's slot number and its column of `_ends`, which index the same
+sorted ids, so no slot object is built until one is read.  `sample_slots`
+draws the same states lazily, in chunks, and yields each slot as a
+`Graphlet` holding its up columns of `_ends`, for a per-trial walk that
+may stop early.
 
 The alternating special case (p=q=1) on a line admits exact per-start
 latencies, computed here from the slot-1 configuration bit string.
@@ -302,14 +306,25 @@ def sample_slots(gu, params, horizon, rng):
             yield Graphlet._from_ends(t, nodes, ids, up[:, start:stop])
 
 
+def _sampled_tgs(gu, params, horizon, seed):
+    """The sequence of slots 1..horizon of `gu` under `params`, drawn by one
+    `slot_states` call on default_rng(seed) and held as its slot table: up
+    cell c (slot-major over the columns of `gu._ends`) is an edge of slot
+    c // E + 1 with ends `gu._ends[:, c % E]`.  The stream is read as
+    `sample_slots` reads it, so both give the same slots."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n_edges = gu._ends.shape[1]
+    cells = np.flatnonzero(slot_states(params, None, [np.random.default_rng(seed)], horizon, n_edges))
+    return GraphletSequence._from_table(horizon, gu.nodes, cells // n_edges + 1, gu._ends[:, cells % n_edges])
+
+
 def sample_er_tgs(gu, params, horizon, seed):
     """Sample a sequence with each candidate edge present independently per slot.
 
     seed may be an int or a numpy SeedSequence.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return GraphletSequence(sample_slots(gu, params, horizon, np.random.default_rng(seed)))
+    return _sampled_tgs(gu, params, horizon, seed)
 
 
 def sample_markov_tgs(gu, params, horizon, seed):
@@ -317,9 +332,7 @@ def sample_markov_tgs(gu, params, horizon, seed):
 
     seed may be an int or a numpy SeedSequence.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return GraphletSequence(sample_slots(gu, params, horizon, np.random.default_rng(seed)))
+    return _sampled_tgs(gu, params, horizon, seed)
 
 
 def shortest_path(gu, source, dest):

@@ -40,8 +40,11 @@ the per-trial walk through `models.sample_slots`, which calls it with one
 stream and yields each slot as a `Graphlet` of index arrays; and the
 labelling kernel draws each chunk of slots of a block's live trials with
 one call on the block stream.  So trial i sees the same edge states in
-slot t in every view that reads its stream.  The replays read each slot's
-edges from those arrays and build no edge set.
+slot t in every view that reads its stream.  The walks read each slot's
+edges as an index array into sorted ids and build no edge set: the
+per-trial walk the `_ends` of each sampled slot, and `replay_soa` and
+`replay_cut` each slot's run of the given sequence's slot table, beside
+the slot union they take from that table, so they build no slot object.
 
 Reachable-pair curves are array code over blocks of trials that keep the
 per-trial streams: each trial's slots are exactly the ones
@@ -62,7 +65,7 @@ import numpy as np
 from .analytics import LatencyPmf
 from .models import (ErParams, MarkovParams, UnderlyingGraph, _candidate_hops, sample_slots, shortest_path,
                      slot_states)
-from .temporal import _id_pairs, adjacency, bfs, m_smash
+from .temporal import _block_unions, _id_pairs, adjacency, bfs
 
 __all__ = [
     "TrialResult",
@@ -182,14 +185,15 @@ def replay_soa(tgs, source, dest, next_hop=None):
     With no policy the message follows a fixed shortest path of the slot
     union, waiting at each hop for its edge.  A callable policy
     next_hop(node, on_neighbors) may return the neighbor to move to, or
-    None to wait.  An unknown source or dest is a ValueError.
+    None to wait.  An unknown source or dest is a ValueError.  The walk
+    reads each slot's run of the sequence's slot table (`_slot_ends`) and
+    builds no slot.
     """
-    if source not in tgs.node_ids or dest not in tgs.node_ids:
-        raise ValueError(f"unknown node {source!r} or {dest!r}")
-    if source == dest:
+    union = _slot_union(tgs, source, dest)
+    if union is None:
         return TrialResult(0, ((source, 0),))
     if next_hop is None:
-        path = shortest_path(UnderlyingGraph.from_graphlet(m_smash(tgs, tgs.horizon)[0]), source, dest)
+        path = shortest_path(union, source, dest)
         if path is None:
             raise ValueError(f"{dest!r} is not connected to {source!r} in the slot union")
         hops = {path[i]: path[i + 1] for i in range(len(path) - 1)}
@@ -198,17 +202,29 @@ def replay_soa(tgs, source, dest, next_hop=None):
             want = hops[u]
             return want if want in on_neighbors else None
 
-    latency, trajectory = _soa_walk(tgs, source, dest, next_hop)
+    latency, trajectory = _soa_walk(union.nodes, tgs._slot_ends(), source, dest, next_hop)
     return TrialResult(latency, tuple(trajectory))
 
 
-def _soa_walk(slots, source, dest, next_hop):
-    """Store-or-advance walk over the slots `slots`, read from their index
-    arrays: (latency or None, trajectory)."""
+def _slot_union(tgs, source, dest):
+    """The replays' preamble: after checking that source and dest are ids of
+    `tgs`, None when they are equal, else the union of its slots as a
+    candidate graph on the sorted ids its slot table indexes."""
+    if source not in tgs.node_ids or dest not in tgs.node_ids:
+        raise ValueError(f"unknown node {source!r} or {dest!r}")
+    if source == dest:
+        return None
+    ids, _, pairs = _block_unions(tgs, tgs.horizon)
+    return UnderlyingGraph._from_ends(ids, pairs, None)
+
+
+def _soa_walk(ids, slot_ends, source, dest, next_hop):
+    """Store-or-advance walk over the slots whose edges `slot_ends` gives as
+    index arrays into the sorted ids `ids`: (latency or None, trajectory)."""
     cur = source
     trajectory = [(source, 0)]
-    for t, g in enumerate(slots, start=1):
-        pairs = _id_pairs(g._ids, g._ends)
+    for t, ends in enumerate(slot_ends, start=1):
+        pairs = _id_pairs(ids, ends)
         on_neighbors = frozenset(v if u == cur else u for u, v in pairs if cur in (u, v))
         move = next_hop(cur, on_neighbors)
         if move is not None:
@@ -228,19 +244,18 @@ def replay_cut(tgs, source, dest, rank=None):
     component (lowest rank, ties by id; default rank is hop distance to
     dest in the slot union); if dest is in the component the trial ends at
     latency slot-1.  Otherwise the slot is spent waiting.  An unknown source
-    or dest is a ValueError.
+    or dest is a ValueError.  The walk reads each slot's run of the
+    sequence's slot table (`_slot_ends`) and builds no slot.
     """
-    if source not in tgs.node_ids or dest not in tgs.node_ids:
-        raise ValueError(f"unknown node {source!r} or {dest!r}")
-    if source == dest:
+    union = _slot_union(tgs, source, dest)
+    if union is None:
         return TrialResult(0, ((source, 0),))
     if rank is None:
-        gu = UnderlyingGraph.from_graphlet(m_smash(tgs, tgs.horizon)[0])
-        rank = {v: math.inf if h < 0 else h for v, h in zip(gu.nodes, _candidate_hops(gu, dest))}
+        rank = {v: math.inf if h < 0 else h for v, h in zip(union.nodes, _candidate_hops(union, dest))}
     cur = source
     trajectory = [(source, 0)]
-    for t, g in enumerate(tgs, start=1):
-        comp = bfs(adjacency(_id_pairs(g._ids, g._ends)), [cur])
+    for t, ends in enumerate(tgs._slot_ends(), start=1):
+        comp = bfs(adjacency(_id_pairs(union.nodes, ends)), [cur])
         if dest in comp:
             trajectory.append((dest, t))
             return TrialResult(t - 1, tuple(trajectory))
@@ -435,7 +450,7 @@ def _run_trial_walks(next_hop, model, gu, source, dest, horizon, trials, seed):
     latencies = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
         slots = sample_slots(gu, model, horizon, _trial_stream(seed, trial))
-        latency, _ = _soa_walk(slots, source, dest, next_hop)
+        latency, _ = _soa_walk(gu.nodes, (g._ends for g in slots), source, dest, next_hop)
         latencies[trial] = -1 if latency is None else latency
     return EmpiricalPmf.from_latencies(latencies, trials)
 

@@ -38,6 +38,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import sys
 from collections import deque
@@ -209,11 +210,13 @@ class GraphletSequence:
     number as a sorted int64 array, and each edge's ends as a (2, E) int32
     array of positions in `ids`, sorted by (slot, u, v).  How a sequence is
     made picks what it holds.  `parse_tgs`, and `m_smash` when every slot
-    holds every id, make it from its table alone (`_from_table`): every
-    slot holds all of `ids`, and `graphlets` is a view built in full on
-    first read.  A sequence made from graphlets keeps them and builds its
-    table on first need (`_slot_table`).  Iteration, indexing, equality
-    and hashing go through `graphlets`.
+    holds every id, and the samplers of `models` make it from its table
+    alone (`_from_table`): every slot holds all of `ids`, `tgs[i]` builds
+    slot i + 1 alone from its run of the table, and `graphlets` is a view
+    built in full on first read.  A sequence made from graphlets keeps them
+    and builds its table on first need (`_slot_table`).  The replays of
+    `simulate` walk each slot's run of `ends` (`_slot_ends`) and build no
+    slot.  Iteration, slicing, equality and hashing go through `graphlets`.
     """
 
     __slots__ = ("_graphlets", "_table", "_horizon", "_node_ids")
@@ -250,12 +253,18 @@ class GraphletSequence:
         horizon no memory holds fails at once in np.bincount (np.arange
         would return no values for a stop near 2**63)."""
         if self._graphlets is None:
-            ids, time, ends = self._table
-            nodes = self.node_ids
-            bounds = np.cumsum(np.bincount(time, minlength=self._horizon + 1)).tolist()
-            self._graphlets = tuple(Graphlet._from_ends(t, nodes, ids, ends[:, a:b])
-                                    for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1))
+            ids, nodes = self._table[0], self.node_ids
+            self._graphlets = tuple(Graphlet._from_ends(t, nodes, ids, ends)
+                                    for t, ends in enumerate(self._slot_ends(), start=1))
         return self._graphlets
+
+    def _slot_ends(self):
+        """Lazily yield the ends of each slot's edges, slot 1 first, as (2, k)
+        slices of the slot table's `ends` (positions in its ids), bounded by
+        the counts np.bincount takes of `time`."""
+        _, time, ends = self._slot_table()
+        bounds = np.cumsum(np.bincount(time, minlength=self._horizon + 1)).tolist()
+        return (ends[:, a:b] for a, b in zip(bounds, bounds[1:]))
 
     def _slot_table(self):
         """The slot table (ids, time, ends), built from the slots on first
@@ -300,7 +309,16 @@ class GraphletSequence:
         return iter(self.graphlets)
 
     def __getitem__(self, i):
-        return self.graphlets[i]
+        """Slot i + 1 of the sequence (negative i counting from the end), or
+        the tuple of the slots a slice picks.  A sequence held as its table
+        builds only the slot read, from the run of the table's edges that
+        np.searchsorted finds for its slot number."""
+        if self._graphlets is not None or isinstance(i, slice):
+            return self.graphlets[i]
+        ids, time, ends = self._table
+        t = range(1, self._horizon + 1)[operator.index(i)]
+        run = ends[:, np.searchsorted(time, t, "left"):np.searchsorted(time, t, "right")]
+        return Graphlet._from_ends(t, self.node_ids, ids, run)
 
     def __eq__(self, other):
         if not isinstance(other, GraphletSequence):
@@ -575,7 +593,7 @@ def t_clique(tgs):
     resolved toward the lexicographically smallest clique by sorted node
     id.  Desk scale only.
     """
-    v1 = sorted(tgs.graphlets[0].nodes)
+    v1 = sorted(tgs[0].nodes)
     if not v1:
         return ()
     adj = smash(tgs)._adj

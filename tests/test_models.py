@@ -461,6 +461,53 @@ def test_replays_build_no_edge_sets(monkeypatch):
         assert "edges" not in vars(g)
 
 
+@pytest.mark.parametrize("params", [ErParams(0.3), MarkovParams(0.2, 0.4, p0=0.9)], ids=["er", "mc"])
+def test_samplers_and_replays_build_no_slot_until_one_is_read(monkeypatch, params):
+    # a sampled sequence is its slot table, and the replays walk the table
+    built = []
+    make = Graphlet._from_ends.__func__
+    monkeypatch.setattr(Graphlet, "_from_ends", classmethod(lambda cls, *a: built.append(a[0]) or make(cls, *a)))
+    sampler = sample_er_tgs if isinstance(params, ErParams) else sample_markov_tgs
+    tgs = sampler(UnderlyingGraph.complete(5), params, 12, 4)
+    for result in (replay_soa(tgs, 0, 4), replay_soa(tgs, 0, 4, next_hop=climb), replay_cut(tgs, 0, 4),
+                   replay_cut(tgs, 0, 4, rank={v: -v for v in range(5)})):
+        assert len(result.trajectory) > 1
+    assert built == [] and tgs._graphlets is None
+    assert tgs[3].time == 4 and built == [4]
+    assert len(list(tgs)) == 12 and built == [4, *range(1, 13)]
+
+
+def test_a_long_sample_is_held_as_its_slot_table():
+    # one slot object per slot peaked at 54 MiB; the one draw of 400,000
+    # uniforms takes 3.1 MiB, and the table holds about 400 up cells
+    tracemalloc.start()
+    try:
+        tgs = sample_er_tgs(UnderlyingGraph.line(3), ErParams(1e-3), 200_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert tgs.horizon == 200_000 and tgs._graphlets is None
+    assert 300 < tgs._slot_table()[1].size < 500
+    drawn = sample_slots(UnderlyingGraph.line(3), ErParams(1e-3), 200_000, np.random.default_rng(0))
+    assert [tgs[i] for i in range(1000)] == list(itertools.islice(drawn, 1000))
+
+
+@pytest.mark.parametrize("gu, params", [
+    (UnderlyingGraph.line(1), ErParams(0.5)),
+    (UnderlyingGraph.line(1), MarkovParams(0.2, 0.4)),
+    (UnderlyingGraph((0, 1, 2), ()), MarkovParams(0.2, 0.4, p0=0.9)),
+], ids=["line1-er", "line1-mc", "no-edges-mc"])
+def test_edgeless_graphs_sample_empty_slots(gu, params):
+    # no up cell to divide by the zero edge count, and no RuntimeWarning,
+    # which the suite turns into an error
+    sampler = sample_er_tgs if isinstance(params, ErParams) else sample_markov_tgs
+    tgs = sampler(gu, params, 5, 1)
+    assert tgs.horizon == 5 and tgs.node_ids == set(gu.nodes)
+    assert [g.edges for g in tgs] == [frozenset()] * 5
+    assert list(tgs) == list(sample_slots(gu, params, 5, np.random.default_rng(1)))
+
+
 @pytest.mark.parametrize("gu", [
     UnderlyingGraph.complete(5), UnderlyingGraph.line(4), STRING_IDS, PERMUTED_IDS,
     UnderlyingGraph((0, 1, 2), ((1, 2), (0, 2))),

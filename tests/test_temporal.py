@@ -702,8 +702,48 @@ def test_parse_of_the_largest_horizon_returns():
     # for a slot the file does not name
     tgs = parse_tgs("tgs 2 9223372036854775807\nt 1\n")
     assert tgs.horizon == len(tgs) == sys.maxsize and tgs.node_ids == {0, 1}
-    with pytest.raises((MemoryError, OverflowError, ValueError)):  # its slots, not an empty tuple
-        tgs[0]
+    # indexing builds the one slot read, at either end of the horizon
+    first, last = tgs[0], tgs[-1]
+    assert (first.time, first.nodes, first.edges) == (1, {0, 1}, frozenset())
+    assert (last.time, last.nodes, last.edges) == (sys.maxsize, {0, 1}, frozenset())
+    with pytest.raises(IndexError):
+        tgs[sys.maxsize]
+    # the run of the last slot ends where the table does: no slot number
+    # past sys.maxsize is searched for
+    tgs = parse_tgs("tgs 2 9223372036854775807\nt 9223372036854775807\ne 0 1\nt 1\ne 0 1\n")
+    assert [tgs[0].edges, tgs[1].edges, tgs[-2].edges, tgs[-1].edges] == [{(0, 1)}, set(), set(), {(0, 1)}]
+
+
+def test_indexing_a_table_held_sequence_builds_one_slot():
+    tracemalloc.start()
+    try:
+        tgs = parse_tgs("tgs 2 1000000000000\nt 7\ne 0 1\n")
+        slots = [tgs[6], tgs[5], tgs[7], tgs[-1]]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [g.time for g in slots] == [7, 6, 8, 10 ** 12]
+    assert [g.edges for g in slots] == [{(0, 1)}, set(), set(), set()]
+    assert "edges" not in vars(tgs[6]) and tgs._graphlets is None
+
+
+def test_indexing_reads_as_the_slot_tuple_does():
+    # a table-held sequence indexes its slots as the tuple of its built view
+    # does: negative indices, slices and out-of-range errors alike
+    text = "tgs 4 5\nt 2\ne 0 1\ne 2 3\nt 4\ne 1 2\nt 5\ne 0 3\n"
+    built = parse_tgs(text).graphlets
+    for i in range(-6, 6):
+        tgs = parse_tgs(text)
+        if -5 <= i < 5:
+            assert tgs[i] == built[i]
+        else:
+            with pytest.raises(IndexError):
+                tgs[i]
+    assert parse_tgs(text)[np.int64(3)] == built[3]
+    assert parse_tgs(text)[1:4] == built[1:4]
+    with pytest.raises(TypeError):
+        parse_tgs(text)["1"]
 
 
 def test_parse_and_smash_memory_follow_the_file_not_the_horizon():

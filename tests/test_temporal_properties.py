@@ -3,6 +3,7 @@ against BFS over the materialized time-expanded graph, and of the smashed
 views against the set union of the slots."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tvgraph.models import ErParams, UnderlyingGraph, sample_er_tgs  # noqa: E402
+from tvgraph.models import ErParams, UnderlyingGraph, _candidate_hops, sample_er_tgs, shortest_path  # noqa: E402
+from tvgraph.simulate import TrialResult, replay_cut, replay_soa  # noqa: E402
 from tvgraph.temporal import (  # noqa: E402
     Graphlet,
     GraphletSequence,
     _journey_masks,
     _sorted_ids,
     adjacency,
+    bfs,
     build_stacked,
     components,
     format_tgs,
@@ -320,3 +323,110 @@ def test_slot_blocks_out_of_order_parse_as_in_order():
     for text in ("tgs 4 4\nt 3\ne 1 2\nt 1\ne 2 3\ne 0 1\n", "tgs 4 4\nt 3\ne 2 1\nt 1\ne 3 2\ne 1 0\n"):
         assert parse_tgs(text) == parse_tgs(in_order)
         assert format_tgs(parse_tgs(text)) == in_order
+
+
+# --- the replays over the slot table -------------------------------------------
+
+
+def climb(u, on_neighbors):
+    # to the largest up neighbor above u, else wait
+    return max((v for v in on_neighbors if v > u), default=None)
+
+
+def slot_walk_replay(tgs, source, dest, metric, policy=None):
+    """`replay_soa` (metric "soa", policy next_hop) or `replay_cut` ("cut",
+    policy rank) as they were written over slot objects: the slot union read
+    from `m_smash`, and each slot walked through its own `_ids` and `_ends`.
+    The reference the replays over the slot table must match."""
+    if source not in tgs.node_ids or dest not in tgs.node_ids:
+        raise ValueError(f"unknown node {source!r} or {dest!r}")
+    if source == dest:
+        return TrialResult(0, ((source, 0),))
+    if policy is None:
+        union = UnderlyingGraph.from_graphlet(m_smash(tgs, tgs.horizon)[0])
+        if metric == "cut":
+            policy = {v: math.inf if h < 0 else h for v, h in zip(union.nodes, _candidate_hops(union, dest))}
+        else:
+            path = shortest_path(union, source, dest)
+            if path is None:
+                raise ValueError(f"{dest!r} is not connected to {source!r} in the slot union")
+            hops = dict(zip(path, path[1:]))
+            policy = lambda u, on: hops[u] if hops[u] in on else None  # noqa: E731
+    cur, trajectory = source, [(source, 0)]
+    for g in tgs.graphlets:
+        pairs = [(g._ids[u], g._ids[v]) for u, v in zip(*g._ends.tolist())]
+        if metric == "cut":
+            comp = bfs(adjacency(pairs), [cur])
+            if dest in comp:
+                return TrialResult(g.time - 1, (*trajectory, (dest, g.time)))
+            cur = min(comp, key=lambda v: (policy[v], v))
+        else:
+            move = policy(cur, frozenset(v if u == cur else u for u, v in pairs if cur in (u, v)))
+            cur = cur if move is None else move
+        trajectory.append((cur, g.time))
+        if metric == "soa" and cur == dest:
+            return TrialResult(g.time, tuple(trajectory))
+    return TrialResult(None, tuple(trajectory))
+
+
+def replay_cases(ids, data):
+    """(source, dest, [(replay, its policy keyword, metric, policy)]) over
+    the ids `ids`: the default policy, `climb` and a drawn rank."""
+    source, dest = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+    rank = dict(zip(ids, data.draw(st.permutations(range(len(ids))))))
+    return source, dest, [(replay_soa, {}, "soa", None), (replay_soa, {"next_hop": climb}, "soa", climb),
+                          (replay_cut, {}, "cut", None), (replay_cut, {"rank": rank}, "cut", rank)]
+
+
+def outcome(replay, *args, **kwargs):
+    """The replay's TrialResult, or the message of its ValueError."""
+    try:
+        return replay(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(tgs=labelled_sequences(), data=st.data())
+def test_replays_walk_the_slot_table_as_they_walked_the_slots(tgs, data):
+    # string and scattered ids, varying node sets, dests the union or the
+    # horizon leaves unreached: whole results, trajectories included
+    ids = sorted(tgs.node_ids)
+    if not ids:
+        return
+    source, dest, cases = replay_cases(ids, data)
+    for replay, kwargs, metric, policy in cases:
+        want = outcome(slot_walk_replay, tgs, source, dest, metric, policy)
+        assert outcome(replay, tgs, source, dest, **kwargs) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(tgs=full_sequences(), data=st.data())
+def test_replays_of_a_parsed_sequence_build_no_slot(tgs, data):
+    # a sequence held as its table alone is walked as the one made from its
+    # slots, and neither replay builds its slots
+    ids = sorted(tgs.node_ids)
+    if not ids:
+        return
+    text = format_tgs(tgs)
+    source, dest, cases = replay_cases(ids, data)
+    for replay, kwargs, metric, policy in cases:
+        table = parse_tgs(text)
+        got = outcome(replay, table, source, dest, **kwargs)
+        assert table._graphlets is None
+        assert got == outcome(slot_walk_replay, tgs, source, dest, metric, policy)
+        assert got == outcome(slot_walk_replay, table, source, dest, metric, policy)
+
+
+def test_replays_of_ids_that_do_not_compare():
+    # each slot's ids compare, but the union of both does not: a message
+    # already at dest needs no slot table, and any other replay reads one
+    tgs = GraphletSequence([Graphlet(1, [0, 1], [(0, 1)]), Graphlet(2, ["a", "b"], [("a", "b")])])
+    for replay, policy in ((replay_soa, {}), (replay_soa, {"next_hop": climb}), (replay_cut, {}),
+                           (replay_cut, {"rank": {0: 0, 1: 1, "a": 2, "b": 3}})):
+        assert replay(tgs, 0, 0, **policy) == TrialResult(0, ((0, 0),))
+        assert replay(tgs, "b", "b", **policy) == TrialResult(0, (("b", 0),))
+        with pytest.raises(ValueError, match="^unknown node 0 or 'c'$"):
+            replay(tgs, 0, "c", **policy)
+        with pytest.raises(TypeError, match="^node ids must compare with each other"):
+            replay(tgs, 0, 1, **policy)
