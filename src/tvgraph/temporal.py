@@ -8,19 +8,20 @@ connectivity, and clique queries.
 
 Every slot holds its sorted node ids and its edges as a sorted int32
 index array into them, and builds its edge set only when read.  A
-sequence's edge readers take its slot table: each edge's slot number and
-its ends, one array for the whole sequence (the contact-sequence form of
-Holme and Saramäki, "Temporal networks", 2012).  A parsed or smashed
-sequence holds only that table and builds its slots on first read, so
-its cost follows its edges, not its horizon; a sequence made from slots
-builds the table when first smashed or written.  So the ids of a slot
-must compare with each other, and so must all ids of a sequence that is
-smashed or whose reachable pairs are counted (`reachable_pairs_fraction`,
-`t_k_connected`, and `t_clique`, which reads the smashed union); ids
-that do not are a TypeError.  Every static graph -- a slot, the smashed
-union and the candidate graph of `models` -- checks its listed edges
-through one helper, `_checked_edges`: a self-loop anywhere is named
-first, then the first listed edge with an endpoint outside the node set.
+sequence holds one slot table, whatever made it: each edge's slot number
+and its ends, one array for the whole sequence (the contact-sequence form
+of Holme and Saramäki, "Temporal networks", 2012), and each slot's node
+set only when the node sets vary.  A parsed, sampled or smashed sequence
+builds its slots on first read, so its cost follows its edges, not its
+horizon; a sequence made from slots builds its table at once.  So the ids
+of a slot must compare with each other, and so must all ids of a
+sequence that is smashed, replayed or whose reachable pairs are counted
+(`reachable_pairs_fraction`, `t_k_connected`, and `t_clique`, which
+reads the smashed union); ids that do not are a TypeError.  Every static
+graph -- a slot, the smashed union and the candidate graph of `models`
+-- checks its listed edges through one helper, `_checked_edges`: a
+self-loop anywhere is named first, then the first listed edge with an
+endpoint outside the node set.
 
 The stacked graph is a lazy view: it keeps the sequence and builds its
 vertex and arc sets only when they are read.  Reachability queries never
@@ -205,21 +206,27 @@ class Graphlet:
 class GraphletSequence:
     """Ordered sequence of graphlets on contiguous slots 1..T.
 
-    Its edge readers (`format_tgs`, `smash`, `m_smash`) take its slot table
-    `(ids, time, ends)`: the sorted tuple of its ids, each edge's slot
+    A sequence holds its slot table and nothing else, whatever made it:
+    `(ids, time, ends)`, the sorted tuple of its ids, each edge's slot
     number as a sorted int64 array, and each edge's ends as a (2, E) int32
-    array of positions in `ids`, sorted by (slot, u, v).  How a sequence is
-    made picks what it holds.  `parse_tgs`, and `m_smash` when every slot
-    holds every id, and the samplers of `models` make it from its table
-    alone (`_from_table`): every slot holds all of `ids`, `tgs[i]` builds
-    slot i + 1 alone from its run of the table, and `graphlets` is a view
-    built in full on first read.  A sequence made from graphlets keeps them
-    and builds its table on first need (`_slot_table`).  The replays of
-    `simulate` walk each slot's run of `ends` (`_slot_ends`) and build no
-    slot.  Iteration, slicing, equality and hashing go through `graphlets`.
+    array of positions in `ids`, sorted by (slot, u, v); and `_slot_nodes`,
+    None when every slot holds every id and otherwise each slot's node set.
+    The constructor builds that table from the slots it is given, which
+    stay as the first contents of the `graphlets` view.  `parse_tgs`,
+    `m_smash` and the samplers of `models` make a sequence from its table
+    alone (`_from_table`): `tgs[i]` builds slot i + 1 alone from its run of
+    the table, and `graphlets` is a view built in full on first read.  The
+    replays of `simulate` walk each slot's run of `ends` (`_slot_ends`) and
+    build no slot.  Equality and hashing read the table; iteration and
+    slicing go through `graphlets`.
+
+    Slots may hold ids that do not compare with each other as long as the
+    ids of each slot do; the table then holds the ids in the order the
+    slots first list them, and its readers that need them sorted
+    (`_slot_table()`) raise the TypeError of `_sorted_ids`.
     """
 
-    __slots__ = ("_graphlets", "_table", "_horizon", "_node_ids")
+    __slots__ = ("_graphlets", "_table", "_slot_nodes", "_horizon", "_node_ids")
 
     def __init__(self, graphlets):
         gs = tuple(graphlets)
@@ -228,16 +235,31 @@ class GraphletSequence:
         for i, g in enumerate(gs, start=1):
             if g.time != i:
                 raise ValueError(f"slot {i} carries time index {g.time}; slots must be contiguous from 1")
-        self._graphlets, self._table, self._horizon, self._node_ids = gs, None, len(gs), None
+        nodes = frozenset().union(*(g.nodes for g in gs))
+        ids, ends, slot_nodes = gs[0]._ids, [g._ends for g in gs], None
+        if any(len(g.nodes) < len(nodes) for g in gs):  # some slot lacks an id: remap each slot's ends
+            slot_nodes = tuple(g.nodes for g in gs)
+            try:
+                ids = tuple(sorted(nodes))
+            except TypeError:
+                ids = tuple(dict.fromkeys(itertools.chain.from_iterable(g._ids for g in gs)))
+            pos = {v: i for i, v in enumerate(ids)}
+            ends = [np.array([pos[v] for v in g._ids], dtype=np.int32)[g._ends] for g in gs]
+        time = np.repeat(np.arange(1, len(gs) + 1, dtype=np.int64), [e.shape[1] for e in ends])
+        self._table = ids, time, np.concatenate(ends, axis=1)
+        self._graphlets, self._slot_nodes, self._horizon, self._node_ids = gs, slot_nodes, len(gs), nodes
 
     @classmethod
-    def _from_table(cls, horizon, ids, time, ends):
-        """The sequence of `horizon` slots, each holding all of the sorted
-        tuple `ids`, whose slot table is (ids, time, ends); the caller
-        guarantees time sorted inside 1..horizon and, within each slot, ends
-        sorted by (u, v), u < v < len(ids), and no repeats."""
+    def _from_table(cls, horizon, ids, time, ends, slot_nodes=None):
+        """The sequence of `horizon` slots whose slot table is (ids, time,
+        ends) and whose slot t holds slot_nodes[t - 1], or all of the sorted
+        tuple `ids` when `slot_nodes` is None; the caller guarantees time
+        sorted inside 1..horizon and, within each slot, ends sorted by
+        (u, v), u < v < len(ids), no repeats and both ends in the slot's
+        node set, and passes None whenever every slot holds every id."""
         tgs = object.__new__(cls)
-        tgs._graphlets, tgs._table, tgs._horizon, tgs._node_ids = None, (ids, time, ends), horizon, None
+        tgs._table = ids, time, ends
+        tgs._graphlets, tgs._slot_nodes, tgs._horizon, tgs._node_ids = None, slot_nodes, horizon, None
         return tgs
 
     @classmethod
@@ -248,47 +270,41 @@ class GraphletSequence:
 
     @property
     def graphlets(self):
-        """The tuple of slots, which a sequence made from its table builds on
-        first read: slot t holds the edges of the table's run of slot t.  A
-        horizon no memory holds fails at once in np.bincount (np.arange
-        would return no values for a stop near 2**63)."""
+        """The tuple of slots, built in full on first read: slot t holds the
+        edges of the table's run of slot t.  A horizon no memory holds fails
+        at once in np.bincount (np.arange would return no values for a stop
+        near 2**63)."""
         if self._graphlets is None:
-            ids, nodes = self._table[0], self.node_ids
-            self._graphlets = tuple(Graphlet._from_ends(t, nodes, ids, ends)
-                                    for t, ends in enumerate(self._slot_ends(), start=1))
+            _, time, ends = self._table
+            bounds = np.cumsum(np.bincount(time, minlength=self._horizon + 1)).tolist()
+            self._graphlets = tuple(self._slot(t, ends[:, a:b])
+                                    for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1))
         return self._graphlets
+
+    def _slot(self, t, run):
+        """Slot t, whose edges are the (2, k) run `run` of the table's ends."""
+        ids = self._table[0]
+        if self._slot_nodes is None:
+            return Graphlet._from_ends(t, self.node_ids, ids, run)
+        return Graphlet(t, self._slot_nodes[t - 1], _id_pairs(ids, run))
 
     def _slot_ends(self):
         """Lazily yield the ends of each slot's edges, slot 1 first, as (2, k)
-        slices of the slot table's `ends` (positions in its ids), bounded by
-        the counts np.bincount takes of `time`."""
+        slices of the slot table's `ends` (positions in its ids).  The counts
+        np.bincount takes of `time` run only to the last slot with an edge,
+        and one empty slice stands for every slot after it, so a reader that
+        stops at slot t does work in proportion to t and the edges."""
         _, time, ends = self._slot_table()
-        bounds = np.cumsum(np.bincount(time, minlength=self._horizon + 1)).tolist()
-        return (ends[:, a:b] for a, b in zip(bounds, bounds[1:]))
+        bounds = np.cumsum(np.bincount(time, minlength=1)).tolist()
+        return itertools.chain((ends[:, a:b] for a, b in zip(bounds, bounds[1:])),
+                               itertools.repeat(ends[:, :0], self._horizon + 1 - len(bounds)))
 
     def _slot_table(self):
-        """The slot table (ids, time, ends), built from the slots on first
-        call.  A slot's own `_ends` are positions in the table when it holds
-        all of the table's ids; otherwise (node sets that vary) they are
-        remapped, and ids that do not compare with each other are a
-        TypeError."""
-        if self._table is None:
-            gs = self._graphlets
-            ids = gs[0]._ids
-            ends = [g._ends for g in gs]
-            if any(g._ids is not ids and g._ids != ids for g in gs):
-                ids = _sorted_ids(self.node_ids)
-                pos = {v: i for i, v in enumerate(ids)}
-                ends = [g._ends if g._ids == ids else np.array([pos[v] for v in g._ids], dtype=np.int32)[g._ends]
-                        for g in gs]
-            time = np.repeat(np.arange(1, len(gs) + 1, dtype=np.int64), [e.shape[1] for e in ends])
-            self._table = ids, time, np.concatenate(ends, axis=1)
+        """The slot table (ids, time, ends); ids that do not compare with each
+        other, which the table holds unsorted, are a TypeError."""
+        if self._slot_nodes is not None:
+            _sorted_ids(self.node_ids)
         return self._table
-
-    def _holds_every_id(self):
-        """True when every slot holds every id of the sequence."""
-        n = len(self.node_ids)
-        return self._graphlets is None or all(len(g.nodes) == n for g in self._graphlets)
 
     @property
     def horizon(self):
@@ -298,8 +314,8 @@ class GraphletSequence:
     def node_ids(self):
         """Every node id present in some slot, computed on first read."""
         if self._node_ids is None:
-            self._node_ids = (frozenset(self._table[0]) if self._graphlets is None
-                              else frozenset().union(*(g.nodes for g in self._graphlets)))
+            self._node_ids = (frozenset(self._table[0]) if self._slot_nodes is None
+                              else frozenset().union(*self._slot_nodes))
         return self._node_ids
 
     def __len__(self):
@@ -310,23 +326,27 @@ class GraphletSequence:
 
     def __getitem__(self, i):
         """Slot i + 1 of the sequence (negative i counting from the end), or
-        the tuple of the slots a slice picks.  A sequence held as its table
-        builds only the slot read, from the run of the table's edges that
-        np.searchsorted finds for its slot number."""
+        the tuple of the slots a slice picks.  Until the `graphlets` view is
+        built, only the slot read is built, from the run of the table's
+        edges that np.searchsorted finds for its slot number."""
         if self._graphlets is not None or isinstance(i, slice):
             return self.graphlets[i]
-        ids, time, ends = self._table
+        _, time, ends = self._table
         t = range(1, self._horizon + 1)[operator.index(i)]
-        run = ends[:, np.searchsorted(time, t, "left"):np.searchsorted(time, t, "right")]
-        return Graphlet._from_ends(t, self.node_ids, ids, run)
+        return self._slot(t, ends[:, np.searchsorted(time, t, "left"):np.searchsorted(time, t, "right")])
+
+    def _key(self):
+        """What equality and hashing read: the horizon and the slot table."""
+        ids, time, ends = self._table
+        return self._horizon, ids, self._slot_nodes, time.tobytes(), ends.tobytes()
 
     def __eq__(self, other):
         if not isinstance(other, GraphletSequence):
             return NotImplemented
-        return self.graphlets == other.graphlets
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.graphlets)
+        return hash(self._key())
 
     def __repr__(self):
         return f"GraphletSequence(T={self.horizon}, n={len(self.node_ids)})"
@@ -354,7 +374,11 @@ class StackedGraph:
         if not (isinstance(vertex, tuple) and len(vertex) == 2):
             return False
         v, t = vertex
-        return isinstance(t, int) and 1 <= t <= self.tgs.horizon and v in self.tgs[t - 1].nodes
+        try:
+            t = operator.index(t)
+        except TypeError:
+            return False
+        return 1 <= t <= self.tgs.horizon and v in self.tgs[t - 1].nodes
 
     @cached_property
     def nodes(self):
@@ -469,20 +493,18 @@ def m_smash(tgs, m):
 
     m=1 returns an equivalent copy; m >= T collapses the whole sequence
     into a single graphlet equal to smash(tgs).  Each block's slot holds
-    the ids present in some slot of the block.  When every slot holds
-    every id the result is made from its slot table alone.
+    the ids present in some slot of the block.  The result is made from
+    its slot table alone.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("block size m must be a positive integer")
     ids, block, pairs = _block_unions(tgs, m)
-    blocks = -(-tgs.horizon // m)
-    if tgs._holds_every_id():
-        return GraphletSequence._from_table(blocks, ids, block + 1, pairs)
-    gs = tgs.graphlets
-    bounds = np.searchsorted(block, np.arange(blocks + 1)).tolist()
-    return GraphletSequence(Graphlet(t, frozenset().union(*(g.nodes for g in gs[(t - 1) * m:t * m])),
-                                     _id_pairs(ids, pairs[:, a:b]))
-                            for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1))
+    nodes = tgs._slot_nodes
+    if nodes is not None:
+        nodes = tuple(frozenset().union(*nodes[a:a + m]) for a in range(0, tgs.horizon, m))
+        if all(len(union) == len(ids) for union in nodes):
+            nodes = None
+    return GraphletSequence._from_table(-(-tgs.horizon // m), ids, block + 1, pairs, nodes)
 
 
 def _require_known(tgs, *ids):
@@ -569,7 +591,7 @@ def _journey_masks(tgs, removed=frozenset()):
     own = {v: 1 << i for i, v in enumerate(_sorted_ids(tgs.node_ids - removed))}
     full = (1 << len(own)) - 1
     held = reach = dict(own)
-    varying = any(not own.keys() <= g.nodes for g in tgs)
+    varying = tgs._slot_nodes is not None
     for g in tgs:
         if varying:
             held = {v: h | own[v] if v in g.nodes else 0 for v, h in held.items()}
@@ -788,7 +810,7 @@ def format_tgs(tgs):
         if not isinstance(v, int) or v < 0:
             raise ValueError("the text format requires non-negative integer node ids")
     n = max(ids) + 1 if ids else 0
-    if len(ids) != n or not tgs._holds_every_id():
+    if len(ids) != n or tgs._slot_nodes is not None:
         raise ValueError(f"the text format requires node set 0..{n - 1} in every slot")
     _, time, ends = tgs._slot_table()  # positions in 0..n-1 are the ids
     horizon = tgs.horizon

@@ -53,6 +53,7 @@ from tvgraph.temporal import (
     GraphletSequence,
     SmashedGraph,
     m_smash,
+    parse_tgs,
     reachable_pairs_fraction,
     smash,
     t_reachable,
@@ -109,6 +110,22 @@ def test_replay_requires_union_path():
         replay_soa(tgs, 0, 2)
     # cut-through with an explicit rank still just never delivers
     assert replay_cut(tgs, 0, 2, rank={0: 2, 1: 1, 2: 0}).latency is None
+
+
+def test_replays_walk_only_the_slots_they_reach():
+    # the message arrives in slot 7 of 10^12: neither replay counts or
+    # walks the slots after it
+    tracemalloc.start()
+    try:
+        tgs = parse_tgs("tgs 2 1000000000000\nt 7\ne 0 1\n")
+        soa, cut = replay_soa(tgs, 0, 1), replay_cut(tgs, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (soa.latency, cut.latency) == (7, 6)
+    assert soa.trajectory == (*((0, t) for t in range(7)), (1, 7))
+    assert cut.trajectory[-1] == (1, 7) and tgs._graphlets is None
 
 
 def test_replay_soa_trajectory_one_entry_per_slot():

@@ -1,9 +1,12 @@
 import itertools
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,20 @@ def test_stacked_view_membership_without_materializing():
             stacked_reachable(stg, *bad)
     # the queries above read the slots only; no vertex or arc set was built
     assert not {"nodes", "slot_arcs", "cross_arcs", "arcs", "_succ"} & vars(stg).keys()
+
+
+def test_stacked_view_reads_numpy_slot_numbers_as_ints():
+    # membership reads the slot through operator.index, as tgs[i] does, so
+    # the queries accept every vertex the built vertex set holds
+    tgs = GraphletSequence([Graphlet(1, "ab", [("a", "b")]), Graphlet(2, "b", []), Graphlet(3, "ab", [])])
+    stg = build_stacked(tgs)
+    assert ("a", np.int64(1)) in stg and ("b", np.int32(2)) in stg
+    assert ("a", np.int64(2)) not in stg and ("a", np.float64(1.0)) not in stg
+    assert stacked_reachable(stg, ("a", np.int64(1)), ("b", np.uint8(3)))
+    assert not stacked_reachable(stg, ("a", np.int64(1)), ("a", np.int64(3)))
+    assert not {"nodes", "slot_arcs", "cross_arcs", "arcs", "_succ"} & vars(stg).keys()
+    for v, t in stg.nodes:
+        assert (v, np.int64(t)) in stg
 
 
 # --- smash / m_smash -----------------------------------------------------------
@@ -726,6 +743,42 @@ def test_indexing_a_table_held_sequence_builds_one_slot():
     assert [g.time for g in slots] == [7, 6, 8, 10 ** 12]
     assert [g.edges for g in slots] == [{(0, 1)}, set(), set(), set()]
     assert "edges" not in vars(tgs[6]) and tgs._graphlets is None
+
+
+def test_equality_and_hashing_read_the_slot_table():
+    text = "tgs 2 1000000000000\nt 7\ne 0 1\n"
+    tracemalloc.start()
+    try:
+        tgs, again, later = parse_tgs(text), parse_tgs(text), parse_tgs(text.replace("t 7", "t 8"))
+        equal, hashes = tgs == again, (hash(tgs), hash(again))
+        unequal = tgs != later
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert equal and unequal and hashes[0] == hashes[1]
+    assert tgs._graphlets is None and again._graphlets is None
+
+
+def test_a_horizon_no_memory_holds_fails_at_once_when_every_slot_is_built():
+    # iteration builds the whole slot view, whose first allocation counts
+    # every declared slot: it fails there, at once, and does not build
+    # empty slots until memory runs out.  Run under a capped address space.
+    code = "\n".join([
+        "import resource",
+        "from tvgraph.temporal import parse_tgs",
+        "tgs = parse_tgs('tgs 2 1000000000000\\nt 7\\ne 0 1\\n')",
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))",
+        "try:",
+        "    tuple(tgs)",
+        "except MemoryError as exc:",
+        "    print('MemoryError', exc)",
+    ])
+    src = str(Path(temporal.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("MemoryError") and "TiB" in out.stdout
 
 
 def test_indexing_reads_as_the_slot_tuple_does():

@@ -18,6 +18,8 @@ from tvgraph.simulate import TrialResult, replay_cut, replay_soa  # noqa: E402
 from tvgraph.temporal import (  # noqa: E402
     Graphlet,
     GraphletSequence,
+    _block_unions,
+    _id_pairs,
     _journey_masks,
     _sorted_ids,
     adjacency,
@@ -315,6 +317,57 @@ def test_the_slot_table_gives_what_the_slots_give(tgs):
     assert format_tgs(table) == text
     assert reachable_pairs_fraction(table) == reachable_pairs_fraction(tgs)
     assert table == tgs and hash(table) == hash(tgs)
+
+
+def slot_built_m_smash(tgs, m):
+    """`m_smash` as it was written for node sets that vary: each block's
+    slot built as a `Graphlet` on the union of the block's node sets, from
+    the block's run of `_block_unions`.  The reference the one-form
+    `m_smash` must equal."""
+    ids, block, pairs = _block_unions(tgs, m)
+    blocks = -(-tgs.horizon // m)
+    gs = tgs.graphlets
+    bounds = np.searchsorted(block, np.arange(blocks + 1)).tolist()
+    return GraphletSequence(Graphlet(t, frozenset().union(*(g.nodes for g in gs[(t - 1) * m:t * m])),
+                                     _id_pairs(ids, pairs[:, a:b]))
+                            for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1))
+
+
+def assert_same_sequence(got, want):
+    """`got` and `want` hold the same slots, compare equal and hash alike,
+    and each holds slot node sets only when they vary."""
+    assert got == want and hash(got) == hash(want) and tuple(got) == tuple(want)
+    for tgs in (got, want):
+        assert (tgs._slot_nodes is None) == all(g.nodes == tgs.node_ids for g in tgs)
+
+
+@settings(deadline=None, max_examples=300)
+# blocks of 2 whose node unions are full, though no slot holds every id
+@example(tgs=GraphletSequence([Graphlet(1, [0], []), Graphlet(2, [1, 2], [(1, 2)]),
+                               Graphlet(3, [0, 1], [(0, 1)]), Graphlet(4, [2], [])]))
+@given(tgs=st.one_of(sequences(), labelled_sequences()))
+def test_a_sequence_is_its_slot_table_however_made(tgs):
+    assert_same_sequence(GraphletSequence(tuple(tgs)), tgs)
+    table = m_smash(tgs, 1)  # made from its table alone
+    assert table._graphlets is None
+    assert_same_sequence(table, tgs)
+    assert_same_sequence(GraphletSequence(tuple(table)), tgs)
+    for m in {1, 2, 3, tgs.horizon}:
+        assert_same_sequence(m_smash(tgs, m), slot_built_m_smash(tgs, m))
+
+
+def test_a_sequence_of_ids_that_do_not_compare_compares_hashes_and_indexes():
+    # the table holds the ids as the slots first list them: "b", 0, 1, "a"
+    def make(last_edges=(("b", "a"),)):
+        return GraphletSequence([Graphlet(1, ["b"], []), Graphlet(2, [0, 1], [(1, 0)]),
+                                 Graphlet(3, ["a", "b"], last_edges)])
+    tgs = make()
+    assert tgs == make() and hash(tgs) == hash(make()) and tgs != make(())
+    assert tgs[2] == Graphlet(3, "ab", [("a", "b")]) and tgs[-2].edges == {(0, 1)}
+    assert t_adjacent(tgs, "a", "b") and not t_adjacent(tgs, 0, "b")
+    assert t_reachable(tgs, 0, 1) == (True, [((0, 1), 2)]) and not t_reachable(tgs, "b", 0)[0]
+    with pytest.raises(TypeError, match="^node ids must compare with each other"):
+        tgs._slot_table()
 
 
 def test_slot_blocks_out_of_order_parse_as_in_order():
